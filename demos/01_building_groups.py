@@ -54,7 +54,7 @@ print("doubling kills the cyclic part:", (z + z).coeffs)
 #
 # `truncate` maps the group onto a finite quotient-like shadow at a
 # chosen level: omega multiplicities are capped, divisible blocks become
-# cyclic towers, torsion-free blocks vanish unless explicitly sampled.
+# cyclic towers, torsion-free blocks vanish.
 # The shadow is what the brute-force oracle enumerates.
 
 shadow = ab.truncate(group, 3)

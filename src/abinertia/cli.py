@@ -51,7 +51,7 @@ from .exactnum import (
 )
 from .groupkit import (
     Cyclic, Element, GroupDesc, HElement, Prufer, TorsionFree, h_descriptor,
-    invariants, nm_type, truncate,
+    Truncation, invariants, nm_type, truncate,
 )
 from .inertia import decompose, is_inertial, is_uniform, ui_class_in_H
 from .linmap import (
@@ -59,7 +59,7 @@ from .linmap import (
     scalar_defect,
 )
 from .oracle import (
-    enumerate_subgroups, fs_profile, index_in_sum, inertness_profile,
+    FGSubgroup, enumerate_subgroups, fs_profile, index_in_sum, inertness_profile,
     truncate_endo, witness_search,
 )
 
@@ -815,23 +815,35 @@ def _run_decompose(parsed: ParsedInput) -> dict:
     return out
 
 
-def _exhaustive_view(group: GroupDesc, phi: Endo) -> dict:
+def _shadow_subgroups(group: GroupDesc) -> tuple[Truncation, list[FGSubgroup] | str]:
+    """The level-2 shadow with its subgroup list, or why it is not listed."""
+    shadow = truncate(group, 2)
+    order = shadow.group.order()
+    if not is_finite(order) or order > 4096:
+        return shadow, "the level-2 shadow is too large"
     try:
-        shadow = truncate(group, 2)
+        return shadow, enumerate_subgroups(shadow.group, limit=4096)
+    except UsageError as exc:
+        return shadow, str(exc)
+
+
+def _exhaustive_view(shadow: Truncation, subs: list[FGSubgroup] | str,
+                     phi: Endo) -> dict:
+    try:
         psi = truncate_endo(phi, shadow)
-        order = shadow.group.order()
-        if not is_finite(order) or order > 4096:
-            return {"skipped": "the level-2 shadow is too large"}
-        subs = enumerate_subgroups(shadow.group, limit=4096)
-        worst = max(index_in_sum(s, psi) for s in subs)
-        return {"level": 2, "subgroups": len(subs), "max_index": _jv(worst)}
     except UsageError as exc:
         return {"skipped": str(exc)}
+    if isinstance(subs, str):
+        return {"skipped": subs}
+    worst = max(index_in_sum(s, psi) for s in subs)
+    return {"level": 2, "subgroups": len(subs), "max_index": _jv(worst)}
 
 
 def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]:
     out = {}
     contradiction = False
+    if config.enumerate_all:
+        shadow, subs = _shadow_subgroups(parsed.group)
     for name, phi in parsed.endos.items():
         cert, viols = is_inertial(phi)
         verdict = "inertial" if cert is not None else "non-inertial"
@@ -875,7 +887,7 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]
             "consistent": consistent,
         }
         if config.enumerate_all:
-            view["exhaustive"] = _exhaustive_view(parsed.group, phi)
+            view["exhaustive"] = _exhaustive_view(shadow, subs, phi)
         out[name] = view
         contradiction = contradiction or not consistent
     return out, contradiction

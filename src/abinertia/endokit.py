@@ -37,7 +37,8 @@ from .exactnum import (
     frac_residue, inv_mod, is_finite, prime_divisors,
 )
 from .groupkit import (
-    Coord, Cyclic, Element, GroupDesc, Prufer, TorsionFree, invariants,
+    Coord, Cyclic, Element, GroupDesc, Invariants, Prufer, TorsionFree,
+    invariants,
 )
 
 __all__ = [
@@ -729,26 +730,8 @@ def is_multiplication(phi: Endo) -> Fraction | JElement | None:
     g = phi.group
     inv = invariants(g)
     if g.is_periodic:
-        exceptions: dict[int, Fraction] = {}
-        for p in g.active_primes():
-            prof = inv.profile(p)
-            alpha: Fraction | None = None
-            if prof.prufer_rank != 0:
-                val = phi.div.get(p, Fraction(0))
-                if not isinstance(val, Fraction):
-                    return None
-                alpha = val
-            joint = _cyc_crt(phi, p, omega_only=False)
-            if joint == "conflict":
-                return None
-            if alpha is None:
-                alpha = Fraction(joint.value) if joint is not None else Fraction(0)
-            elif joint is not None and \
-                    (alpha.denominator % p == 0
-                     or frac_residue(alpha, p, joint.exp) != joint):
-                return None
-            exceptions[p] = alpha
-        return JElement(0, exceptions)
+        scalars = _periodic_scalars(phi, inv, omega_only=False)
+        return None if scalars is None else JElement(0, scalars)
     r = _tf_scalar(phi)
     if r == "nonscalar" or r is None:
         return None
@@ -801,13 +784,14 @@ def _extract_mini(phi: Endo) -> tuple | None:
     return (n, frozenset(pi))
 
 
-def _multiplication_shape(phi: Endo, p: int, q: Fraction | None) -> Fraction | None | str:
+def _multiplication_shape(phi: Endo, inv: Invariants, p: int,
+                          q: Fraction | None,
+                          omega_only: bool) -> Fraction | None | str:
     """The exact scalar phi uses at prime p, "mismatch" when the p-blocks
-    cannot be covered by one scalar (forced q when given)."""
-    g = phi.group
-    prof = invariants(g).profile(p)
+    cannot be covered by one scalar (forced q when given); omega_only
+    restricts the cyclic blocks consulted to those of multiplicity OMEGA."""
     alpha: Fraction | None = q
-    if prof.prufer_rank != 0:
+    if inv.profile(p).prufer_rank != 0:
         val = phi.div.get(p, Fraction(0))
         if not isinstance(val, Fraction):
             return "mismatch"
@@ -815,7 +799,7 @@ def _multiplication_shape(phi: Endo, p: int, q: Fraction | None) -> Fraction | N
             alpha = val
         elif val != alpha:
             return "mismatch"
-    joint = _cyc_crt(phi, p, omega_only=False)
+    joint = _cyc_crt(phi, p, omega_only)
     if joint == "conflict":
         return "mismatch"
     if joint is not None:
@@ -825,6 +809,20 @@ def _multiplication_shape(phi: Endo, p: int, q: Fraction | None) -> Fraction | N
                 frac_residue(alpha, p, joint.exp) != joint:
             return "mismatch"
     return alpha
+
+
+def _periodic_scalars(phi: Endo, inv: Invariants,
+                      omega_only: bool) -> dict[int, Fraction] | None:
+    """The scalar at each active prime of a periodic group, or None when
+    some prime has no single one."""
+    scalars: dict[int, Fraction] = {}
+    for p in phi.group.active_primes():
+        alpha = _multiplication_shape(phi, inv, p, None, omega_only)
+        if alpha == "mismatch":
+            return None
+        if alpha:
+            scalars[p] = alpha
+    return scalars
 
 
 def _extract_semi(phi: Endo, need_finite: bool) -> tuple | None:
@@ -846,7 +844,8 @@ def _extract_semi(phi: Endo, need_finite: bool) -> tuple | None:
     pi = set(prime_divisors(q.denominator))
     residues = []
     for p in g.active_primes():
-        if p not in pi and _multiplication_shape(phi, p, q) == q:
+        if p not in pi and _multiplication_shape(phi, inv, p, q,
+                                                   omega_only=False) == q:
             continue
         # the prime must go to the integer part
         if p not in allowed:
@@ -874,27 +873,10 @@ def fm_split(phi: Endo) -> tuple[Endo, Endo] | None:
     g = phi.group
     inv = invariants(g)
     if g.is_periodic:
-        exceptions: dict[int, Fraction] = {}
-        for p in g.active_primes():
-            prof = inv.profile(p)
-            alpha: Fraction | None = None
-            if prof.prufer_rank != 0:
-                val = phi.div.get(p, Fraction(0))
-                if not isinstance(val, Fraction):
-                    return None
-                alpha = val
-            joint = _cyc_crt(phi, p, omega_only=True)
-            if joint == "conflict":
-                return None
-            if joint is not None:
-                if alpha is None:
-                    alpha = Fraction(joint.value)
-                elif alpha.denominator % p == 0 or \
-                        frac_residue(alpha, p, joint.exp) != joint:
-                    return None
-            if alpha:
-                exceptions[p] = alpha
-        qm = multiplication_endo(g, JElement(0, exceptions))
+        scalars = _periodic_scalars(phi, inv, omega_only=True)
+        if scalars is None:
+            return None
+        qm = multiplication_endo(g, JElement(0, scalars))
     else:
         q = _tf_scalar(phi)
         if not isinstance(q, Fraction):

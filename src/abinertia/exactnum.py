@@ -1,8 +1,8 @@
 """Exact arithmetic substrate.
 
-Arbitrary-precision rationals, residues modulo prime powers, p-integral
-rationals, componentwise prime-indexed scalars, prime-power CRT, and
-integer matrix normal forms (Smith and Hermite).  Every value is
+Arbitrary-precision rationals, residues modulo prime powers,
+componentwise prime-indexed scalars, prime-power CRT, and integer
+matrix normal forms (Smith and Hermite).  Every value is
 immutable, every operation is a pure function, and nothing here touches
 floating point.
 """
@@ -18,8 +18,8 @@ Rational = Fraction
 __all__ = [
     "Rational", "UsageError", "ExtendedNat", "OMEGA", "INF", "is_finite",
     "is_prime", "factor", "prime_divisors", "valuation", "frac_valuation",
-    "is_p_integral", "inv_mod", "Residue", "PLocalRational", "JElement",
-    "crt_solve", "crt_lift", "residue_of", "frac_residue",
+    "inv_mod", "Residue", "JElement",
+    "crt_solve", "crt_lift", "frac_residue",
     "identity_matrix", "mat_mul", "snf", "hnf", "solve_in_rowspace",
     "kernel_left", "det_int",
 ]
@@ -180,10 +180,6 @@ def frac_valuation(q: Fraction, p: int) -> int | ExtendedNat:
     return valuation(q.numerator, p) - valuation(q.denominator, p)
 
 
-def is_p_integral(q: Fraction, p: int) -> bool:
-    return q.denominator % p != 0
-
-
 def inv_mod(a: int, m: int) -> int:
     return pow(a, -1, m)
 
@@ -279,48 +275,6 @@ def frac_residue(q: Fraction, p: int, k: int) -> Residue:
         raise UsageError(f"{q} is not {p}-integral")
     m = p ** k
     return Residue(q.numerator * inv_mod(q.denominator % m, m), p, k)
-
-
-@dataclass(frozen=True)
-class PLocalRational:
-    """A rational whose denominator is coprime to the attached prime."""
-
-    prime: int
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise UsageError(f"{self.prime} is not prime")
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value.denominator % self.prime == 0:
-            raise UsageError(f"{self.value} is not {self.prime}-integral")
-
-    def _check(self, other: "PLocalRational") -> None:
-        if self.prime != other.prime:
-            raise UsageError("p-local arithmetic needs one shared prime")
-
-    def __add__(self, other: "PLocalRational") -> "PLocalRational":
-        self._check(other)
-        return PLocalRational(self.prime, self.value + other.value)
-
-    def __sub__(self, other: "PLocalRational") -> "PLocalRational":
-        self._check(other)
-        return PLocalRational(self.prime, self.value - other.value)
-
-    def __mul__(self, other: "PLocalRational") -> "PLocalRational":
-        self._check(other)
-        return PLocalRational(self.prime, self.value * other.value)
-
-    def __neg__(self) -> "PLocalRational":
-        return PLocalRational(self.prime, -self.value)
-
-    def valuation(self) -> int | ExtendedNat:
-        return frac_valuation(self.value, self.prime)
-
-
-def residue_of(x: PLocalRational, k: int) -> Residue:
-    """Residue of a p-integral rational modulo p**k (p taken from x)."""
-    return frac_residue(x.value, x.prime, k)
 
 
 # ---------------------------------------------------------------------------

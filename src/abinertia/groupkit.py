@@ -31,7 +31,7 @@ Nat = int | ExtendedNat
 
 __all__ = [
     "Cyclic", "Prufer", "TorsionFree", "Block", "free_omega", "GroupDesc",
-    "Element", "element_add", "element_order", "PrimeSelector",
+    "Element", "PrimeSelector",
     "PrimeProfile", "Invariants", "invariants", "h_descriptor", "HElement",
     "h_equal", "h_add", "h_mul", "h_zero", "nm_type", "Truncation",
     "truncate",
@@ -356,14 +356,6 @@ class Element:
         return " + ".join(f"{b}.{i}:{v}" for (b, i), v in sorted(self.coeffs.items()))
 
 
-def element_add(x: Element, y: Element) -> Element:
-    return x + y
-
-
-def element_order(x: Element) -> Nat:
-    return x.order()
-
-
 # ---------------------------------------------------------------------------
 # prime selectors and invariants
 
@@ -594,25 +586,19 @@ class Truncation:
     """A finite shadow of a group at a fixed level.
 
     OMEGA multiplicities shrink to ``level`` copies, divisible blocks
-    become Z/p^level towers, torsion-free blocks are dropped (or sampled
-    into Z/q^level lattices at declared primes q outside their prime
-    set).  ``embed`` maps shadow elements of torsion provenance back into
-    the source group; sampled torsion-free coordinates do not embed.
+    become Z/p^level towers, and torsion-free blocks are dropped.
+    ``embed`` maps shadow elements back into the source group.
     """
 
     source: GroupDesc
     group: GroupDesc
     level: int
-    sampled: tuple[tuple[str, str, int], ...]  # (shadow name, source name, prime)
 
     def embed(self, x: Element) -> Element:
         if x.group != self.group:
             raise UsageError("element does not live in the shadow group")
-        sampled_names = {s for s, _, _ in self.sampled}
         coeffs: dict[Coord, int | Fraction] = {}
         for (bname, idx), v in x.coeffs.items():
-            if bname in sampled_names:
-                raise UsageError("sampled torsion-free coordinates do not embed")
             src = self.source.block(bname)
             if isinstance(src, Prufer):
                 coeffs[(bname, idx)] = Fraction(v, src.prime ** self.level)
@@ -621,17 +607,11 @@ class Truncation:
         return Element(self.source, coeffs)
 
 
-def truncate(group: GroupDesc, level: int,
-             tf_primes: Iterable[int] | None = None) -> Truncation:
+def truncate(group: GroupDesc, level: int) -> Truncation:
     """Finite shadow at the given level; see Truncation for the block map."""
     if not isinstance(level, int) or level < 1:
         raise UsageError("truncation level must be a positive integer")
-    primes = tuple(sorted(set(tf_primes))) if tf_primes else ()
-    for p in primes:
-        if not is_prime(p):
-            raise UsageError(f"{p} is not prime")
     blocks: list[tuple[str, Block]] = []
-    sampled: list[tuple[str, str, int]] = []
     for name, b in group.blocks:
         if isinstance(b, Cyclic):
             mult = level if b.mult is OMEGA else b.mult
@@ -639,13 +619,4 @@ def truncate(group: GroupDesc, level: int,
         elif isinstance(b, Prufer):
             copies = level if b.copies is OMEGA else b.copies
             blocks.append((name, Cyclic(b.prime, level, copies)))
-        else:
-            for p in primes:
-                if p in b.primes:
-                    continue  # the block is p-divisible: zero shadow
-                rank = level if b.rank is OMEGA else b.rank
-                shadow = f"{name}__{p}"
-                blocks.append((shadow, Cyclic(p, level, rank)))
-                sampled.append((shadow, name, p))
-    return Truncation(source=group, group=GroupDesc(blocks), level=level,
-                      sampled=tuple(sampled))
+    return Truncation(source=group, group=GroupDesc(blocks), level=level)

@@ -243,7 +243,8 @@ def decompose(phi: Endo) -> Decomposition:
     ui = sub(residual, nm)
     if is_uniform(ui) is None:
         raise AssertionError("residual of an inertial map must be uniform")
-    assert add(sm, add(ui, nm)) == phi
+    if add(sm, add(ui, nm)) != phi:
+        raise AssertionError("the three parts must add up to the map")
     return Decomposition(sm=sm, ui=ui, nm=nm, residual=residual)
 
 
@@ -266,7 +267,9 @@ def is_uniform(phi: Endo) -> JElement | None:
             beta = Fraction(0)
         elif prof.prufer_rank != 0:
             val = phi.div.get(p, Fraction(0))
-            assert isinstance(val, Fraction)  # certified scalar
+            if not isinstance(val, Fraction):
+                raise AssertionError("an inertial map acts on divisible "
+                                     "blocks by a scalar")
             beta = val
         elif joint is not None:
             beta = Fraction(joint.value)
@@ -310,5 +313,7 @@ def bounded_split(phi: Endo) -> tuple[Endo, Endo]:
     else:
         nm = zero_endo(g)
     fin = sub(phi, nm)
-    assert is_finitary(fin)
+    if not is_finitary(fin):
+        raise AssertionError("removing the prime-part action must leave a "
+                             "finitary map")
     return fin, nm

@@ -312,6 +312,7 @@ def growth_bound_check(M: ExactMatrix, trials: int, seed: int) -> GrowthReport:
                     for _ in range(d)]
         basis = _reduce(M.field, vecs)
         growth = _growth(M, basis)
-        assert growth <= res.defect  # H + MH = H + (M - lam)H
+        if growth > res.defect:  # H + MH = H + (M - lam)H
+            raise AssertionError("a subspace grew past the scalar defect")
         best = max(best, growth)
     return GrowthReport(trials, best, res.defect, res.lam)

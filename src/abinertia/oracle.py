@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from .exactnum import (
     INF, OMEGA, UsageError, frac_residue, frac_valuation, hnf, is_finite,
-    kernel_left, snf, solve_in_rowspace,
+    kernel_left, solve_in_rowspace,
 )
 from .groupkit import (
     Coord, Cyclic, Element, GroupDesc, Nat, Prufer, TorsionFree, Truncation,
@@ -128,9 +128,10 @@ def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
     """Exact index |H + phi(H) : H| for a finitely generated H.
 
     Both subgroups are presented as integer lattices over the involved
-    coordinates; the index is the product of the Smith invariant factors
-    of the coefficient matrix expressing one Hermite basis over the
-    other, and INF exactly when the torsion-free rank jumps.
+    coordinates.  The index is INF exactly when the torsion-free rank
+    jumps; otherwise H and H + phi(H) span one rational space, their
+    Hermite bases share pivot columns, and the index is the product of
+    the pivots of H over the product of the pivots of H + phi(H).
     """
     if phi.group != sub.group:
         raise UsageError("the endomorphism acts on a different group")
@@ -144,18 +145,14 @@ def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
     basis_h = hnf(rows[:len(hs)] + rel)
     if len(basis_h) < len(basis_k):
         return INF
-    coeffs = []
-    for row in basis_h:
-        sol = solve_in_rowspace(basis_k, row)
-        assert sol is not None, "H escaped H + phi(H)"
-        coeffs.append(sol)
-    diag, _, _ = snf(coeffs)
+    lead = [next(j for j, x in enumerate(row) if x) for row in basis_h]
+    if lead != [next(j for j, x in enumerate(row) if x) for row in basis_k]:
+        raise AssertionError("H escaped H + phi(H)")
     out = 1
-    for i in range(len(basis_k)):
-        d = diag[i][i]
-        if d == 0:  # pragma: no cover - ranks already agreed
-            return INF
-        out *= abs(d)
+    for col, row_h, row_k in zip(lead, basis_h, basis_k):
+        if row_h[col] % row_k[col]:
+            raise AssertionError("H escaped H + phi(H)")
+        out *= row_h[col] // row_k[col]
     return out
 
 
@@ -326,71 +323,47 @@ def _samples_for(target: GroupDesc | Truncation, count: int, seed: int,
     return hit
 
 
-def _all_elements(group: GroupDesc) -> list[Element]:
-    coords = [((name, i), b.prime ** b.exp)
-              for name, b in group.blocks for i in range(b.mult)]
-    out = []
-    for combo in product(*[range(m) for _, m in coords]):
-        coeffs = {c: v for (c, _), v in zip(coords, combo) if v}
-        out.append(Element(group, coeffs))
-    return out
-
-
-def _ekey(x: Element):
-    return tuple(sorted(x.coeffs.items()))
-
-
-def _join(group: GroupDesc, sub: frozenset[Element],
-          extra: Element) -> frozenset[Element]:
-    # sub is a subgroup, so sub + <extra> is already closed
-    step = Element(group, {})
-    layers = []
-    for _ in range(extra.order()):
-        layers.append(step)
-        step = step + extra
-    return frozenset(s + t for s in sub for t in layers)
-
-
 def enumerate_subgroups(target: GroupDesc | Truncation,
                         limit: int = 1024) -> list[FGSubgroup]:
     """Every subgroup of a small finite group, smallest first.
 
-    Exhaustive join closure over cyclic subgroups; refuses groups of
-    order beyond the limit and lattices that grow past twenty thousand
-    subgroups (elementary abelian shapes explode combinatorially).
+    The group is Z^n modulo diag(moduli), so its subgroups are exactly
+    the lattices between diag(moduli) and Z^n, each with one Hermite
+    basis.  The bases are listed from the bottom row up: a pivot runs
+    over the divisors of its modulus, each entry right of it over the
+    residues modulo the pivot below that entry, and a row is kept when
+    the modulus vector of its coordinate stays in the lattice.  The
+    nonzero rows are the generators.  Refuses groups of order beyond
+    the limit and lattices that grow past twenty thousand subgroups
+    (elementary abelian shapes explode combinatorially).
     """
     group = _ambient(target)
     order = group.order()
     if not is_finite(order) or order > limit:
         raise UsageError("subgroup enumeration needs a finite group within the limit")
-    elements = _all_elements(group)
-    zero = Element(group, {})
-    trivial = frozenset([zero])
-    subs = {trivial}
-    frontier = [trivial]
-    while frontier:
-        s = frontier.pop()
-        for e in elements:
-            if e in s:
-                continue
-            t = _join(group, s, e)
-            if t not in subs:
-                if len(subs) >= 20000:
-                    raise UsageError("the subgroup lattice is too large to enumerate")
-                subs.add(t)
-                frontier.append(t)
-    ordered = sorted(subs, key=lambda s: (len(s), sorted(map(_ekey, s))))
+    coords, moduli = _flat_space(group)
+    bases: list[list[list[int]]] = [[]]
+    for i in reversed(range(len(moduli))):
+        m = moduli[i]
+        grown = []
+        for below in bases:
+            pivots = [row[j] for j, row in enumerate(below, i + 1)]
+            for tail in product(*map(range, pivots)):
+                for d in (d for d in range(1, m + 1) if m % d == 0):
+                    # m e_i lies in the lattice iff (m/d) row_i - m e_i does
+                    rest = [0] * (i + 1) + [m // d * x for x in tail]
+                    if solve_in_rowspace(below, rest) is None:
+                        continue
+                    grown.append([[0] * i + [d, *tail]] + below)
+                    if len(grown) > 20000:
+                        raise UsageError("the subgroup lattice is too large to enumerate")
+        bases = grown
+    bases.sort(key=lambda rows: (order // prod(r[j] for j, r in enumerate(rows)),
+                                 rows))
     out = []
-    for rank, s in enumerate(ordered):
-        gens: list[Element] = []
-        span = {zero}
-        for e in sorted(s, key=lambda x: (-(x.order()), _ekey(x))):
-            if e not in span:
-                gens.append(e)
-                span = _span(group, gens)
-                if len(span) == len(s):
-                    break
-        out.append(FGSubgroup(group, tuple(gens), f"enum {rank}"))
+    for rank, rows in enumerate(bases):
+        gens = [Element(group, dict(zip(coords, r))) for r in rows]
+        out.append(FGSubgroup(group, tuple(g for g in gens if g), f"enum {rank}"))
     return out
 
 
@@ -428,9 +401,6 @@ def truncate_endo(phi: Endo, shadow: Truncation) -> Endo:
     """
     if phi.group != shadow.source:
         raise UsageError("the endomorphism acts on a different group")
-    if shadow.sampled:
-        raise UsageError("endomorphisms do not transport onto sampled "
-                         "torsion-free shadows")
     level = shadow.level
     cyc: dict[str, int | dict] = {}
     for name, val in phi.cyc.items():

@@ -1,5 +1,8 @@
 """Description-file grammar, canonical round-trips, and report plumbing."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,6 +268,36 @@ def test_oracle_exhaustive_shadow_check():
     assert views["bridge"]["exhaustive"] == {
         "level": 2, "subgroups": 129, "max_index": 2}
     assert views["double"]["exhaustive"]["max_index"] == 1
+
+
+def test_oracle_exhausts_the_periodic_shadow():
+    # (Z/2)^2 + (Z/9)^3 at level 2: 5 * 445 subgroups, listed once per file
+    _, text = run(config("oracle", "periodic", levels=(2,), samples=1,
+                         enumerate_all=True))
+    views = json.loads(text)["results"][corpus("periodic")]
+    for name, worst in (("triple", 1), ("bridge3", 3), ("drop", 2)):
+        assert views[name]["exhaustive"] == {
+            "level": 2, "subgroups": 2225, "max_index": worst}
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", corpus("critical")],
+    ["oracle", corpus("critical"), "--enumerate-all"],
+])
+def test_reports_do_not_depend_on_assertions(argv):
+    # the library checks its invariants with explicit raises, so running
+    # under python -O must change nothing
+    src = str(Path(abinertia.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-m", "abinertia.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_validation_failures_become_usage_errors(tmp_path):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abinertia.exactnum import (
-    INF, OMEGA, JElement, PLocalRational, Residue, UsageError,
+    INF, OMEGA, JElement, Residue, UsageError,
     crt_lift, crt_solve, det_int, factor, frac_residue, frac_valuation, hnf,
     identity_matrix, inv_mod, is_prime, kernel_left, mat_mul, prime_divisors,
-    residue_of, snf, solve_in_rowspace, valuation,
+    snf, solve_in_rowspace, valuation,
 )
 
 
@@ -41,6 +41,13 @@ def test_residue_canonicalization_and_arithmetic():
         Residue(1, 4, 1)
     with pytest.raises(UsageError):
         Residue(1, 2, 1) + Residue(1, 3, 1)
+    # 2 * 5 = 10 = 1 + 9, so 1/2 = 5 mod 3^2
+    assert frac_residue(Fraction(1, 2), 3, 2) == Residue(5, 3, 2)
+    # 5 * 7 = 35 = 3 + 32, so 3/5 = 7 mod 2^3
+    assert frac_residue(Fraction(3, 5), 2, 3) == Residue(7, 2, 3)
+    assert frac_residue(Fraction(4), 2, 2) == Residue(0, 2, 2)
+    with pytest.raises(UsageError):
+        frac_residue(Fraction(1, 2), 2, 1)
 
 
 def test_crt_solve_frozen_examples():
@@ -77,23 +84,6 @@ def test_crt_lift_distinct_primes():
     assert x % 4 == 3 and x % 3 == 2 and 0 <= x < 12
     with pytest.raises(UsageError):
         crt_lift([Residue(1, 2, 1), Residue(1, 2, 2)])
-
-
-def test_residue_of_frozen_examples():
-    # 2 * 5 = 10 = 1 + 9, so 1/2 = 5 mod 3^2
-    assert residue_of(PLocalRational(3, Fraction(1, 2)), 2) == Residue(5, 3, 2)
-    # 5 * 7 = 35 = 3 + 32, so 3/5 = 7 mod 2^3
-    assert residue_of(PLocalRational(2, Fraction(3, 5)), 3) == Residue(7, 2, 3)
-    assert frac_residue(Fraction(4), 2, 2) == Residue(0, 2, 2)
-
-
-def test_plocal_rejects_bad_denominator():
-    with pytest.raises(UsageError):
-        PLocalRational(2, Fraction(1, 2))
-    x = PLocalRational(2, Fraction(3, 5))
-    assert (x + x).value == Fraction(6, 5)
-    assert (x * x).value == Fraction(9, 25)
-    assert PLocalRational(2, Fraction(12, 5)).valuation() == 2
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(-40, 40), st.integers(1, 30),

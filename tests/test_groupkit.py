@@ -191,17 +191,10 @@ def test_h_ring_ops():
 def test_truncate_shapes():
     tr = truncate(CRITICAL, 3)
     assert tr.group == G(("B", Cyclic(2, 2, 3)), ("D", Cyclic(2, 3, 1)))
-    assert tr.level == 3 and tr.sampled == ()
-    # torsion-free blocks vanish by default
+    assert tr.level == 3
+    # torsion-free blocks vanish
     tr2 = truncate(SECTION3, 2)
     assert tr2.group == G(("B", Cyclic(5, 1, 1)))
-    # sampling a prime outside pi produces a lattice shadow
-    tr3 = truncate(SECTION3, 2, tf_primes=[3])
-    assert tr3.group.block("C__3") == Cyclic(3, 2, 1)
-    assert tr3.sampled == (("C__3", "C", 3),)
-    # sampling a prime inside pi contributes nothing (the block is divisible)
-    tr4 = truncate(SECTION3, 2, tf_primes=[5])
-    assert tr4.group == G(("B", Cyclic(5, 1, 1)))
     with pytest.raises(UsageError):
         truncate(CRITICAL, 0)
 
@@ -215,9 +208,6 @@ def test_truncate_embed():
     assert emb.get(("D", 0)) == Fraction(5, 8)
     with pytest.raises(UsageError):
         tr.embed(Element(CRITICAL, {("B", 0): 1}))
-    tr3 = truncate(SECTION3, 2, tf_primes=[3])
-    with pytest.raises(UsageError):
-        tr3.embed(Element(tr3.group, {("C__3", 0): 1}))
 
 
 def test_truncate_monotone_embedding():

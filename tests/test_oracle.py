@@ -146,13 +146,25 @@ def test_enumerate_counts_known_lattices():
     assert len(enumerate_subgroups(GroupDesc([("A", Cyclic(2, 1, 1)),
                                               ("B", Cyclic(2, 2, 1))]))) == 8
     assert len(enumerate_subgroups(GroupDesc([("A", Cyclic(2, 3, 1))]))) == 4
+    # two primes multiply: 5 subgroups of (Z/2)^2 times 6 of (Z/3)^2, and
+    # 5 times 3 with Z/9
+    assert len(enumerate_subgroups(GroupDesc([("A", Cyclic(2, 1, 2)),
+                                              ("B", Cyclic(3, 1, 2))]))) == 30
+    assert len(enumerate_subgroups(GroupDesc([("A", Cyclic(2, 1, 2)),
+                                              ("B", Cyclic(3, 2, 1))]))) == 15
+    # the level-2 shadow of tests/corpus/periodic.txt, (Z/2)^2 + (Z/9)^3:
+    # 5 subgroups at 2 times 445 at 3
+    periodic = GroupDesc([("B", Cyclic(2, 1, OMEGA)), ("C", Cyclic(3, 2, OMEGA)),
+                          ("D", Prufer(3, 1))])
+    assert len(enumerate_subgroups(truncate(periodic, 2), limit=4096)) == 2225
 
 
 def test_enumerate_spans_match_their_subgroups():
     from abinertia.oracle import _span
-    for s in enumerate_subgroups(GroupDesc([("A", Cyclic(3, 1, 2))])):
-        span = _span(s.group, list(s.generators))
-        assert len(span) in (1, 3, 9)
+    spans = [frozenset(_span(s.group, list(s.generators)))
+             for s in enumerate_subgroups(GroupDesc([("A", Cyclic(3, 1, 2))]))]
+    assert [len(span) for span in spans] == [1, 3, 3, 3, 3, 9]
+    assert len(set(spans)) == len(spans) == 6
 
 
 def test_enumerate_refuses_large_orders():
@@ -187,13 +199,6 @@ def test_shadow_drops_corrections_below_the_floor():
     assert truncate_endo(deep, truncate(CRIT, 2)).fin == {}
     kept = truncate_endo(deep, truncate(CRIT, 3))
     assert ("c", "B", 0) in kept.fin
-
-
-def test_shadow_refuses_sampled_lattices():
-    phi = multiplication_endo(MIXP, 2)
-    shadow = truncate(MIXP, 2, tf_primes=(3,))
-    with pytest.raises(UsageError):
-        truncate_endo(phi, shadow)
 
 
 # -- profiles ------------------------------------------------------------
