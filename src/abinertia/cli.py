@@ -360,10 +360,15 @@ class _Parser:
             if self.at_punct(";"):
                 self.take()
         self.expect_punct("}")
-        endos[ntok.text] = self.build(
-            head, Endo, group, tf=acc.tf, free_scalar=acc.free,
-            div=acc.div_kwargs(), cyc=acc.cyc_kwargs(), tau=acc.tau,
-            fin=acc.fin)
+        try:
+            endos[ntok.text] = Endo(
+                group, tf=acc.tf, free_scalar=acc.free, div=acc.div_kwargs(),
+                cyc=acc.cyc_kwargs(), tau=acc.tau, fin=acc.fin)
+        except UsageError as exc:
+            # point at the first entry that fails on its own, else the head
+            for tok, entry in acc.entries:
+                self.build(tok, Endo, group, **entry)
+            self.fail(str(exc), head)
 
 
 class _EndoEntries:
@@ -381,6 +386,7 @@ class _EndoEntries:
         self.cyc_matrix: dict[str, dict] = {}
         self.tau: dict = {}
         self.fin: dict = {}
+        self.entries: list[tuple[_Token, dict]] = []  # each entry alone
 
     def div_kwargs(self) -> dict:
         return {**self.div_scalar, **self.div_matrix}
@@ -398,14 +404,14 @@ class _EndoEntries:
         if handler is None:
             p.fail(f"unknown entry map {head.text!r}", head)
         p.expect_punct("[")
-        handler()
+        self.entries.append((head, handler()))
 
     def block_of(self, tok: _Token):
         if not self.group.has_block(tok.text):
             self.p.fail(f"unknown block {tok.text!r}", tok)
         return self.group.block(tok.text)
 
-    def tf_entry(self) -> None:
+    def tf_entry(self) -> dict:
         p = self.p
         stok = p.expect_name("a block name")
         blk = self.block_of(stok)
@@ -419,7 +425,7 @@ class _EndoEntries:
                 p.fail(f"duplicate tf entry for {stok.text!r}", stok)
             self.free = p.int_only()
             self.free_set = True
-            return
+            return {"free_scalar": self.free}
         if not isinstance(blk, TorsionFree):
             p.fail(f"{stok.text!r} is not a torsion-free block", stok)
         p.expect_punct(".")
@@ -433,9 +439,10 @@ class _EndoEntries:
         p.expect_punct("=")
         if (src, dst) in self.tf:
             p.fail(f"duplicate tf entry {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}", stok)
-        self.tf[(src, dst)] = p.rational()
+        self.tf[(src, dst)] = value = p.rational()
+        return {"tf": {(src, dst): value}}
 
-    def div_entry(self) -> None:
+    def div_entry(self) -> dict:
         p = self.p
         stok = p.expect_name("a block name")
         blk = self.block_of(stok)
@@ -446,8 +453,8 @@ class _EndoEntries:
             p.expect_punct("=")
             if blk.prime in self.div_scalar or blk.prime in self.div_matrix:
                 p.fail(f"prime {blk.prime} already has a divisible action", stok)
-            self.div_scalar[blk.prime] = p.rational()
-            return
+            self.div_scalar[blk.prime] = value = p.rational()
+            return {"div": {blk.prime: value}}
         p.expect_punct(".")
         src = (stok.text, p.integer())
         p.expect_punct("->")
@@ -465,9 +472,10 @@ class _EndoEntries:
         mat = self.div_matrix.setdefault(blk.prime, {})
         if (src, dst) in mat:
             p.fail(f"duplicate div entry {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}", stok)
-        mat[(src, dst)] = p.rational()
+        mat[(src, dst)] = value = p.rational()
+        return {"div": {blk.prime: {(src, dst): value}}}
 
-    def cyc_entry(self) -> None:
+    def cyc_entry(self) -> dict:
         p = self.p
         stok = p.expect_name("a block name")
         blk = self.block_of(stok)
@@ -478,8 +486,8 @@ class _EndoEntries:
             p.expect_punct("=")
             if stok.text in self.cyc_scalar or stok.text in self.cyc_matrix:
                 p.fail(f"duplicate cyc entry for {stok.text!r}", stok)
-            self.cyc_scalar[stok.text] = p.int_only()
-            return
+            self.cyc_scalar[stok.text] = value = p.int_only()
+            return {"cyc": {stok.text: value}}
         p.expect_punct(".")
         i = p.integer()
         p.expect_punct("->")
@@ -495,9 +503,10 @@ class _EndoEntries:
         mat = self.cyc_matrix.setdefault(stok.text, {})
         if (i, j) in mat:
             p.fail(f"duplicate cyc entry {stok.text}.{i} -> {stok.text}.{j}", stok)
-        mat[(i, j)] = p.int_only()
+        mat[(i, j)] = value = p.int_only()
+        return {"cyc": {stok.text: {(i, j): value}}}
 
-    def tau_entry(self) -> None:
+    def tau_entry(self) -> dict:
         p = self.p
         stok = p.peek()
         src = p.coord(self.group)
@@ -512,9 +521,10 @@ class _EndoEntries:
         p.expect_punct("=")
         if (src, dst) in self.tau:
             p.fail(f"duplicate tau entry {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}", stok)
-        self.tau[(src, dst)] = p.rational()
+        self.tau[(src, dst)] = value = p.rational()
+        return {"tau": {(src, dst): value}}
 
-    def fin_entry(self) -> None:
+    def fin_entry(self) -> dict:
         p = self.p
         stok = p.peek()
         src = p.coord(self.group)
@@ -545,7 +555,8 @@ class _EndoEntries:
         p.expect_punct("}")
         if key in self.fin:
             p.fail("duplicate fin entry", stok)
-        self.fin[key] = p.build(vtok, Element, self.group, coeffs)
+        self.fin[key] = value = p.build(vtok, Element, self.group, coeffs)
+        return {"fin": {key: value}}
 
     def fin_coeff(self, coeffs: dict) -> None:
         p = self.p
@@ -677,6 +688,11 @@ def _selector_view(sel) -> dict:
 
 _COMMANDS = ("analyze", "check", "decompose", "oracle", "defect")
 
+# work caps: past one of these a run fails as a usage error before any work
+MAX_LEVEL = 64       # truncation level of a shadow
+MAX_SAMPLES = 10000  # sampled subgroups per level, or defect trials
+MAX_BUDGET = 32      # depths explored per witness family
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -700,10 +716,16 @@ def _check_config(config: SessionConfig) -> None:
                                 for v in config.levels) or \
             list(config.levels) != sorted(set(config.levels)):
         raise UsageError("levels must be strictly ascending positive integers")
+    if config.levels[-1] > MAX_LEVEL:
+        raise UsageError(f"levels must be at most {MAX_LEVEL}")
     if config.samples < 1:
         raise UsageError("samples must be >= 1")
+    if config.samples > MAX_SAMPLES:
+        raise UsageError(f"samples must be at most {MAX_SAMPLES}")
     if config.budget < 1:
         raise UsageError("budget must be >= 1")
+    if config.budget > MAX_BUDGET:
+        raise UsageError(f"budget must be at most {MAX_BUDGET}")
     if not 0 <= config.seed < 2 ** 64:
         raise UsageError("the seed must fit in 64 bits")
     if config.inject_verdict not in (None, "inertial", "non-inertial"):

@@ -672,25 +672,25 @@ def is_finitary(phi: Endo) -> bool:
     return True
 
 
+def _tf_diagonal(tf: Mapping, copies: list[Coord]) -> Fraction | None | str:
+    """The one diagonal value of a matrix on the finite torsion-free
+    copies, None when there are no copies, or "nonscalar"."""
+    if not copies:  # then tf is empty too
+        return None
+    if any(s != d for s, d in tf):
+        return "nonscalar"
+    vals = {tf.get((c, c), Fraction(0)) for c in copies}
+    return vals.pop() if len(vals) == 1 else "nonscalar"
+
+
 def _tf_scalar(phi: Endo) -> Fraction | None | str:
     """The scalar r with torsion-free part r*id, None if there is no
     torsion-free part at all, or "nonscalar"."""
-    g = phi.group
-    copies = g.tf_copies()
-    free = g.free_omega_name
-    if not copies and free is None:
-        return None
-    r: Fraction | None = Fraction(phi.free_scalar) if free is not None else None
-    for (s, d), v in phi.tf.items():
-        if s != d:
-            return "nonscalar"
-    for c in copies:
-        v = phi.tf.get((c, c), Fraction(0))
-        if r is None:
-            r = v
-        elif v != r:
-            return "nonscalar"
-    return r
+    diag = _tf_diagonal(phi.tf, phi.group.tf_copies())
+    if phi.group.free_omega_name is None or diag == "nonscalar":
+        return diag
+    m = Fraction(phi.free_scalar)
+    return m if diag is None or diag == m else "nonscalar"
 
 
 def _cyc_residue(phi: Endo, name: str) -> Residue | None:

@@ -491,8 +491,9 @@ def hnf(rows: Iterable[Sequence[int]]) -> Matrix:
         work = [r for r in rest if any(r)]
         if not work:
             break
-    # reduce entries above each pivot
-    for idx in range(len(result) - 1, -1, -1):
+    # reduce entries above each pivot, leftmost pivot first, so that a
+    # later reduction never touches a column already reduced
+    for idx in range(1, len(result)):
         row = result[idx]
         col = next(j for j, x in enumerate(row) if x)
         for above in result[:idx]:

@@ -24,8 +24,8 @@ from .exactnum import (
 )
 from .groupkit import HElement, h_descriptor, invariants
 from .endokit import (
-    Endo, _cyc_crt, add, is_finitary, mini_endo, multiplication_endo,
-    semi_multiplication, sub, validate, zero_endo,
+    Endo, _cyc_crt, _tf_diagonal, add, is_finitary, mini_endo,
+    multiplication_endo, semi_multiplication, sub, validate, zero_endo,
 )
 
 __all__ = [
@@ -94,17 +94,6 @@ class InertialCertificate:
     exempt: tuple[str, ...]          # finite-multiplicity blocks the rules skip
 
 
-def _matrix_scalar(entries: dict, copies: list) -> Fraction | None | str:
-    if any(s != d for (s, d) in entries):
-        return "nonscalar"
-    if not copies:
-        return None
-    vals = {entries.get((c, c), Fraction(0)) for c in copies}
-    if len(vals) > 1:
-        return "nonscalar"
-    return vals.pop()
-
-
 def is_inertial(phi: Endo) -> tuple[InertialCertificate | None, tuple[Violation, ...]]:
     """Decide inertiality.  Returns (certificate, ()) or (None, violations).
 
@@ -119,7 +108,7 @@ def is_inertial(phi: Endo) -> tuple[InertialCertificate | None, tuple[Violation,
     violations: list[Violation] = []
     free = g.free_omega_name
     copies = g.tf_copies()
-    diag = _matrix_scalar(phi.tf, copies)
+    diag = _tf_diagonal(phi.tf, copies)
 
     if free is not None:
         # infinite free rank: inertial means integer scalar plus finite image

@@ -15,12 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import (
     INF, OMEGA, UsageError, frac_residue, frac_valuation, hnf, is_finite,
-    kernel_left, solve_in_rowspace,
+    solve_in_rowspace,
 )
 from .groupkit import (
     Coord, Cyclic, Element, GroupDesc, Nat, Prufer, TorsionFree, Truncation,
@@ -110,12 +110,7 @@ def _presentation(group: GroupDesc,
         row = []
         for c, (kind, m) in zip(cols, scales):
             v = g.get(c)
-            if kind == "free":
-                row.append(v.numerator * (m // v.denominator))
-            elif isinstance(v, Fraction):
-                row.append(v.numerator * (m // v.denominator))
-            else:
-                row.append(v)
+            row.append(v.numerator * (m // v.denominator) if isinstance(v, Fraction) else v)
         rows.append(row)
     rel = []
     for i, (kind, m) in enumerate(scales):
@@ -192,12 +187,7 @@ def _ambient(target: GroupDesc | Truncation) -> GroupDesc:
 
 
 def _width(b, depth: int) -> int:
-    if isinstance(b, Cyclic):
-        n = b.mult
-    elif isinstance(b, Prufer):
-        n = b.copies
-    else:
-        n = b.rank
+    n = b.mult if isinstance(b, Cyclic) else b.copies if isinstance(b, Prufer) else b.rank
     return depth if n is OMEGA else min(n, depth)
 
 
@@ -402,9 +392,8 @@ def truncate_endo(phi: Endo, shadow: Truncation) -> Endo:
     if phi.group != shadow.source:
         raise UsageError("the endomorphism acts on a different group")
     level = shadow.level
-    cyc: dict[str, int | dict] = {}
-    for name, val in phi.cyc.items():
-        cyc[name] = dict(val) if isinstance(val, dict) else val
+    cyc: dict[str, int | dict] = {name: dict(val) if isinstance(val, dict) else val
+                                  for name, val in phi.cyc.items()}
     for p, val in phi.div.items():
         names = [n for n, b in phi.group.prufer_items() if b.prime == p]
         if isinstance(val, Fraction):
@@ -488,84 +477,105 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
 
 
 class FiniteLattice:
-    """A subgroup of a finite group as a full-rank integer row lattice.
+    """A subgroup of Z^n / diag(moduli) as the lattice of all its lifts.
 
-    The group is flattened to Z^n modulo diag(moduli); a subgroup is
-    spanned by its generator vectors together with the relation rows
-    and kept in Hermite form, so the basis is square and the order is
-    the modulus product divided by the pivot product.
+    That lattice contains diag(moduli), so rows are inserted with each
+    column kept modulo its modulus into a square Hermite basis of such a
+    lattice, by default diag(moduli).  A gcd step maps the pivot row and
+    the inserted row by a unimodular 2 x 2 matrix and inserts the second
+    result further down, so m_i e_i never leaves the span of the rows from
+    i on.  The basis is hnf(basis + rows) (Cohen, section 2.4); the order
+    is the modulus product over the pivot product.
     """
 
     __slots__ = ("moduli", "basis")
 
-    def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int]]):
-        self.moduli = tuple(moduli)
-        n = len(self.moduli)
-        rel = [[m if j == i else 0 for j in range(n)]
-               for i, m in enumerate(self.moduli)]
-        self.basis = tuple(tuple(r) for r in hnf(list(rows) + rel))
+    def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int]],
+                 basis: Sequence[Sequence[int]] | None = None):
+        self.moduli = mods = tuple(moduli)
+        n = len(mods)
+        work = [list(r) for r in basis] if basis is not None else \
+            [[m if j == i else 0 for j in range(n)] for i, m in enumerate(mods)]
+        for r in rows:
+            v = [x % m for x, m in zip(r, mods)]
+            for i in range(n):
+                if not v[i]:
+                    continue
+                x, row, p = v[i], work[i], work[i][i]
+                cols = list(zip(row[i:], v[i:], mods[i:]))
+                if x % p:
+                    g = gcd(p, x)
+                    t = pow(x // g, -1, p // g)
+                    s = (g - t * x) // p
+                    work[i] = [0] * i + [(s * a + t * b) % m for a, b, m in cols]
+                    v[i:] = [(x // g * a - p // g * b) % m for a, b, m in cols]
+                else:
+                    v[i:] = [(b - x // p * a) % m for a, b, m in cols]
+        for k in range(1, n):  # reduce above the pivots, leftmost first
+            for j in range(k):
+                q = work[j][k] // work[k][k]
+                if q:
+                    work[j] = [a - q * b for a, b in zip(work[j], work[k])]
+        self.basis = tuple(map(tuple, work))
 
     def order(self) -> int:
-        det = prod(self.basis[i][i] for i in range(len(self.moduli)))
-        return prod(self.moduli) // det
+        return prod(m // row[i] for i, (m, row) in enumerate(zip(self.moduli, self.basis)))
 
-    def join(self, other: "FiniteLattice") -> "FiniteLattice":
-        return FiniteLattice(self.moduli, self.basis + other.basis)
+    def closure(self, action: Sequence[Sequence[tuple[int, int]]]) -> "FiniteLattice":
+        """The smallest lattice over this one that a map carries into itself.
 
-    def image(self, mat: Sequence[Sequence[int]]) -> "FiniteLattice":
+        action[i] lists the pairs (j, a) of the image of e_i.  The map is
+        applied to the basis rows, then to the last images, until the order
+        stops growing: a lattice only grows, so equal orders are equal.
+        """
+        out, frontier = self, [r for i, r in enumerate(self.basis) if r[i] != self.moduli[i]]
+        while frontier:
+            images = [[0] * len(self.moduli) for _ in frontier]
+            for img, row in zip(images, frontier):
+                for x, pairs in zip(row, action):
+                    for j, a in pairs:
+                        img[j] += x * a
+            frontier = [r for r in ([x % m for x, m in zip(img, self.moduli)]
+                                    for img in images) if any(r)]
+            grown = FiniteLattice(self.moduli, frontier, out.basis)
+            if grown.order() == out.order():
+                break
+            out = grown
+        return out
+
+    def annihilator(self) -> "FiniteLattice":
+        """The subgroup pairing to zero with this one under sum x_i y_i / m_i.
+
+        Its lattice is spanned by the columns of diag(moduli) H^-1 for the
+        Hermite basis H; row i of that matrix writes m_i e_i over H and is
+        found by integer back-substitution.
+        """
         n = len(self.moduli)
-        rows = [[sum(vec[i] * mat[i][j] for i in range(n)) for j in range(n)]
-                for vec in self.basis]
-        return FiniteLattice(self.moduli, rows)
-
-    def intersect(self, other: "FiniteLattice") -> "FiniteLattice":
-        stacked = [list(r) for r in self.basis]
-        stacked += [[-x for x in r] for r in other.basis]
-        mine = len(self.basis)
-        rows = []
-        for combo in kernel_left(stacked):
-            n = len(self.moduli)
-            rows.append([sum(combo[i] * self.basis[i][j] for i in range(mine))
-                         for j in range(n)])
-        return FiniteLattice(self.moduli, rows)
-
-    def preimage(self, mat: Sequence[Sequence[int]]) -> "FiniteLattice":
-        n = len(self.moduli)
-        stacked = [list(mat[i]) for i in range(n)]
-        stacked += [[-x for x in r] for r in self.basis]
-        rows = [combo[:n] for combo in kernel_left(stacked)]
-        return FiniteLattice(self.moduli, rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteLattice):
-            return NotImplemented
-        return self.moduli == other.moduli and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.moduli, self.basis))
-
-    def __repr__(self) -> str:
-        return f"FiniteLattice(order={self.order()})"
+        cols = [[0] * n for _ in range(n)]
+        for i, m in enumerate(self.moduli):
+            rest = [0] * i + [m] + [0] * (n - i - 1)
+            for j in range(i, n):
+                cols[j][i] = q = rest[j] // self.basis[j][j]
+                if q:
+                    rest[j:] = [x - q * y for x, y in zip(rest[j:], self.basis[j][j:])]
+        return FiniteLattice(self.moduli, cols)
 
 
 def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
     if not group.is_finite:
         raise UsageError("only finite groups flatten to lattices")
-    coords, moduli = [], []
-    for name, b in group.blocks:
-        for i in range(b.mult):
-            coords.append((name, i))
-            moduli.append(b.prime ** b.exp)
-    return coords, moduli
+    coords = [(name, i) for name, b in group.blocks for i in range(b.mult)]
+    return coords, [b.prime ** b.exp for _, b in group.blocks for _ in range(b.mult)]
 
 
 def fs_profile(group: GroupDesc, phi: Endo,
                levels: Sequence[int]) -> dict[int, int]:
     """Max |X^* / X_*| per truncation level, over structured samples.
 
-    X^* is the closure of X under phi, X_* the largest phi-invariant
-    subgroup of X (iterated intersection with the preimage); both are
-    computed exactly on the finite shadow lattices.
+    X^* is the closure of X under phi.  X_*, the largest phi-invariant
+    subgroup of X, is reached through its annihilator under the pairing
+    sum x_i y_i / m_i: the closure of X^perp under the dual map, whose
+    entries are phi_ij m_i / m_j.  The ratio is |X^*| |X_*^perp| / |G|.
     """
     if not group.is_periodic:
         raise UsageError("the FS profile needs a periodic group")
@@ -576,25 +586,20 @@ def fs_profile(group: GroupDesc, phi: Endo,
         shadow = truncate(group, level)
         psi = truncate_endo(phi, shadow)
         coords, moduli = _flat_space(shadow.group)
-        mat = [[apply(psi, Element.unit(shadow.group, c[0], c[1])).get(d)
-                for d in coords] for c in coords]
+        index = {c: i for i, c in enumerate(coords)}
+        action = [[(index[d], a) for d, a in apply(psi, Element.unit(shadow.group, *c)).coeffs.items()]
+                  for c in coords]
+        dual: list[list[tuple[int, int]]] = [[] for _ in coords]
+        for i, images in enumerate(action):
+            for j, a in images:
+                if a * moduli[i] % moduli[j]:
+                    raise AssertionError("the shadow map is not a homomorphism")
+                dual[j].append((i, a * moduli[i] // moduli[j]))
         worst = 1
         for s in _prelude(shadow.group, level):
-            x = FiniteLattice(moduli, [[g.get(c) for c in coords]
-                                       for g in s.generators])
-            upper = x
-            while True:
-                grown = upper.join(upper.image(mat))
-                if grown == upper:
-                    break
-                upper = grown
-            lower = x
-            while True:
-                shrunk = lower.intersect(lower.preimage(mat))
-                if shrunk == lower:
-                    break
-                lower = shrunk
-            worst = max(worst, upper.order() // lower.order())
+            x = FiniteLattice(moduli, [[g.get(c) for c in coords] for g in s.generators])
+            lower_perp = x.annihilator().closure(dual)
+            worst = max(worst, x.closure(action).order() * lower_perp.order() // prod(moduli))
         report[level] = worst
     return report
 
@@ -773,11 +778,8 @@ _FAMILY_BUILDERS = {
 
 
 def _unbounded(indices: Sequence[Nat], ratio: int) -> bool:
-    if any(not is_finite(v) for v in indices):
-        return True
-    if len(indices) < 2:
-        return False
-    return all(b >= ratio * a for a, b in zip(indices, indices[1:]))
+    return any(not is_finite(v) for v in indices) or (
+        len(indices) > 1 and all(b >= ratio * a for a, b in zip(indices, indices[1:])))
 
 
 def witness_search(group: GroupDesc, phi: Endo, violation: Violation,
@@ -798,19 +800,17 @@ def witness_search(group: GroupDesc, phi: Endo, violation: Violation,
         raise UsageError(f"unknown violation kind {violation.kind!r}")
     ratio = violation.prime if violation.prime is not None else 2
     for desc, fam in builder(group, phi, violation):
-        depths: list[int] = []
         subgroups: list[FGSubgroup] = []
         indices: list[Nat] = []
         for n in range(1, budget + 1):
             sub = FGSubgroup(group, tuple(fam(n)),
                              f"witness {violation.kind} {n}")
-            depths.append(n)
             subgroups.append(sub)
             indices.append(index_in_sum(sub, phi))
             if not is_finite(indices[-1]):
                 break
         if _unbounded(indices, ratio):
             return WitnessFamily(violation.kind, violation.prime, desc,
-                                 tuple(depths), tuple(subgroups),
+                                 tuple(range(1, len(indices) + 1)), tuple(subgroups),
                                  tuple(indices))
     return None

@@ -90,6 +90,16 @@ def test_reference_checks_are_positioned():
             parse(base + text)
 
 
+def test_entry_errors_point_at_the_entry():
+    text = ("group A {\n  block B = cyclic(p=2, k=1, mult=3)\n"
+            "  block C = cyclic(p=3, k=1, mult=1)\n}\n"
+            "endo e on A {\n  cyc[B.0 -> B.5] = 1;\n}\n")
+    with pytest.raises(ParseError, match="B.5 is out of range") as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (6, 3)
+    assert "line 6, column 3" in str(exc.value)
+
+
 def test_matrix_entries_stay_local():
     base = ("group A { block B = cyclic(p=2,k=1,mult=2)"
             " block C = cyclic(p=2,k=1,mult=2)"
@@ -348,6 +358,18 @@ def test_main_maps_usage_problems_to_exit_one(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error:"), argv
+    # each work cap fails before any input is read
+    missing = str(tmp_path / "missing.txt")
+    caps = (
+        (["oracle", missing, "--levels", "2,65"], "levels must be at most 64"),
+        (["oracle", missing, "--samples", "10001"], "samples must be at most 10000"),
+        (["oracle", missing, "--budget", "33"], "budget must be at most 32"),
+    )
+    for argv, needle in caps:
+        assert main(argv) == 1, argv
+        assert needle in capsys.readouterr().err, argv
+    assert main(["check", corpus("quasi"), "--levels", "64", "--samples",
+                 "10000", "--budget", "32"]) == 0
 
 
 def test_main_reports_the_contradiction_exit(capsys):

@@ -190,6 +190,9 @@ def test_hnf_solve_and_kernel(mat):
     pivots = [next(j for j, x in enumerate(r) if x) for r in basis]
     assert pivots == sorted(set(pivots))
     assert all(r[p] > 0 for r, p in zip(basis, pivots))
+    # entries above each pivot are reduced modulo it
+    for k, (row, p) in enumerate(zip(basis, pivots)):
+        assert all(0 <= above[p] < row[p] for above in basis[:k])
     # kernel rows annihilate the matrix
     for krow in kernel_left(mat):
         prod = [sum(krow[i] * mat[i][j] for i in range(len(mat)))

@@ -1,14 +1,16 @@
 """Exact subgroup indices, profiles, and witness families."""
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abinertia.endokit import (
-    Endo, apply, mini_endo, multiplication_endo, semi_multiplication,
+    Endo, apply, mini_endo, multiplication_endo, semi_multiplication, validate,
 )
-from abinertia.exactnum import INF, OMEGA, UsageError, is_finite
+from abinertia.exactnum import INF, OMEGA, UsageError, hnf, is_finite
 from abinertia.groupkit import Cyclic, Element, GroupDesc, Prufer, TorsionFree, truncate
 from abinertia.inertia import (
     CRT_INCONSISTENT, DIV_NOT_SCALAR, DIV_VS_R_MISMATCH, NOT_FTFR_NOT_INTEGER,
@@ -20,6 +22,7 @@ from abinertia.oracle import (
     inertness_profile, naive_index_in_sum, sample_subgroups, truncate_endo,
     witness_search,
 )
+from abinertia.oracle import _prelude, _span
 
 F = Fraction
 
@@ -160,7 +163,6 @@ def test_enumerate_counts_known_lattices():
 
 
 def test_enumerate_spans_match_their_subgroups():
-    from abinertia.oracle import _span
     spans = [frozenset(_span(s.group, list(s.generators)))
              for s in enumerate_subgroups(GroupDesc([("A", Cyclic(3, 1, 2))]))]
     assert [len(span) for span in spans] == [1, 3, 3, 3, 3, 9]
@@ -390,18 +392,116 @@ def test_lattice_orders_and_bounds():
     whole = FiniteLattice([4, 2], [[1, 0], [0, 1]])
     zero = FiniteLattice([4, 2], [])
     assert (line.order(), whole.order(), zero.order()) == (2, 8, 1)
-    assert line.join(whole) == whole
-    assert line.intersect(whole) == line
-    assert zero.join(line) == line
+    # rows inserted into another lattice's basis span the join
+    assert FiniteLattice([4, 2], whole.basis, line.basis).basis == whole.basis
+    assert FiniteLattice([4, 2], line.basis, zero.basis).basis == line.basis
+    # the annihilators under x0 y0 / 4 + x1 y1 / 2 reverse the order
+    assert whole.annihilator().basis == zero.basis
+    assert zero.annihilator().basis == whole.basis
+    perp = line.annihilator()
+    assert perp.basis == FiniteLattice([4, 2], [[1, 1]]).basis
+    assert perp.annihilator().basis == line.basis
+    assert line.order() * perp.order() == whole.order()
 
 
 def test_lattice_image_and_preimage_are_adjoint_on_an_example():
-    # doubling on Z/4 x Z/2 kills the second coordinate
-    mat = [[2, 0], [0, 0]]
+    # doubling on Z/4 x Z/2 kills the second coordinate; its image is the
+    # annihilator of the kernel of the dual map, which doubles e0 as well
+    doubling = [[(0, 2)], []]
     whole = FiniteLattice([4, 2], [[1, 0], [0, 1]])
-    image = whole.image(mat)
+    image = FiniteLattice([4, 2], [[2, 0]])
     assert image.order() == 2
-    assert image.preimage(mat) == whole
+    kernel = FiniteLattice([4, 2], [[2, 0], [0, 1]])
+    assert image.annihilator().basis == kernel.basis
+    assert kernel.annihilator().basis == image.basis
+    assert image.order() * kernel.order() == whole.order()
+    assert whole.closure(doubling).basis == whole.basis
+    assert FiniteLattice([4, 2], [[0, 1]]).closure(doubling).order() == 2
+
+
+_moduli_and_rows = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 27]),
+                            min_size=1, max_size=4).flatmap(
+    lambda mods: st.tuples(st.just(mods), st.lists(
+        st.lists(st.integers(-40, 40), min_size=len(mods), max_size=len(mods)),
+        max_size=4)))
+
+
+@given(_moduli_and_rows)
+@settings(max_examples=200, deadline=None)
+def test_lattice_basis_is_the_hermite_form(case):
+    moduli, rows = case
+    diag = [[m if j == i else 0 for j in range(len(moduli))]
+            for i, m in enumerate(moduli)]
+    x = FiniteLattice(moduli, rows)
+    assert x.basis == tuple(map(tuple, hnf(rows + diag)))
+    perp = x.annihilator()
+    assert perp.annihilator().basis == x.basis
+    assert x.order() * perp.order() == prod(moduli)
+
+
+def _reference_fs(group, phi, levels):
+    """fs_profile by closures over sets of elements of each shadow."""
+    report = {}
+    for level in levels:
+        shadow = truncate(group, level)
+        psi = truncate_endo(phi, shadow)
+        units = [Element.unit(shadow.group, n, i)
+                 for n, b in shadow.group.blocks for i in range(b.mult)]
+        image = {x: apply(psi, x) for x in _span(shadow.group, units)}
+        worst = 1
+        for s in _prelude(shadow.group, level):
+            gens = list(s.generators)
+            lower = upper = _span(shadow.group, gens)
+            while any(image[x] not in upper for x in upper):
+                gens.append(next(image[x] for x in upper if image[x] not in upper))
+                upper = _span(shadow.group, gens)
+            while True:
+                shrunk = {x for x in lower if image[x] in lower}
+                if shrunk == lower:
+                    break
+                lower = shrunk
+            worst = max(worst, len(upper) // len(lower))
+        report[level] = worst
+    return report
+
+
+def _random_shadow_maps(group, rng, count):
+    maps = []
+    while len(maps) < count:
+        cyc = {}
+        for name, b in group.blocks:
+            if not isinstance(b, Cyclic):
+                continue
+            m = b.prime ** b.exp
+            if b.mult is not OMEGA and rng.random() < 0.5:
+                cyc[name] = {(i, j): rng.randrange(m) for i in range(b.mult)
+                             for j in range(b.mult)}
+            else:
+                cyc[name] = rng.randrange(m)
+        div = {b.prime: F(rng.randrange(8), rng.choice([1, 3]))
+               for _, b in group.blocks if isinstance(b, Prufer)}
+        fin = {}
+        if rng.random() < 0.6:
+            name, b = rng.choice([(n, b) for n, b in group.blocks
+                                  if isinstance(b, Cyclic)])
+            target, tb = rng.choice(group.blocks)
+            value = (rng.randrange(tb.prime ** tb.exp) if isinstance(tb, Cyclic)
+                     else F(rng.randrange(1, 4), 4))
+            size = tb.mult if isinstance(tb, Cyclic) else tb.copies
+            fin[("c", name, 0)] = Element(group, {(target, 0 if size == 1 else 1): value})
+        phi = Endo(group, cyc=cyc, div=div, fin=fin)
+        if not validate(phi):
+            maps.append(phi)
+    return maps
+
+
+def test_fs_profile_matches_element_set_closures():
+    rng = random.Random(20261018)
+    groups = (OMEGA2, CRIT, GroupDesc([("A", Cyclic(2, 2, 2)), ("D", Prufer(2, 1))]))
+    for group in groups:
+        for phi in _random_shadow_maps(group, rng, 5):
+            assert truncate(group, 3).group.order() <= 4096
+            assert fs_profile(group, phi, (2, 3)) == _reference_fs(group, phi, (2, 3))
 
 
 @given(st.integers(min_value=0, max_value=7))
