@@ -516,22 +516,32 @@ def _cyc_matrix(b: Cyclic, val) -> dict:
     return {(i, i): val for i in range(b.mult)}
 
 
+def _msum(x: Mapping, y: Mapping) -> dict:
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + v
+    return out
+
+
+def _mprod(x: Mapping, y: Mapping) -> dict:
+    """The product x y of sparse matrices in the row-vector convention."""
+    out: dict = {}
+    for (s, m1), v in x.items():
+        for (m2, d), w in y.items():
+            if m1 == m2:
+                out[(s, d)] = out.get((s, d), 0) + v * w
+    return out
+
+
 def add(a: Endo, b: Endo) -> Endo:
     g = _check_same_group(a, b)
-    tf = dict(a.tf)
-    for k, v in b.tf.items():
-        tf[k] = tf.get(k, Fraction(0)) + v
     div: dict[int, object] = {}
     for p in sorted(set(a.div) | set(b.div)):
         x, y = a.div.get(p, Fraction(0)), b.div.get(p, Fraction(0))
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             div[p] = x + y
         else:
-            xm, ym = _div_matrix(g, p, x), _div_matrix(g, p, y)
-            merged = dict(xm)
-            for k, v in ym.items():
-                merged[k] = merged.get(k, Fraction(0)) + v
-            div[p] = merged
+            div[p] = _msum(_div_matrix(g, p, x), _div_matrix(g, p, y))
     cyc: dict[str, object] = {}
     for name in sorted(set(a.cyc) | set(b.cyc)):
         blk = g.block(name)
@@ -539,17 +549,10 @@ def add(a: Endo, b: Endo) -> Endo:
         if isinstance(x, int) and isinstance(y, int):
             cyc[name] = x + y
         else:
-            xm, ym = _cyc_matrix(blk, x), _cyc_matrix(blk, y)
-            merged = dict(xm)
-            for k, v in ym.items():
-                merged[k] = merged.get(k, 0) + v
-            cyc[name] = merged
-    tau = dict(a.tau)
-    for k, v in b.tau.items():
-        tau[k] = tau.get(k, Fraction(0)) + v
+            cyc[name] = _msum(_cyc_matrix(blk, x), _cyc_matrix(blk, y))
     fin = list(a.fin.items()) + list(b.fin.items())
-    return Endo(g, tf=tf, free_scalar=a.free_scalar + b.free_scalar,
-                div=div, cyc=cyc, tau=tau, fin=fin)
+    return Endo(g, tf=_msum(a.tf, b.tf), free_scalar=a.free_scalar + b.free_scalar,
+                div=div, cyc=cyc, tau=_msum(a.tau, b.tau), fin=fin)
 
 
 def negate(a: Endo) -> Endo:
@@ -573,26 +576,13 @@ def compose(a: Endo, b: Endo) -> Endo:
     """The composite x -> a(b(x)), again in normal form."""
     g = _check_same_group(a, b)
     # linear parts: row-vector convention, so the matrix of a∘b is M_b M_a
-    tf: dict[tuple[Coord, Coord], Fraction] = {}
-    for (s, m1), v in b.tf.items():
-        for (m2, d), w in a.tf.items():
-            if m1 == m2:
-                k = (s, d)
-                tf[k] = tf.get(k, Fraction(0)) + v * w
     div: dict[int, object] = {}
     for p in sorted(set(a.div) & set(b.div)):
         x, y = a.div[p], b.div[p]
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             div[p] = x * y
         else:
-            xm, ym = _div_matrix(g, p, x), _div_matrix(g, p, y)
-            prod: dict = {}
-            for (s, m1), v in ym.items():
-                for (m2, d), w in xm.items():
-                    if m1 == m2:
-                        k = (s, d)
-                        prod[k] = prod.get(k, Fraction(0)) + v * w
-            div[p] = prod
+            div[p] = _mprod(_div_matrix(g, p, y), _div_matrix(g, p, x))
     cyc: dict[str, object] = {}
     for name in sorted(set(a.cyc) & set(b.cyc)):
         blk = g.block(name)
@@ -600,32 +590,15 @@ def compose(a: Endo, b: Endo) -> Endo:
         if isinstance(x, int) and isinstance(y, int):
             cyc[name] = x * y
         else:
-            xm, ym = _cyc_matrix(blk, x), _cyc_matrix(blk, y)
-            prod = {}
-            for (s, m1), v in ym.items():
-                for (m2, d), w in xm.items():
-                    if m1 == m2:
-                        k = (s, d)
-                        prod[k] = prod.get(k, 0) + v * w
-            cyc[name] = prod
+            cyc[name] = _mprod(_cyc_matrix(blk, y), _cyc_matrix(blk, x))
     # twisted projections: a.tau after b's torsion-free action, and
     # a's divisible action after b.tau
-    tau: dict[tuple[Coord, Coord], Fraction] = {}
-    for (m1, d), u in a.tau.items():
-        for (s, m2), c in b.tf.items():
-            if m1 == m2:
-                k = (s, d)
-                tau[k] = tau.get(k, Fraction(0)) + u * c
+    tau = _mprod(b.tf, a.tau)
     for (s, d), u in b.tau.items():
-        p = g.block(d[0]).prime
-        val = a.div.get(p)
+        val = a.div.get(g.block(d[0]).prime, {})
         if isinstance(val, Fraction):
-            tau[(s, d)] = tau.get((s, d), Fraction(0)) + val * u
-        elif isinstance(val, dict):
-            for (m, d2), w in val.items():
-                if m == d:
-                    k = (s, d2)
-                    tau[k] = tau.get(k, Fraction(0)) + w * u
+            val = {(d, d): val}
+        tau = _msum(tau, _mprod({(s, d): u}, val))
     # corrections: push b's images through a, pull a's keys back through
     # b's linear action
     fin: list[tuple[FinKey, Element]] = []
@@ -650,7 +623,7 @@ def compose(a: Endo, b: Endo) -> Endo:
                 for (s, d), c in b.tf.items():
                     if d == copy:
                         fin.append((("t", s, w), img.scale(_residue_coeff(c, w))))
-    return Endo(g, tf=tf, free_scalar=a.free_scalar * b.free_scalar,
+    return Endo(g, tf=_mprod(b.tf, a.tf), free_scalar=a.free_scalar * b.free_scalar,
                 div=div, cyc=cyc, tau=tau, fin=fin)
 
 

@@ -458,49 +458,72 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     return d, u, v
 
 
-def hnf(rows: Iterable[Sequence[int]]) -> Matrix:
+def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
+        basis: Iterable[Sequence[int]] = ()) -> Matrix:
     """Row-style Hermite normal form: echelon basis of the row lattice.
 
     Returns the nonzero rows with strictly increasing pivot columns,
-    positive pivots, and entries above each pivot reduced to [0, pivot).
+    positive pivots, and entries above each pivot reduced to [0, pivot),
+    leftmost pivot first.
+
+    moduli gives one modulus per column, 0 for a free column; without
+    it every column is free.  A column with modulus m > 0 holds the row
+    m e_i from the start and is kept modulo m.  basis is a Hermite basis
+    over the same moduli, by default that of the rows m e_i alone, and
+    the rows are inserted into it: the result is the Hermite form of
+    basis + rows + diag(m).  Each row is inserted from the left: a gcd
+    step maps the pivot row and the row by a unimodular 2 x 2 matrix and
+    carries the second result on to the next column (Cohen, section 2.4).
     """
-    work: Matrix = [list(map(int, r)) for r in rows if any(r)]
-    if not work:
-        return []
-    n = len(work[0])
-    if any(len(r) != n for r in work):
-        raise UsageError("ragged matrix")
-    result: Matrix = []
-    for col in range(n):
-        live = [r for r in work if r[col]]
-        if not live:
-            continue
-        rest = [r for r in work if not r[col]]
-        # euclidean sweep at this column
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            base = live[0]
-            nxt: Matrix = [base]
-            for r in live[1:]:
-                q = r[col] // base[col]
-                r = [x - q * y for x, y in zip(r, base)]
-                (nxt if r[col] else rest).append(r)
-            live = nxt
-        pivot_row = live[0] if live[0][col] > 0 else [-x for x in live[0]]
-        result.append(pivot_row)
-        work = [r for r in rest if any(r)]
-        if not work:
-            break
+    rows = list(rows)
+    basis = list(basis)
+    if moduli is None:
+        first = rows[0] if rows else basis[0] if basis else ()
+        moduli = (0,) * len(first)
+    mods = tuple(moduli)
+    n = len(mods)
+    work: list[list[int] | None] = [None] * n
+    for row in basis:
+        work[next(j for j, x in enumerate(row) if x)] = list(row)
+    for i, m in enumerate(mods):
+        if m and work[i] is None:
+            work[i] = [0] * i + [m] + [0] * (n - i - 1)
+    for r in rows:
+        if len(r) != n:
+            raise UsageError("ragged matrix")
+        v = [x % m if m else x for x, m in zip(r, mods)]
+        for i in range(n):
+            x = v[i]
+            if not x:
+                continue
+            row = work[i]
+            if row is None:
+                work[i] = v if x > 0 else [-a % m if m else -a for a, m in zip(v, mods)]
+                break
+            p = row[i]
+            cols = list(zip(row[i:], v[i:], mods[i:]))
+            if x % p:
+                g = math.gcd(p, x)
+                xg, pg = x // g, p // g
+                t = pow(xg, -1, pg)
+                s = (g - t * x) // p
+                work[i] = [0] * i + [(s * a + t * b) % m if m else s * a + t * b
+                                     for a, b, m in cols]
+                v[i:] = [(xg * a - pg * b) % m if m else xg * a - pg * b
+                         for a, b, m in cols]
+            else:
+                q = x // p
+                v[i:] = [(b - q * a) % m if m else b - q * a for a, b, m in cols]
+    pivots = [i for i, row in enumerate(work) if row is not None]
+    result = [work[i] for i in pivots]
     # reduce entries above each pivot, leftmost pivot first, so that a
     # later reduction never touches a column already reduced
-    for idx in range(1, len(result)):
-        row = result[idx]
-        col = next(j for j, x in enumerate(row) if x)
-        for above in result[:idx]:
-            q = above[col] // row[col]
+    for k, col in enumerate(pivots):
+        row = result[k]
+        for j in range(k):
+            q = result[j][col] // row[col]
             if q:
-                for j in range(n):
-                    above[j] -= q * row[j]
+                result[j] = [a - q * b for a, b in zip(result[j], row)]
     return result
 
 

@@ -99,10 +99,6 @@ def free_omega() -> TorsionFree:
     return TorsionFree(frozenset(), OMEGA)
 
 
-def _valid_name(name: str) -> bool:
-    return name.isidentifier()
-
-
 class GroupDesc:
     """An abelian group as an ordered list of uniquely named blocks."""
 
@@ -113,7 +109,7 @@ class GroupDesc:
         seen: set[str] = set()
         omega_free = 0
         for name, block in items:
-            if not isinstance(name, str) or not _valid_name(name):
+            if not isinstance(name, str) or not name.isidentifier():
                 raise UsageError(f"bad block name {name!r}")
             if name in seen:
                 raise UsageError(f"duplicate block name {name!r}")
@@ -127,9 +123,6 @@ class GroupDesc:
         self.blocks = items
 
     # -- lookups ----------------------------------------------------------
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.blocks)
 
     def block(self, name: str) -> Block:
         for n, b in self.blocks:
@@ -385,9 +378,6 @@ class PrimeSelector:
     def __contains__(self, p: int) -> bool:
         return self.default ^ (p in self.exceptions)
 
-    def is_finite_set(self) -> bool:
-        return not self.default
-
     def listed(self) -> tuple[int, ...]:
         return tuple(sorted(self.exceptions))
 
@@ -427,9 +417,6 @@ class Invariants:
                 return prof
         # a prime with no blocks: everything trivial
         return PrimeProfile(p, 0, 0, 0, 0, 0, 0, 0, False)
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(prof.prime for prof in self.profiles)
 
 
 def invariants(group: GroupDesc) -> Invariants:

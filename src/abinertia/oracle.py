@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import (
@@ -82,51 +82,44 @@ class WitnessFamily:
 # exact index of H in H + phi(H)
 
 def _presentation(group: GroupDesc,
-                  gens: Sequence[Element]) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer vectors for the generators, plus order-relation rows.
+                  gens: Sequence[Element]) -> tuple[list[list[int]], list[int]]:
+    """Integer vectors for the generators, plus one modulus per column.
 
     Every column is scaled to an integer coordinate: torsion-free values
-    are multiplied through by the common denominator, divisible values
-    a/p^j become a * p^(J-j) modulo the deepest layer p^J in play, and
-    cyclic values stay as they are.  Relation rows carry the modulus of
-    each torsion column; torsion-free columns get none.
+    are multiplied through by the common denominator and get modulus 0
+    (a free column), divisible values a/p^j become a * p^(J-j) modulo
+    the deepest layer p^J in play, and cyclic values stay as they are,
+    modulo the block's order.  Python ints have a numerator and a
+    denominator too, so one scaling covers all three kinds of block.
     """
-    cols = sorted({c for g in gens for c in g.support()})
-    scales: list[tuple[str, int]] = []
-    for c in cols:
+    cols = sorted({c for g in gens for c in g.coeffs})
+    table = [[g.coeffs.get(c, 0) for c in cols] for g in gens]
+    scales, moduli = [], []
+    for c, vals in zip(cols, zip(*table)):
         b = group.block(c[0])
         if isinstance(b, Cyclic):
-            scales.append(("mod", b.prime ** b.exp))
+            scale, m = 1, b.prime ** b.exp
         elif isinstance(b, Prufer):
-            deepest = max(g.get(c).denominator for g in gens)
-            scales.append(("mod", deepest))
+            scale = m = max(v.denominator for v in vals)
         else:
-            den = 1
-            for g in gens:
-                den = lcm(den, g.get(c).denominator)
-            scales.append(("free", den))
-    rows = []
-    for g in gens:
-        row = []
-        for c, (kind, m) in zip(cols, scales):
-            v = g.get(c)
-            row.append(v.numerator * (m // v.denominator) if isinstance(v, Fraction) else v)
-        rows.append(row)
-    rel = []
-    for i, (kind, m) in enumerate(scales):
-        if kind == "mod":
-            rel.append([m if j == i else 0 for j in range(len(cols))])
-    return rows, rel
+            scale, m = lcm(*(v.denominator for v in vals)), 0
+        scales.append(scale)
+        moduli.append(m)
+    rows = [[v.numerator * (k // v.denominator) for v, k in zip(row, scales)]
+            for row in table]
+    return rows, moduli
 
 
 def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
     """Exact index |H + phi(H) : H| for a finitely generated H.
 
     Both subgroups are presented as integer lattices over the involved
-    coordinates.  The index is INF exactly when the torsion-free rank
-    jumps; otherwise H and H + phi(H) span one rational space, their
-    Hermite bases share pivot columns, and the index is the product of
-    the pivots of H over the product of the pivots of H + phi(H).
+    coordinates, torsion columns kept modulo their orders.  H is reduced
+    once and the images are inserted into its Hermite basis.  The index
+    is INF exactly when the torsion-free rank jumps; otherwise H and
+    H + phi(H) span one rational space, their Hermite bases share pivot
+    columns, and the index is the product of the pivots of H over the
+    product of the pivots of H + phi(H).
     """
     if phi.group != sub.group:
         raise UsageError("the endomorphism acts on a different group")
@@ -135,9 +128,9 @@ def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
     ks = hs + [im for im in images if im]
     if not ks:
         return 1
-    rows, rel = _presentation(sub.group, ks)
-    basis_k = hnf(rows + rel)
-    basis_h = hnf(rows[:len(hs)] + rel)
+    rows, moduli = _presentation(sub.group, ks)
+    basis_h = hnf(rows[:len(hs)], moduli)
+    basis_k = hnf(rows[len(hs):], moduli, basis_h)
     if len(basis_h) < len(basis_k):
         return INF
     lead = [next(j for j, x in enumerate(row) if x) for row in basis_h]
@@ -479,44 +472,19 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
 class FiniteLattice:
     """A subgroup of Z^n / diag(moduli) as the lattice of all its lifts.
 
-    That lattice contains diag(moduli), so rows are inserted with each
-    column kept modulo its modulus into a square Hermite basis of such a
-    lattice, by default diag(moduli).  A gcd step maps the pivot row and
-    the inserted row by a unimodular 2 x 2 matrix and inserts the second
-    result further down, so m_i e_i never leaves the span of the rows from
-    i on.  The basis is hnf(basis + rows) (Cohen, section 2.4); the order
-    is the modulus product over the pivot product.
+    That lattice contains diag(moduli), so its Hermite basis is square,
+    with pivot i dividing m_i.  The basis is hnf(rows, moduli, basis):
+    the rows inserted into a given Hermite basis over the same moduli,
+    by default diag(moduli).  The order is the modulus product over the
+    pivot product.
     """
 
     __slots__ = ("moduli", "basis")
 
     def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int]],
-                 basis: Sequence[Sequence[int]] | None = None):
-        self.moduli = mods = tuple(moduli)
-        n = len(mods)
-        work = [list(r) for r in basis] if basis is not None else \
-            [[m if j == i else 0 for j in range(n)] for i, m in enumerate(mods)]
-        for r in rows:
-            v = [x % m for x, m in zip(r, mods)]
-            for i in range(n):
-                if not v[i]:
-                    continue
-                x, row, p = v[i], work[i], work[i][i]
-                cols = list(zip(row[i:], v[i:], mods[i:]))
-                if x % p:
-                    g = gcd(p, x)
-                    t = pow(x // g, -1, p // g)
-                    s = (g - t * x) // p
-                    work[i] = [0] * i + [(s * a + t * b) % m for a, b, m in cols]
-                    v[i:] = [(x // g * a - p // g * b) % m for a, b, m in cols]
-                else:
-                    v[i:] = [(b - x // p * a) % m for a, b, m in cols]
-        for k in range(1, n):  # reduce above the pivots, leftmost first
-            for j in range(k):
-                q = work[j][k] // work[k][k]
-                if q:
-                    work[j] = [a - q * b for a, b in zip(work[j], work[k])]
-        self.basis = tuple(map(tuple, work))
+                 basis: Sequence[Sequence[int]] = ()):
+        self.moduli = tuple(moduli)
+        self.basis = tuple(map(tuple, hnf(rows, self.moduli, basis)))
 
     def order(self) -> int:
         return prod(m // row[i] for i, (m, row) in enumerate(zip(self.moduli, self.basis)))
@@ -597,7 +565,7 @@ def fs_profile(group: GroupDesc, phi: Endo,
                 dual[j].append((i, a * moduli[i] // moduli[j]))
         worst = 1
         for s in _prelude(shadow.group, level):
-            x = FiniteLattice(moduli, [[g.get(c) for c in coords] for g in s.generators])
+            x = FiniteLattice(moduli, [[g.coeffs.get(c, 0) for c in coords] for g in s.generators])
             lower_perp = x.annihilator().closure(dual)
             worst = max(worst, x.closure(action).order() * lower_perp.order() // prod(moduli))
         report[level] = worst

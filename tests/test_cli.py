@@ -12,8 +12,9 @@ import abinertia
 from abinertia.cli import (
     ParseError, ParsedInput, SessionConfig, main, parse, run, serialize,
 )
-from abinertia.endokit import classify, validate
+from abinertia.endokit import add, classify, compose, sub, validate
 from abinertia.exactnum import OMEGA, UsageError
+from conftest import GROUPS, INERTIAL
 
 F = Fraction
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.txt"))
@@ -161,6 +162,21 @@ def test_serialize_is_a_projection():
     assert parse(canon) == parsed
     assert serialize(parse(canon)) == canon
 
+
+
+def test_certified_endos_and_their_combinations_round_trip():
+    # every certified endo, and every sum, difference and composite of an
+    # ordered pair of them on one group, is a fixed point of parse∘serialize
+    count = 0
+    for key, fam in INERTIAL.items():
+        maps = list(fam.values())
+        maps += [op(a, b) for a in fam.values() for b in fam.values()
+                 for op in (add, sub, compose)]
+        for phi in maps:
+            parsed = ParsedInput("A", GROUPS[key], {"e": phi})
+            assert parse(serialize(parsed)) == parsed, (key, phi)
+        count += len(maps)
+    assert count == 1002
 
 # -- sessions ------------------------------------------------------------------
 

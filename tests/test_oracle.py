@@ -419,24 +419,64 @@ def test_lattice_image_and_preimage_are_adjoint_on_an_example():
     assert FiniteLattice([4, 2], [[0, 1]]).closure(doubling).order() == 2
 
 
-_moduli_and_rows = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 27]),
-                            min_size=1, max_size=4).flatmap(
-    lambda mods: st.tuples(st.just(mods), st.lists(
-        st.lists(st.integers(-40, 40), min_size=len(mods), max_size=len(mods)),
-        max_size=4)))
+def _reference_hnf(rows):
+    """Hermite form by a Euclidean sweep per column, independent of hnf."""
+    work = [list(r) for r in rows if any(r)]
+    result = []
+    for col in range(len(work[0]) if work else 0):
+        live = [r for r in work if r[col]]
+        if not live:
+            continue
+        rest = [r for r in work if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            base, nxt = live[0], [live[0]]
+            for r in live[1:]:
+                q = r[col] // base[col]
+                r = [x - q * y for x, y in zip(r, base)]
+                (nxt if r[col] else rest).append(r)
+            live = nxt
+        result.append(live[0] if live[0][col] > 0 else [-x for x in live[0]])
+        work = [r for r in rest if any(r)]
+    for idx, row in enumerate(result):
+        col = next(j for j, x in enumerate(row) if x)
+        for above in result[:idx]:
+            q = above[col] // row[col]
+            above[:] = [x - q * y for x, y in zip(above, row)]
+    return result
 
 
-@given(_moduli_and_rows)
+def _diag(moduli):
+    return [[m if j == i else 0 for j in range(len(moduli))]
+            for i, m in enumerate(moduli) if m]
+
+
+def _moduli_and_rows(choices, batches):
+    return st.lists(st.sampled_from(choices), min_size=1, max_size=4).flatmap(
+        lambda mods: st.tuples(st.just(mods), *[st.lists(
+            st.lists(st.integers(-40, 40), min_size=len(mods), max_size=len(mods)),
+            max_size=4) for _ in range(batches)]))
+
+
+@given(_moduli_and_rows([2, 3, 4, 5, 6, 8, 9, 27], 1))
 @settings(max_examples=200, deadline=None)
 def test_lattice_basis_is_the_hermite_form(case):
     moduli, rows = case
-    diag = [[m if j == i else 0 for j in range(len(moduli))]
-            for i, m in enumerate(moduli)]
     x = FiniteLattice(moduli, rows)
-    assert x.basis == tuple(map(tuple, hnf(rows + diag)))
+    assert x.basis == tuple(map(tuple, _reference_hnf(rows + _diag(moduli))))
     perp = x.annihilator()
     assert perp.annihilator().basis == x.basis
     assert x.order() * perp.order() == prod(moduli)
+
+
+@given(_moduli_and_rows([0, 2, 3, 4, 6, 9, 27], 2))
+@settings(max_examples=200, deadline=None)
+def test_hnf_with_moduli_is_the_hermite_form_of_the_rows_and_diagonal(case):
+    # modulus 0 marks a free column; rows inserted into a basis span the join
+    moduli, rows, more = case
+    basis = hnf(rows, moduli)
+    assert basis == _reference_hnf(rows + _diag(moduli))
+    assert hnf(more, moduli, basis) == _reference_hnf(rows + more + _diag(moduli))
 
 
 def _reference_fs(group, phi, levels):
