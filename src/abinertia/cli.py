@@ -692,6 +692,8 @@ _COMMANDS = ("analyze", "check", "decompose", "oracle", "defect")
 MAX_LEVEL = 64       # truncation level of a shadow
 MAX_SAMPLES = 10000  # sampled subgroups per level, or defect trials
 MAX_BUDGET = 32      # depths explored per witness family
+# past this one defect still runs, and reports max_inert_codim as null
+MAX_SUBSPACES = 4000  # subspaces of F_p^n that defect enumerates
 
 
 @dataclass(frozen=True)
@@ -945,8 +947,8 @@ def _run_defect(config: SessionConfig, parsed: ParsedInput) -> dict:
         res = scalar_defect(M)
         growth = growth_bound_check(M, trials=config.samples, seed=config.seed)
         exhaustive = None
-        if count_subspaces(M.field, M.n) <= 4000:
-            exhaustive = max_inert_codim(M)
+        if count_subspaces(M.field, M.n) <= MAX_SUBSPACES:
+            exhaustive = max_inert_codim(M, budget=M.field ** M.n)
         out[name] = {
             "field": M.field, "dimension": M.n,
             "lam": _jv(res.lam), "defect": res.defect,

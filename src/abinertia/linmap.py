@@ -6,12 +6,18 @@ exhibits M as a scalar plus a map of small rank, and the defect bounds
 how much one application of M can grow any subspace, because
 H + MH = H + (M - lambda*I)H for every lambda.
 
-Two oracles probe that bound: max_inert_codim enumerates every
-subspace of a small prime-field space exactly, and growth_bound_check
-samples random subspaces at any size.  Note the growth of a subspace
-of dimension d is also capped by min(d, n - d), so the defect bound
-need not be attained in a finite space; the cap vanishes only when
-both H and its complement are infinite-dimensional.
+Two oracles probe that bound: max_inert_codim searches the subspaces
+of a small prime-field space exactly, and growth_bound_check samples
+random subspaces at any size.  Note the growth of a subspace of
+dimension d is also capped by min(d, n - d), so the defect bound need
+not be attained in a finite space; the cap vanishes only when both H
+and its complement are infinite-dimensional.
+
+max_inert_codim visits the dimensions d in decreasing order of that
+cap and stops once no remaining cap exceeds the best growth found, or
+leaves a dimension once its cap is reached.  Only the dimension cap
+prunes, never the scalar defect, so the result is the exact maximum
+over all subspaces.  Both oracles measure growth with one kernel.
 
 Vectors are rows and M sends v to v*M, matching the convention used
 for matrix parts of endomorphisms elsewhere in the package.
@@ -109,13 +115,15 @@ class ExactMatrix:
         return ExactMatrix(self.field, rows)
 
     def apply_row(self, v):
-        """The image v * M of a row vector."""
+        """The image v * M of a row vector: the rows of M scaled by the
+        entries of v and summed."""
+        out = [0] * self.n
+        for a, row in zip(v, self.rows):
+            if a:
+                out = [o + a * r for o, r in zip(out, row)]
         if self.field == "Q":
-            return tuple(sum((Fraction(v[i]) * self.rows[i][j]
-                              for i in range(self.n)), Fraction(0))
-                         for j in range(self.n))
-        return tuple(sum(v[i] * self.rows[i][j] for i in range(self.n))
-                     % self.field for j in range(self.n))
+            return tuple(Fraction(o) for o in out)
+        return tuple(o % self.field for o in out)
 
     def rank(self) -> int:
         return len(_reduce(self.field, self.rows))
@@ -236,6 +244,28 @@ def count_subspaces(p: int, n: int) -> int:
     return total
 
 
+def _check_budget(p: int, n: int, budget: int) -> None:
+    if not (isinstance(p, int) and is_prime(p)):
+        raise UsageError("subspace enumeration needs a prime field")
+    if p ** n > budget:
+        raise UsageError(f"{p}**{n} exceeds the enumeration budget {budget}")
+
+
+def _stratum(p: int, n: int, d: int):
+    """Yield the reduced-echelon basis of every d-dimensional subspace of
+    F_p^n, grouped by pivot columns (not sorted)."""
+    for pivots in combinations(range(n), d):
+        free = [(i, j) for i in range(d) for j in range(n)
+                if j > pivots[i] and j not in pivots]
+        for vals in product(range(p), repeat=len(free)):
+            rows = [[0] * n for _ in range(d)]
+            for i in range(d):
+                rows[i][pivots[i]] = 1
+            for (i, j), v in zip(free, vals):
+                rows[i][j] = v
+            yield tuple(tuple(r) for r in rows)
+
+
 def enumerate_subspaces(p: int, n: int,
                         budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """Every subspace of F_p^n as a tuple of reduced-echelon basis rows,
@@ -244,48 +274,62 @@ def enumerate_subspaces(p: int, n: int,
     The precondition bounds p**n by the budget; the work done is
     count_subspaces(p, n) echelon forms.
     """
-    if not (isinstance(p, int) and is_prime(p)):
-        raise UsageError("subspace enumeration needs a prime field")
-    if p ** n > budget:
-        raise UsageError(f"{p}**{n} exceeds the enumeration budget {budget}")
-    out: list[tuple] = [()]
-    for d in range(1, n + 1):
-        stratum = []
-        for pivots in combinations(range(n), d):
-            free = [(i, j) for i in range(d) for j in range(n)
-                    if j > pivots[i] and j not in pivots]
-            for vals in product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(d)]
-                for i in range(d):
-                    rows[i][pivots[i]] = 1
-                for (i, j), v in zip(free, vals):
-                    rows[i][j] = v
-                stratum.append(tuple(tuple(r) for r in rows))
-        stratum.sort()
-        out.extend(stratum)
-    return out
+    _check_budget(p, n, budget)
+    return [basis for d in range(n + 1) for basis in sorted(_stratum(p, n, d))]
 
 
 def _growth(M: ExactMatrix, basis) -> int:
-    stacked = list(basis) + [M.apply_row(v) for v in basis]
-    return len(_reduce(M.field, stacked)) - len(basis)
+    """dim(H + HM) - dim H for H spanned by a reduced-echelon basis: the
+    rank of the images v*M once each is reduced against the basis rows.
+
+    A basis row is zero at every other row's pivot, so each subtraction
+    clears one pivot entry of the image and leaves the others as they
+    were; over F_p the residues are taken mod p once, at the end.
+    """
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    residues = []
+    for v in basis:
+        w = M.apply_row(v)
+        for row, c in zip(basis, pivots):
+            f = w[c]
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+        residues.append(w)
+    if M.field != "Q":
+        residues = [[a % M.field for a in w] for w in residues]
+    return len(_reduce(M.field, residues))
 
 
 def max_inert_codim(M: ExactMatrix, budget: int = DEFAULT_BUDGET) -> int:
     """Exhaustive max over all subspaces H of dim(H + HM) - dim H.
 
+    A d-dimensional H grows by at most its cap min(d, n - d), so the
+    dimensions are visited in decreasing order of cap (the smaller d
+    first on a tie).  The scan stops once no remaining cap exceeds the
+    best growth found, and leaves a dimension as soon as the best growth
+    reaches its cap.  Only this dimension cap prunes, never the scalar
+    defect, so every subspace that could still raise the maximum is
+    measured and the result is exact.
+
     The result is at most min(scalar_defect(M).defect, M.n // 2): the
-    defect bounds it because H + HM = H + H(M - lambda*I), and a
-    d-dimensional H grows by at most min(d, n - d).  Equality with that
-    cap is what the exhaustive scans in the test suite check
+    defect bounds it because H + HM = H + H(M - lambda*I).  Equality
+    with that cap is what the exhaustive scans in the test suite check
     (test_growth_equals_capped_defect_exhaustively and clause (a') of
     acceptance criterion 11); PAPER.md does not settle whether it holds
     for every n.
     """
-    if M.field == "Q":
-        raise UsageError("exhaustive enumeration needs a prime field")
-    return max(_growth(M, basis)
-               for basis in enumerate_subspaces(M.field, M.n, budget))
+    n = M.n
+    _check_budget(M.field, n, budget)
+    best = 0
+    for d in sorted(range(n + 1), key=lambda d: -min(d, n - d)):
+        cap = min(d, n - d)
+        if cap <= best:
+            break
+        for basis in _stratum(M.field, n, d):
+            best = max(best, _growth(M, basis))
+            if best == cap:
+                break
+    return best
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,20 @@ def test_defect_command_measures_matrices():
         assert view["growth"]["max_growth"] <= view["growth"]["bound"]
 
 
+def test_defect_measures_every_space_its_gate_admits(tmp_path, capsys):
+    # (Z/7)^3 has 116 subspaces and (Z/17)^2 has 20, both under the
+    # MAX_SUBSPACES gate, though p**n is past linmap's default budget
+    for p, n in ((7, 3), (17, 2)):
+        path = tmp_path / f"shift{p}.txt"
+        path.write_text(
+            f"group V {{\n  block A = cyclic(p={p}, k=1, mult={n})\n}}\n\n"
+            "endo shift on V {\n  cyc[A.0 -> A.1] = 1;\n}\n", encoding="utf-8")
+        assert main(["defect", str(path)]) == 0, (p, n)
+        view = json.loads(capsys.readouterr().out)["results"][str(path)]["shift"]
+        assert (view["field"], view["dimension"]) == (p, n)
+        assert view["max_inert_codim"] == 1 == min(view["defect"], n // 2)
+
+
 def test_defect_needs_an_elementary_group():
     with pytest.raises(UsageError, match="elementary abelian"):
         run(config("defect", "critical"))

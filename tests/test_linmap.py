@@ -1,4 +1,5 @@
 """Scalar-defect analysis and exhaustive subspace growth oracles."""
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -140,6 +141,71 @@ def test_growth_equals_capped_defect_exhaustively():
             M = ExactMatrix(p, [entries[i * n:(i + 1) * n] for i in range(n)])
             assert max_inert_codim(M) == \
                 min(scalar_defect(M).defect, n // 2)
+
+
+def _reference_rank(p, rows):
+    """Rank over F_p by plain elimination, independent of linmap."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_max_growth(M):
+    """The unpruned scan: every subspace, growth as a stacked rank."""
+    p, n = M.field, M.n
+    cols = list(zip(*M.rows))
+
+    def image(v):
+        return [sum(a * b for a, b in zip(v, col)) % p for col in cols]
+
+    return max(_reference_rank(p, list(b) + [image(v) for v in b]) - len(b)
+               for b in enumerate_subspaces(p, n, budget=p ** n))
+
+
+def _block_diag(p, *blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            rows[at + i][at:at + len(r)] = r
+        at += len(b)
+    return ExactMatrix(p, rows)
+
+
+def test_pruned_search_matches_unpruned_scan():
+    rng = random.Random(20261018)
+    for p, n, count in ((2, 4, 12), (2, 5, 6), (2, 6, 2), (3, 4, 6),
+                        (3, 5, 1), (5, 3, 12)):
+        for _ in range(count):
+            M = ExactMatrix(p, [[rng.randrange(p) for _ in range(n)]
+                                for _ in range(n)])
+            assert max_inert_codim(M, budget=p ** n) == \
+                _reference_max_growth(M), M
+    # maxima below n // 2, where no stratum is cut short at its cap of
+    # n // 2 and the scan has to exhaust it
+    rank_one = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    rank_one[1] = [1, 0, 0, 2]
+    structured = [
+        ExactMatrix.identity(2, 5), diag(3, 2, 2, 2, 2), ExactMatrix(3, rank_one),
+        _block_diag(2, [[1, 1], [0, 1]], [[1]], [[1]], [[1]]),
+        _block_diag(3, [[2, 1], [0, 2]], [[2]], [[2]]),
+        _block_diag(2, [[0, 1], [1, 1]], [[1]], [[1]], [[1]], [[1]]),
+        _block_diag(3, [[0, 1], [2, 2]], [[1]], [[1]]),
+    ]
+    for M in structured:
+        ref = _reference_max_growth(M)
+        assert ref < M.n // 2, M
+        assert max_inert_codim(M, budget=M.field ** M.n) == ref, M
 
 
 def test_growth_bound_check_scalar():
