@@ -21,7 +21,8 @@ integer scalar or an in-block coordinate pair, and ``fin`` maps a
 cyclic coordinate (or a torsion-free coordinate with a ``mod w``
 clause) to a finite-order image written as a coefficient map.  The
 scalar on the infinite-rank free block is the bare-name ``tf`` form.
-Unspecified entries are zero.
+Unspecified entries are zero.  Integers are written in ASCII digits
+``0-9`` only; names start with a letter or ``_``.
 
 serialize() emits one canonical spelling per endomorphism: zero
 entries vanish, scalar-shaped matrices fold to their scalar form, and
@@ -38,11 +39,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .endokit import Endo, add, apply, classify, equal, validate
@@ -81,52 +83,40 @@ class ParseError(UsageError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str   # name | int | punct | end
     text: str
     line: int
     col: int
 
 
-_PUNCT = set("{}()[]=,;:./")
+# Blanks and comments match no named group.  Integers are ASCII digits;
+# a word that starts outside ASCII is a name only if it starts with a letter.
+_TOKEN = re.compile(r"""
+    [ \t]+ | \#.*
+  | (?P<punct> -> | [{}()\[\]=,;:./] )
+  | (?P<int> -?[0-9]+ )
+  | (?P<name> [A-Za-z_]\w* )
+  | (?P<word> \w+ )
+  | (?P<bad> . )
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
     line = 1
     for line, raw in enumerate(text.splitlines(), start=1):
-        i, width = 0, len(raw)
-        while i < width:
-            ch = raw[i]
-            if ch in " \t\r":
-                i += 1
+        for m in _TOKEN.finditer(raw):
+            kind = m.lastgroup
+            if kind is None:
                 continue
-            if ch == "#":
-                break
-            col = i + 1
-            if raw.startswith("->", i):
-                toks.append(_Token("punct", "->", line, col))
-                i += 2
-            elif ch.isdigit() or ch == "-":
-                j = i + 1
-                while j < width and raw[j].isdigit():
-                    j += 1
-                if raw[i:j] == "-":
-                    raise ParseError("stray '-'", line, col)
-                toks.append(_Token("int", raw[i:j], line, col))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < width and (raw[j].isalnum() or raw[j] == "_"):
-                    j += 1
-                toks.append(_Token("name", raw[i:j], line, col))
-                i = j
-            elif ch in _PUNCT:
-                toks.append(_Token("punct", ch, line, col))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
+            if kind == "word":
+                kind = "name" if m.group()[0].isalpha() else "bad"
+            if kind == "bad":
+                ch = m.group()[0]
+                raise ParseError("stray '-'" if ch == "-" else f"unexpected character {ch!r}",
+                                 line, m.start() + 1)
+            toks.append(_Token(kind, m.group(), line, m.start() + 1))
     toks.append(_Token("end", "", line, 1))
     return toks
 
@@ -259,9 +249,21 @@ class _Parser:
         idx = self.integer()
         return (t.text, idx)
 
-    def param(self, key: str) -> None:
-        self.expect_keyword(key)
-        self.expect_punct("=")
+    def braced(self, item) -> _Token:
+        """``{ item, item, ... }``, possibly empty; returns the opening brace."""
+        brace = self.expect_punct("{")
+        if not self.at_punct("}"):
+            item()
+            while self.at_punct(","):
+                self.take()
+                item()
+        self.expect_punct("}")
+        return brace
+
+    def prime_set(self) -> frozenset[int]:
+        primes: set[int] = set()
+        self.braced(lambda: primes.add(self.prime()))
+        return frozenset(primes)
 
     # -- declarations ---------------------------------------------------------
 
@@ -307,41 +309,18 @@ class _Parser:
     def block_expr(self):
         head = self.expect_name("a block kind")
         self.expect_punct("(")
-        if head.text == "cyclic":
-            self.param("p")
-            p = self.prime()
-            self.expect_punct(",")
-            self.param("k")
-            k = self.integer()
-            self.expect_punct(",")
-            self.param("mult")
-            mult = self.nat_or_omega()
-            self.expect_punct(")")
-            return self.build(head, Cyclic, p, k, mult)
-        if head.text == "prufer":
-            self.param("p")
-            p = self.prime()
-            self.expect_punct(",")
-            self.param("copies")
-            copies = self.nat_or_omega()
-            self.expect_punct(")")
-            return self.build(head, Prufer, p, copies)
-        if head.text == "torsionfree":
-            self.param("pi")
-            self.expect_punct("{")
-            primes: set[int] = set()
-            if not self.at_punct("}"):
-                primes.add(self.prime())
-                while self.at_punct(","):
-                    self.take()
-                    primes.add(self.prime())
-            self.expect_punct("}")
-            self.expect_punct(",")
-            self.param("rank")
-            rank = self.nat_or_omega()
-            self.expect_punct(")")
-            return self.build(head, TorsionFree, frozenset(primes), rank)
-        self.fail(f"unknown block kind {head.text!r}", head)
+        if head.text not in _BLOCK_KINDS:
+            self.fail(f"unknown block kind {head.text!r}", head)
+        kind, params = _BLOCK_KINDS[head.text]
+        args = []
+        for i, (key, read) in enumerate(params):
+            if i:
+                self.expect_punct(",")
+            self.expect_keyword(key)
+            self.expect_punct("=")
+            args.append(read(self))
+        self.expect_punct(")")
+        return self.build(head, kind, *args)
 
     def endo_decl(self, group_name: str, group: GroupDesc,
                   endos: dict[str, Endo]) -> None:
@@ -354,175 +333,144 @@ class _Parser:
         if gtok.text != group_name:
             self.fail(f"unknown group {gtok.text!r}", gtok)
         self.expect_punct("{")
-        acc = _EndoEntries(self, group)
+        body = _EndoEntries(self, group)
         while not self.at_punct("}"):
-            acc.entry()
+            body.entry()
             if self.at_punct(";"):
                 self.take()
         self.expect_punct("}")
         try:
-            endos[ntok.text] = Endo(
-                group, tf=acc.tf, free_scalar=acc.free, div=acc.div_kwargs(),
-                cyc=acc.cyc_kwargs(), tau=acc.tau, fin=acc.fin)
+            endos[ntok.text] = Endo(group, **body.merged())
         except UsageError as exc:
             # point at the first entry that fails on its own, else the head
-            for tok, entry in acc.entries:
+            for tok, entry in body.entries:
                 self.build(tok, Endo, group, **entry)
             self.fail(str(exc), head)
 
 
+# block kind -> (constructor, its parameters in order, each with its reader)
+_BLOCK_KINDS = {
+    "cyclic": (Cyclic, (("p", _Parser.prime), ("k", _Parser.integer),
+                        ("mult", _Parser.nat_or_omega))),
+    "prufer": (Prufer, (("p", _Parser.prime), ("copies", _Parser.nat_or_omega))),
+    "torsionfree": (TorsionFree, (("pi", _Parser.prime_set),
+                                  ("rank", _Parser.nat_or_omega))),
+}
+
+# entry map -> (source block kind, target block kind) of its NAME.i -> NAME.j form
+_PAIR_MAPS = {
+    "tf": (TorsionFree, TorsionFree),
+    "div": (Prufer, Prufer),
+    "cyc": (Cyclic, Cyclic),
+    "tau": (TorsionFree, Prufer),
+}
+_KIND_WORDS = {TorsionFree: "torsion-free", Prufer: "divisible", Cyclic: "cyclic"}
+
+
 class _EndoEntries:
-    """Accumulates one endo body, checking references entry by entry."""
+    """Reads one endo body, checking references entry by entry.
+
+    Each entry is kept as the Endo keyword fragment it stands for.  A
+    bare entry sets one slot: the divisible action at a prime, or the
+    scalar on a cyclic block or on the infinite-rank free block.
+    ``claimed`` maps each slot to the pairs entered there, None once a
+    bare entry holds it, and each fin key to None.
+    """
 
     def __init__(self, parser: _Parser, group: GroupDesc) -> None:
         self.p = parser
         self.group = group
-        self.tf: dict = {}
-        self.free = 0
-        self.free_set = False
-        self.div_scalar: dict[int, Fraction] = {}
-        self.div_matrix: dict[int, dict] = {}
-        self.cyc_scalar: dict[str, int] = {}
-        self.cyc_matrix: dict[str, dict] = {}
-        self.tau: dict = {}
-        self.fin: dict = {}
-        self.entries: list[tuple[_Token, dict]] = []  # each entry alone
+        self.blocks = dict(group.blocks)
+        self.entries: list[tuple[_Token, dict]] = []
+        self.claimed: dict[tuple, set | None] = {}
 
-    def div_kwargs(self) -> dict:
-        return {**self.div_scalar, **self.div_matrix}
-
-    def cyc_kwargs(self) -> dict:
-        return {**self.cyc_scalar, **self.cyc_matrix}
+    def merged(self) -> dict:
+        """The Endo keywords of the whole body."""
+        out: dict = {}
+        for _, entry in self.entries:
+            for kw, val in entry.items():
+                if kw == "free_scalar":
+                    out[kw] = val
+                    continue
+                into = out.setdefault(kw, {})
+                for key, v in val.items():
+                    if isinstance(v, dict):
+                        into.setdefault(key, {}).update(v)
+                    else:
+                        into[key] = v
+        return out
 
     def entry(self) -> None:
         p = self.p
         head = p.expect_name("an entry map (tf, div, cyc, tau, fin)")
-        handler = {
-            "tf": self.tf_entry, "div": self.div_entry, "cyc": self.cyc_entry,
-            "tau": self.tau_entry, "fin": self.fin_entry,
-        }.get(head.text)
-        if handler is None:
+        if head.text != "fin" and head.text not in _PAIR_MAPS:
             p.fail(f"unknown entry map {head.text!r}", head)
         p.expect_punct("[")
-        self.entries.append((head, handler()))
+        self.entries.append(
+            (head, self.fin_entry() if head.text == "fin" else self.pair_entry(head.text)))
 
     def block_of(self, tok: _Token):
-        if not self.group.has_block(tok.text):
+        blk = self.blocks.get(tok.text)
+        if blk is None:
             self.p.fail(f"unknown block {tok.text!r}", tok)
-        return self.group.block(tok.text)
+        return blk
 
-    def tf_entry(self) -> dict:
+    def check_kind(self, tok: _Token, blk, kind) -> None:
+        if not isinstance(blk, kind):
+            self.p.fail(f"{tok.text!r} is not a {_KIND_WORDS[kind]} block", tok)
+
+    @staticmethod
+    def slot_label(name: str, key) -> str:
+        return f"prime {key}" if name == "div" else repr(key)
+
+    def pair_entry(self, name: str) -> dict:
+        """``NAME.i -> NAME.j``, or the bare ``NAME`` of tf, div and cyc."""
         p = self.p
+        src_kind, dst_kind = _PAIR_MAPS[name]
         stok = p.expect_name("a block name")
         blk = self.block_of(stok)
-        if p.at_punct("]"):
-            # bare name: the integer scalar on the infinite-rank free block
+        bare = p.at_punct("]")
+        if bare and name == "tau":
+            p.expect_punct(".")  # tau has no bare form: fails as a missing '.'
+        if bare and name == "tf" and not (isinstance(blk, TorsionFree) and blk.rank is OMEGA):
+            p.fail("the bare tf form needs the infinite-rank free block", stok)
+        self.check_kind(stok, blk, src_kind)
+        key = blk.prime if name == "div" else stok.text
+        if bare:
             p.take()
             p.expect_punct("=")
-            if not (isinstance(blk, TorsionFree) and blk.rank is OMEGA):
-                p.fail("the bare tf form needs the infinite-rank free block", stok)
-            if self.free_set:
-                p.fail(f"duplicate tf entry for {stok.text!r}", stok)
-            self.free = p.int_only()
-            self.free_set = True
-            return {"free_scalar": self.free}
-        if not isinstance(blk, TorsionFree):
-            p.fail(f"{stok.text!r} is not a torsion-free block", stok)
+            if (name, key) in self.claimed:
+                p.fail(f"duplicate {name} entry for {self.slot_label(name, key)}", stok)
+            self.claimed[(name, key)] = None
+            if name == "tf":
+                return {"free_scalar": p.int_only()}
+            return {name: {key: p.rational() if name == "div" else p.int_only()}}
         p.expect_punct(".")
         src = (stok.text, p.integer())
         p.expect_punct("->")
-        dtok = p.peek()
-        dst = p.coord(self.group)
-        if not isinstance(self.group.block(dst[0]), TorsionFree):
-            p.fail(f"{dst[0]!r} is not a torsion-free block", dtok)
-        p.expect_punct("]")
-        p.expect_punct("=")
-        if (src, dst) in self.tf:
-            p.fail(f"duplicate tf entry {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}", stok)
-        self.tf[(src, dst)] = value = p.rational()
-        return {"tf": {(src, dst): value}}
-
-    def div_entry(self) -> dict:
-        p = self.p
-        stok = p.expect_name("a block name")
-        blk = self.block_of(stok)
-        if not isinstance(blk, Prufer):
-            p.fail(f"{stok.text!r} is not a divisible block", stok)
-        if p.at_punct("]"):
-            p.take()
-            p.expect_punct("=")
-            if blk.prime in self.div_scalar or blk.prime in self.div_matrix:
-                p.fail(f"prime {blk.prime} already has a divisible action", stok)
-            self.div_scalar[blk.prime] = value = p.rational()
-            return {"div": {blk.prime: value}}
+        dtok = p.expect_name("a block name")
+        if name == "cyc" and dtok.text != stok.text:
+            p.fail("cyclic matrix entries stay within one block", dtok)
+        dblk = self.block_of(dtok)
         p.expect_punct(".")
-        src = (stok.text, p.integer())
-        p.expect_punct("->")
-        dtok = p.peek()
-        dst = p.coord(self.group)
-        dblk = self.group.block(dst[0])
-        if not isinstance(dblk, Prufer):
-            p.fail(f"{dst[0]!r} is not a divisible block", dtok)
-        if dblk.prime != blk.prime:
+        dst = (dtok.text, p.integer())
+        self.check_kind(dtok, dblk, dst_kind)
+        if name == "div" and dblk.prime != blk.prime:
             p.fail("divisible entries stay within one prime", dtok)
         p.expect_punct("]")
         p.expect_punct("=")
-        if blk.prime in self.div_scalar:
-            p.fail(f"prime {blk.prime} already has a scalar action", stok)
-        mat = self.div_matrix.setdefault(blk.prime, {})
-        if (src, dst) in mat:
-            p.fail(f"duplicate div entry {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}", stok)
-        mat[(src, dst)] = value = p.rational()
-        return {"div": {blk.prime: {(src, dst): value}}}
-
-    def cyc_entry(self) -> dict:
-        p = self.p
-        stok = p.expect_name("a block name")
-        blk = self.block_of(stok)
-        if not isinstance(blk, Cyclic):
-            p.fail(f"{stok.text!r} is not a cyclic block", stok)
-        if p.at_punct("]"):
-            p.take()
-            p.expect_punct("=")
-            if stok.text in self.cyc_scalar or stok.text in self.cyc_matrix:
-                p.fail(f"duplicate cyc entry for {stok.text!r}", stok)
-            self.cyc_scalar[stok.text] = value = p.int_only()
-            return {"cyc": {stok.text: value}}
-        p.expect_punct(".")
-        i = p.integer()
-        p.expect_punct("->")
-        dtok = p.expect_name("a block name")
-        if dtok.text != stok.text:
-            p.fail("cyclic matrix entries stay within one block", dtok)
-        p.expect_punct(".")
-        j = p.integer()
-        p.expect_punct("]")
-        p.expect_punct("=")
-        if stok.text in self.cyc_scalar:
-            p.fail(f"{stok.text!r} already has a scalar action", stok)
-        mat = self.cyc_matrix.setdefault(stok.text, {})
-        if (i, j) in mat:
-            p.fail(f"duplicate cyc entry {stok.text}.{i} -> {stok.text}.{j}", stok)
-        mat[(i, j)] = value = p.int_only()
-        return {"cyc": {stok.text: {(i, j): value}}}
-
-    def tau_entry(self) -> dict:
-        p = self.p
-        stok = p.peek()
-        src = p.coord(self.group)
-        if not isinstance(self.group.block(src[0]), TorsionFree):
-            p.fail(f"{src[0]!r} is not a torsion-free block", stok)
-        p.expect_punct("->")
-        dtok = p.peek()
-        dst = p.coord(self.group)
-        if not isinstance(self.group.block(dst[0]), Prufer):
-            p.fail(f"{dst[0]!r} is not a divisible block", dtok)
-        p.expect_punct("]")
-        p.expect_punct("=")
-        if (src, dst) in self.tau:
-            p.fail(f"duplicate tau entry {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}", stok)
-        self.tau[(src, dst)] = value = p.rational()
-        return {"tau": {(src, dst): value}}
+        # only div and cyc pairs share their slot with a bare entry
+        pairs = self.claimed.setdefault((name, key if name in ("div", "cyc") else None), set())
+        if pairs is None:
+            p.fail(f"{self.slot_label(name, key)} already has a scalar action", stok)
+        if (src, dst) in pairs:
+            p.fail(f"duplicate {name} entry {src[0]}.{src[1]} -> {dst[0]}.{dst[1]}", stok)
+        pairs.add((src, dst))
+        if name == "cyc":
+            return {"cyc": {key: {(src[1], dst[1]): p.int_only()}}}
+        if name == "div":
+            return {"div": {key: {(src, dst): p.rational()}}}
+        return {name: {(src, dst): p.rational()}}
 
     def fin_entry(self) -> dict:
         p = self.p
@@ -545,18 +493,12 @@ class _EndoEntries:
             key = ("c", src[0], src[1])
         p.expect_punct("]")
         p.expect_punct("=")
-        vtok = p.expect_punct("{")
         coeffs: dict[tuple[str, int], Fraction] = {}
-        if not p.at_punct("}"):
-            self.fin_coeff(coeffs)
-            while p.at_punct(","):
-                p.take()
-                self.fin_coeff(coeffs)
-        p.expect_punct("}")
-        if key in self.fin:
+        vtok = p.braced(lambda: self.fin_coeff(coeffs))
+        if ("fin", key) in self.claimed:
             p.fail("duplicate fin entry", stok)
-        self.fin[key] = value = p.build(vtok, Element, self.group, coeffs)
-        return {"fin": {key: value}}
+        self.claimed[("fin", key)] = None
+        return {"fin": {key: p.build(vtok, Element, self.group, coeffs)}}
 
     def fin_coeff(self, coeffs: dict) -> None:
         p = self.p
@@ -689,9 +631,11 @@ def _selector_view(sel) -> dict:
 _COMMANDS = ("analyze", "check", "decompose", "oracle", "defect")
 
 # work caps: past one of these a run fails as a usage error before any work
-MAX_LEVEL = 64       # truncation level of a shadow
-MAX_SAMPLES = 10000  # sampled subgroups per level, or defect trials
-MAX_BUDGET = 32      # depths explored per witness family
+MAX_LEVEL = 64           # truncation level of a shadow
+MAX_SAMPLES = 10000      # sampled subgroups per level, or defect trials
+MAX_BUDGET = 32          # depths explored per witness family
+MAX_SHADOW_COORDS = 512  # coordinates oracle flattens on a periodic group
+MAX_DIMENSION = 64       # dimension of the F_p-space defect reads
 # past this one defect still runs, and reports max_inert_codim as null
 MAX_SUBSPACES = 4000  # subspaces of F_p^n that defect enumerates
 
@@ -732,6 +676,22 @@ def _check_config(config: SessionConfig) -> None:
         raise UsageError("the seed must fit in 64 bits")
     if config.inject_verdict not in (None, "inertial", "non-inertial"):
         raise UsageError(f"bad injected verdict {config.inject_verdict!r}")
+
+
+def _check_work(config: SessionConfig, path: str, group: GroupDesc) -> None:
+    """The work caps that depend on a file's group, checked before any work."""
+    if config.command == "oracle" and group.is_periodic:
+        top = config.levels[-1]
+        width = sum(b.mult for _, b in truncate(group, top).group.blocks)
+        if width > MAX_SHADOW_COORDS:
+            raise UsageError(f"{path}: the level-{top} shadow has {width} coordinates; "
+                             f"oracle flattens at most {MAX_SHADOW_COORDS}")
+    if config.command == "defect":
+        dim = sum(b.mult for _, b in group.blocks
+                  if isinstance(b, Cyclic) and is_finite(b.mult))
+        if dim > MAX_DIMENSION:
+            raise UsageError(f"{path}: defect reads at most {MAX_DIMENSION} "
+                             f"coordinates, not {dim}")
 
 
 def _load(path: str) -> ParsedInput:
@@ -963,6 +923,8 @@ def run(config: SessionConfig) -> tuple[int, str]:
     """Execute one command; returns (exit code, JSON report text)."""
     _check_config(config)
     files = {path: _load(path) for path in config.inputs}
+    for path, parsed in files.items():
+        _check_work(config, path, parsed.group)
     results: dict[str, dict] = {}
     contradiction = False
     for path, parsed in files.items():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import abinertia
+from abinertia import cli
 from abinertia.cli import (
     ParseError, ParsedInput, SessionConfig, main, parse, run, serialize,
 )
@@ -111,6 +112,115 @@ def test_matrix_entries_stay_local():
         parse(base + "endo e on A { div[D.0 -> E.0] = 1; }")
     with pytest.raises(ParseError, match="already has a scalar"):
         parse(base + "endo e on A { div[D] = 1; div[D.0 -> D.0] = 1; }")
+
+
+ENTRY_BASE = """group A {
+  block B = cyclic(p=2, k=1, mult=2)
+  block C = cyclic(p=2, k=1, mult=2)
+  block D = prufer(p=2, copies=2)
+  block P = prufer(p=3, copies=1)
+  block T = torsionfree(pi={2}, rank=2)
+  block L = torsionfree(pi={}, rank=omega)
+}
+endo e on A {
+"""
+
+# one malformed body per case: (entries from line 10, line, column, fragment)
+ENTRY_DIAGNOSTICS = [
+    ("frob[B] = 1;", 10, 3, "unknown entry map 'frob'"),
+    # unknown source or target block, per map
+    ("tf[X.0 -> T.0] = 1;", 10, 6, "unknown block 'X'"),
+    ("div[X] = 1;", 10, 7, "unknown block 'X'"),
+    ("cyc[X] = 1;", 10, 7, "unknown block 'X'"),
+    ("tau[X.0 -> D.0] = 1;", 10, 7, "unknown block 'X'"),
+    ("fin[X.0] = { };", 10, 7, "unknown block 'X'"),
+    ("tf[T.0 -> X.0] = 1;", 10, 13, "unknown block 'X'"),
+    ("div[D.0 -> X.0] = 1;", 10, 14, "unknown block 'X'"),
+    ("tau[T.0 -> X.0] = 1;", 10, 14, "unknown block 'X'"),
+    ("fin[B.0] = { X.0: 1 };", 10, 16, "unknown block 'X'"),
+    # wrong source or target kind
+    ("tf[B.0 -> T.0] = 1;", 10, 6, "'B' is not a torsion-free block"),
+    ("tf[T.0 -> D.0] = 1;", 10, 13, "'D' is not a torsion-free block"),
+    ("div[B] = 1;", 10, 7, "'B' is not a divisible block"),
+    ("div[B.0 -> D.0] = 1;", 10, 7, "'B' is not a divisible block"),
+    ("div[D.0 -> B.0] = 1;", 10, 14, "'B' is not a divisible block"),
+    ("cyc[D] = 1;", 10, 7, "'D' is not a cyclic block"),
+    ("cyc[D.0 -> D.0] = 1;", 10, 7, "'D' is not a cyclic block"),
+    ("tau[B.0 -> D.0] = 1;", 10, 7, "'B' is not a torsion-free block"),
+    ("tau[T.0 -> B.0] = 1;", 10, 14, "'B' is not a divisible block"),
+    # cross-block cyc, cross-prime div
+    ("cyc[B.0 -> C.0] = 1;", 10, 14, "within one block"),
+    ("cyc[B.0 -> X.0] = 1;", 10, 14, "within one block"),
+    ("div[D.0 -> P.0] = 1;", 10, 14, "within one prime"),
+    # bare forms that do not exist
+    ("tf[T] = 1;", 10, 6, "the bare tf form needs the infinite-rank free block"),
+    ("tf[B] = 1;", 10, 6, "the bare tf form needs the infinite-rank free block"),
+    ("tau[T] = 1;", 10, 8, "expected '.', found ']'"),
+    # duplicate pair entries
+    ("tf[T.0 -> T.1] = 1;\n  tf[T.0 -> T.1] = 2;", 11, 6,
+     "duplicate tf entry T.0 -> T.1"),
+    ("div[D.0 -> D.1] = 1;\n  div[D.0 -> D.1] = 2;", 11, 7,
+     "duplicate div entry D.0 -> D.1"),
+    ("cyc[B.0 -> B.1] = 1;\n  cyc[B.0 -> B.1] = 1;", 11, 7,
+     "duplicate cyc entry B.0 -> B.1"),
+    ("tau[T.0 -> D.0] = 1;\n  tau[T.0 -> D.0] = 2;", 11, 7,
+     "duplicate tau entry T.0 -> D.0"),
+    ("fin[B.0] = { C.0: 1 };\n  fin[B.0] = { C.1: 1 };", 11, 7,
+     "duplicate fin entry"),
+    ("fin[T.0 mod 2] = { C.0: 1 };\n  fin[T.0 mod 2] = { C.1: 1 };", 11, 7,
+     "duplicate fin entry"),
+    # duplicate bare entries
+    ("tf[L] = 1;\n  tf[L] = 2;", 11, 6, "duplicate tf entry for 'L'"),
+    ("div[D] = 1;\n  div[D] = 3;", 11, 7, "prime 2"),
+    ("cyc[B] = 1;\n  cyc[B] = 1;", 11, 7, "duplicate cyc entry for 'B'"),
+    # scalar before matrix, matrix before scalar
+    ("div[D] = 1;\n  div[D.0 -> D.1] = 1;", 11, 7,
+     "prime 2 already has a scalar action"),
+    ("cyc[B] = 1;\n  cyc[B.0 -> B.1] = 1;", 11, 7,
+     "'B' already has a scalar action"),
+    ("div[D.0 -> D.1] = 1;\n  div[D] = 1;", 11, 7, "prime 2"),
+    ("cyc[B.0 -> B.1] = 1;\n  cyc[B] = 1;", 11, 7, "duplicate cyc entry for 'B'"),
+    # fin: the mod clause and the coefficient map
+    ("fin[T.0 mod 0] = { B.0: 1 };", 10, 15, "the factor modulus must be >= 1"),
+    ("fin[T.0] = { B.0: 1 };", 10, 7, "a torsion-free source needs a mod clause"),
+    ("fin[B.0 mod 2] = { C.0: 1 };", 10, 7, "a mod clause needs a torsion-free source"),
+    ("fin[B.0] = { C.0: 1, C.0: 1 };", 10, 24, "duplicate coefficient for C.0"),
+    # entries that parse but fail on their own point at the entry's map
+    ("tf[T.0 -> T.7] = 1;", 10, 3, "T.7 is out of range"),
+    ("div[D.0 -> D.5] = 1;", 10, 3, "D.5 is out of range"),
+    ("tau[T.5 -> D.0] = 1;", 10, 3, "T.5 is out of range"),
+    ("fin[B.7] = { C.0: 1 };", 10, 3, "B.7 is out of range"),
+    ("tf[L.0 -> L.0] = 1;", 10, 3, "L.0 is not a finite torsion-free copy"),
+    # value types
+    ("cyc[B] = 1/2;", 10, 13, "not a rational"),
+    ("tf[L] = 1/2;", 10, 12, "not a rational"),
+]
+
+
+@pytest.mark.parametrize("body,line,col,fragment", ENTRY_DIAGNOSTICS,
+                         ids=[" ".join(case[0].split()) for case in ENTRY_DIAGNOSTICS])
+def test_every_entry_diagnostic_is_positioned(body, line, col, fragment):
+    with pytest.raises(ParseError) as exc:
+        parse(ENTRY_BASE + "  " + body + "\n}\n")
+    assert (exc.value.line, exc.value.col) == (line, col), str(exc.value)
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("text,col", [
+    ("group A { block B = cyclic(p=2, k=², mult=1) }", 35),
+    ("group A { block B = cyclic(p=٣, k=1, mult=1) }", 30),
+    ("group A { block B = cyclic(p=2, k=1, mult=1٣) }", 44),
+], ids=["superscript", "arabic-indic", "after-ascii"])
+def test_integers_are_ascii_digits(tmp_path, capsys, text, col):
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    path = tmp_path / "digits.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "line 1, column " in err
 
 
 def test_comments_and_omega_literals():
@@ -400,6 +510,42 @@ def test_main_maps_usage_problems_to_exit_one(tmp_path, capsys):
         assert needle in capsys.readouterr().err, argv
     assert main(["check", corpus("quasi"), "--levels", "64", "--samples",
                  "10000", "--budget", "32"]) == 0
+
+
+def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a capped run started work")
+
+    monkeypatch.setattr(cli, "inertness_profile", no_work)
+    monkeypatch.setattr(cli, "scalar_defect", no_work)
+    cases = (
+        ("oracle", "cyclic(p=2, k=1, mult=513)", "oracle flattens at most 512"),
+        ("defect", "cyclic(p=2, k=1, mult=65)", "defect reads at most 64"),
+    )
+    for command, block, needle in cases:
+        path = tmp_path / "big.txt"
+        path.write_text(f"group V {{\n  block A = {block}\n}}\n\n"
+                        "endo e on V {\n  cyc[A] = 1;\n}\n", encoding="utf-8")
+        assert main([command, str(path)]) == 1, block
+        captured = capsys.readouterr()
+        assert captured.out == "" and needle in captured.err, captured.err
+    # eight omega blocks at level 64 and one finite coordinate
+    blocks = "".join(f"  block B{i} = cyclic(p=2, k=1, mult=omega)\n" for i in range(8))
+    path = tmp_path / "wide.txt"
+    path.write_text(f"group W {{\n{blocks}  block F = prufer(p=3, copies=1)\n}}\n"
+                    "endo e on W {\n  div[F] = 1;\n}\n", encoding="utf-8")
+    assert main(["oracle", str(path), "--levels", "64"]) == 1
+    assert "the level-64 shadow has 513 coordinates" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="started work"):  # 8 * 63 + 1 passes
+        main(["oracle", str(path), "--levels", "63"])
+
+
+def test_periodic_corpus_fits_the_shadow_cap(capsys):
+    # periodic.txt flattens 64 + 64 + 1 coordinates at level 64
+    assert main(["oracle", corpus("periodic"), "--levels", "64", "--samples", "1",
+                 "--budget", "1"]) == 0
+    views = json.loads(capsys.readouterr().out)["results"][corpus("periodic")]
+    assert views["triple"]["fs_profile"] == {"64": 1}
 
 
 def test_main_reports_the_contradiction_exit(capsys):
