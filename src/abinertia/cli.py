@@ -636,6 +636,7 @@ MAX_SAMPLES = 10000      # sampled subgroups per level, or defect trials
 MAX_BUDGET = 32          # depths explored per witness family
 MAX_SHADOW_COORDS = 512  # coordinates oracle flattens on a periodic group
 MAX_DIMENSION = 64       # dimension of the F_p-space defect reads
+MAX_DEFECT_WORK = 10**6  # (p + samples) * max(n, 8)^2 for defect on F_p^n
 # past this one defect still runs, and reports max_inert_codim as null
 MAX_SUBSPACES = 4000  # subspaces of F_p^n that defect enumerates
 
@@ -692,6 +693,14 @@ def _check_work(config: SessionConfig, path: str, group: GroupDesc) -> None:
         if dim > MAX_DIMENSION:
             raise UsageError(f"{path}: defect reads at most {MAX_DIMENSION} "
                              f"coordinates, not {dim}")
+        # scalar_defect scans p scalars and growth_bound_check runs samples
+        # trials, each a reduction of an n x n matrix
+        p = max((b.prime for _, b in group.blocks if isinstance(b, Cyclic)),
+                default=0)
+        work = (p + config.samples) * max(dim, 8) ** 2
+        if work > MAX_DEFECT_WORK:
+            raise UsageError(f"{path}: defect work (p + samples) * max(n, 8)^2 is "
+                             f"{work}; defect does at most {MAX_DEFECT_WORK}")
 
 
 def _load(path: str) -> ParsedInput:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
     INF, OMEGA, UsageError, frac_residue, frac_valuation, hnf, is_finite,
@@ -235,36 +235,17 @@ def _prelude(group: GroupDesc, depth: int) -> list[FGSubgroup]:
 
 _TAIL_WINDOW = 3  # random tails stay level-independent on purpose
 
-_SAMPLE_CACHE: dict[tuple, tuple[FGSubgroup, ...]] = {}
 
+def _random_draws(group: GroupDesc, seed: int) -> Iterator[tuple[Element, ...]]:
+    """The random generator tuples of sample_subgroups, in draw order.
 
-def sample_subgroups(target: GroupDesc | Truncation, count: int, seed: int,
-                     depth: int | None = None) -> list[FGSubgroup]:
-    """Deterministic mixed family of finitely generated subgroups.
-
-    The structured prelude (socles, slabs, scaled lattices, one graph
-    per block pair, scaled by depth) is always included; seeded random
-    generator sets with small coefficients fill the list up to count.
-    The random tail draws from a fixed shallow window regardless of
-    depth, so profiles over growing depths only move through the
-    structured families.
+    The draws depend on the group and the seed alone, never on the depth
+    or on which earlier draws were kept, so one stream serves every depth.
     """
-    group = _ambient(target)
-    if not isinstance(count, int) or count < 1:
-        raise UsageError("count must be a positive integer")
-    if depth is None:
-        depth = target.level if isinstance(target, Truncation) else _TAIL_WINDOW
-    if not isinstance(depth, int) or depth < 1:
-        raise UsageError("depth must be a positive integer")
-
-    out = list(_prelude(group, depth))
-    seen = {s.generators for s in out}
     rng = random.Random(seed)
     pool = [(name, i) for name, b in group.blocks
             for i in range(max(1, _width(b, _TAIL_WINDOW)))]
-    attempts = 0
-    while len(out) < count and attempts < 4 * count + 32:
-        attempts += 1
+    while True:
         gens = []
         for _ in range(rng.randint(1, 4)):
             coeffs: dict[Coord, int | Fraction] = {}
@@ -287,23 +268,61 @@ def sample_subgroups(target: GroupDesc | Truncation, count: int, seed: int,
             g = Element(group, coeffs)
             if g:
                 gens.append(g)
-        key = tuple(gens)
+        yield tuple(gens)
+
+
+class _Draws:
+    """The random draws of one (group, seed), made on demand and kept.
+
+    Each pass replays the kept draws, then extends them, so passes must
+    not interleave.
+    """
+
+    def __init__(self, group: GroupDesc, seed: int) -> None:
+        self._fresh = _random_draws(group, seed)
+        self._kept: list[tuple[Element, ...]] = []
+
+    def __iter__(self) -> Iterator[tuple[Element, ...]]:
+        yield from self._kept
+        for key in self._fresh:
+            self._kept.append(key)
+            yield key
+
+
+def sample_subgroups(target: GroupDesc | Truncation, count: int, seed: int,
+                     depth: int | None = None, *,
+                     _draws: _Draws | None = None) -> list[FGSubgroup]:
+    """Deterministic mixed family of finitely generated subgroups.
+
+    The structured prelude (socles, slabs, scaled lattices, one graph
+    per block pair, scaled by depth) is always included; seeded random
+    generator sets with small coefficients fill the list up to count,
+    from at most 4 * count + 32 draws.  The random tail draws from a
+    fixed shallow window regardless of depth, so profiles over growing
+    depths only move through the structured families.  The draws depend
+    on the group and the seed alone, so inertness_profile makes them once
+    per call, passes them to every level as ``_draws``, and measures each
+    distinct subgroup once.
+    """
+    group = _ambient(target)
+    if not isinstance(count, int) or count < 1:
+        raise UsageError("count must be a positive integer")
+    if depth is None:
+        depth = target.level if isinstance(target, Truncation) else _TAIL_WINDOW
+    if not isinstance(depth, int) or depth < 1:
+        raise UsageError("depth must be a positive integer")
+
+    out = list(_prelude(group, depth))
+    seen = {s.generators for s in out}
+    draws = iter(_Draws(group, seed) if _draws is None else _draws)
+    for _ in range(4 * count + 32):
+        if len(out) >= count:
+            break
+        key = next(draws)
         if key and key not in seen:
             seen.add(key)
             out.append(FGSubgroup(group, key, f"random {len(out)}"))
     return out
-
-
-def _samples_for(target: GroupDesc | Truncation, count: int, seed: int,
-                 depth: int | None = None) -> tuple[FGSubgroup, ...]:
-    key = (_ambient(target), count, seed, depth)
-    hit = _SAMPLE_CACHE.get(key)
-    if hit is None:
-        if len(_SAMPLE_CACHE) > 512:
-            _SAMPLE_CACHE.clear()
-        hit = tuple(sample_subgroups(target, count, seed, depth=depth))
-        _SAMPLE_CACHE[key] = hit
-    return hit
 
 
 def enumerate_subgroups(target: GroupDesc | Truncation,
@@ -442,7 +461,9 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
     Each level measures the truncated action over the structured shadow
     families plus the untruncated action over samples whose structured
     depth grows with the level; random tails are level-independent, so
-    the hint is stable exactly when the top two level maxima agree.
+    the hint is stable exactly when the top two level maxima agree.  The
+    random draws are made once per call and shared by every level, and
+    each distinct untruncated sample is measured once per call.
     """
     if phi.group != group:
         raise UsageError("the endomorphism acts on a different group")
@@ -450,6 +471,8 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
     has_torsion = any(not isinstance(b, TorsionFree) for _, b in group.blocks)
     per: list[tuple[int, Nat]] = []
     families: set[str] = set()
+    draws = _Draws(group, seed)
+    measured: dict[tuple[Element, ...], Nat] = {}
     for level in lv:
         worst: Nat = 1
         if has_torsion:
@@ -458,8 +481,10 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
             for s in _prelude(shadow.group, level):
                 worst = _nat_max(worst, index_in_sum(s, psi))
                 families.add(s.label.split()[0])
-        for s in _samples_for(group, samples, seed, depth=level):
-            worst = _nat_max(worst, index_in_sum(s, phi))
+        for s in sample_subgroups(group, samples, seed, level, _draws=draws):
+            if s.generators not in measured:
+                measured[s.generators] = index_in_sum(s, phi)
+            worst = _nat_max(worst, measured[s.generators])
             families.add(s.label.split()[0])
         per.append((level, worst))
     # an infinite observed index is already unbounded growth

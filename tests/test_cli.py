@@ -519,16 +519,26 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "inertness_profile", no_work)
     monkeypatch.setattr(cli, "scalar_defect", no_work)
     cases = (
-        ("oracle", "cyclic(p=2, k=1, mult=513)", "oracle flattens at most 512"),
-        ("defect", "cyclic(p=2, k=1, mult=65)", "defect reads at most 64"),
+        ("oracle", "cyclic(p=2, k=1, mult=513)", (), "oracle flattens at most 512"),
+        ("defect", "cyclic(p=2, k=1, mult=65)", (), "defect reads at most 64"),
+        # (p + samples) * max(n, 8)^2 past 10^6: each took 9 s or more uncapped
+        ("defect", "cyclic(p=100003, k=1, mult=2)", (), "defect work"),
+        ("defect", "cyclic(p=2, k=1, mult=64)", ("--samples", "1000"), "defect work"),
+        ("defect", "cyclic(p=2, k=1, mult=32)", ("--samples", "10000"), "defect work"),
     )
-    for command, block, needle in cases:
+    for command, block, extra, needle in cases:
         path = tmp_path / "big.txt"
         path.write_text(f"group V {{\n  block A = {block}\n}}\n\n"
                         "endo e on V {\n  cyc[A] = 1;\n}\n", encoding="utf-8")
-        assert main([command, str(path)]) == 1, block
+        assert main([command, str(path), *extra]) == 1, (block, extra)
         captured = capsys.readouterr()
         assert captured.out == "" and needle in captured.err, captured.err
+    # (101 + 40) * 64^2 and (10007 + 40) * 8^2 stay under the defect cap
+    for block in ("cyclic(p=101, k=1, mult=64)", "cyclic(p=10007, k=1, mult=2)"):
+        path.write_text(f"group V {{\n  block A = {block}\n}}\n\n"
+                        "endo e on V {\n  cyc[A] = 1;\n}\n", encoding="utf-8")
+        with pytest.raises(AssertionError, match="started work"):
+            main(["defect", str(path)])
     # eight omega blocks at level 64 and one finite coordinate
     blocks = "".join(f"  block B{i} = cyclic(p=2, k=1, mult=omega)\n" for i in range(8))
     path = tmp_path / "wide.txt"

@@ -1,12 +1,16 @@
 """Exact subgroup indices, profiles, and witness families."""
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abinertia import oracle
+from abinertia.cli import parse
 from abinertia.endokit import (
     Endo, apply, mini_endo, multiplication_endo, semi_multiplication, validate,
 )
@@ -22,7 +26,8 @@ from abinertia.oracle import (
     inertness_profile, naive_index_in_sum, sample_subgroups, truncate_endo,
     witness_search,
 )
-from abinertia.oracle import _prelude, _span
+from abinertia.oracle import _TAIL_WINDOW, _nat_max, _prelude, _span, _width
+from conftest import GROUPS, INERTIAL
 
 F = Fraction
 
@@ -34,6 +39,8 @@ CRIT = GroupDesc([("B", Cyclic(2, 2, OMEGA)), ("D", Prufer(2, 1))])
 OMEGA2 = GroupDesc([("B", Cyclic(2, 1, OMEGA)), ("C", Cyclic(2, 2, OMEGA))])
 SMALL = GroupDesc([("A", Cyclic(2, 2, 1)), ("B", Cyclic(2, 1, 2))])
 CUBE = GroupDesc([("A", Cyclic(2, 1, 3))])
+CORPUS = [parse(path.read_text(encoding="utf-8"))
+          for path in sorted((Path(__file__).parent / "corpus").glob("*.txt"))]
 
 
 def gens(group, *elements):
@@ -137,6 +144,56 @@ def test_sampling_accepts_truncations():
     shadow = truncate(OMEGA2, 3)
     subs = sample_subgroups(shadow, 10, seed=2)
     assert all(s.group == shadow.group for s in subs)
+
+
+def _reference_samples(group, count, seed, depth):
+    """sample_subgroups as one loop that draws afresh for every depth."""
+    out = list(_prelude(group, depth))
+    seen = {s.generators for s in out}
+    rng = random.Random(seed)
+    pool = [(name, i) for name, b in group.blocks
+            for i in range(max(1, _width(b, _TAIL_WINDOW)))]
+    attempts = 0
+    while len(out) < count and attempts < 4 * count + 32:
+        attempts += 1
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {}
+            for name, i in rng.sample(pool, rng.randint(1, min(3, len(pool)))):
+                b = group.block(name)
+                if isinstance(b, Cyclic):
+                    coeffs[(name, i)] = rng.randrange(1, b.prime ** b.exp)
+                elif isinstance(b, Prufer):
+                    j = rng.randint(1, _TAIL_WINDOW)
+                    coeffs[(name, i)] = F(rng.randrange(1, b.prime ** j), b.prime ** j)
+                else:
+                    num = rng.randint(-3, 3)
+                    den = 1
+                    ps = sorted(b.primes)
+                    if ps and rng.random() < 0.5:
+                        den = rng.choice(ps) ** rng.randint(1, 2)
+                    if num:
+                        coeffs[(name, i)] = F(num, den)
+            g = Element(group, coeffs)
+            if g:
+                gens.append(g)
+        key = tuple(gens)
+        if key and key not in seen:
+            seen.add(key)
+            out.append(FGSubgroup(group, key, f"random {len(out)}"))
+    return out
+
+
+def test_sampling_keeps_the_draw_order_at_every_depth():
+    groups = [OMEGA2, CRIT, MIXP, ZPAIR] + [parsed.group for parsed in CORPUS]
+    for group in groups:
+        for count in (1, 5, 40, 100):
+            for seed in (0, 1, 7):
+                for depth in range(1, 9):
+                    got = sample_subgroups(group, count, seed, depth)
+                    want = _reference_samples(group, count, seed, depth)
+                    assert [(s.label, s.generators) for s in got] == \
+                        [(s.label, s.generators) for s in want], (group, count, seed, depth)
 
 
 def test_generators_must_live_in_the_group():
@@ -266,6 +323,46 @@ def test_profile_is_deterministic():
     one = inertness_profile(OMEGA2, bad, (2, 3), samples=15, seed=8)
     two = inertness_profile(OMEGA2, bad, (2, 3), samples=15, seed=8)
     assert one == two
+
+
+def _reference_profile(group, phi, levels, samples, seed):
+    """inertness_profile level by level, every sample drawn and measured anew."""
+    per, families = [], set()
+    for level in levels:
+        worst = 1
+        if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
+            shadow = truncate(group, level)
+            psi = truncate_endo(phi, shadow)
+            for s in _prelude(shadow.group, level):
+                worst = _nat_max(worst, index_in_sum(s, psi))
+                families.add(s.label.split()[0])
+        for s in sample_subgroups(group, samples, seed, depth=level):
+            worst = _nat_max(worst, index_in_sum(s, phi))
+            families.add(s.label.split()[0])
+        per.append((level, worst))
+    stable = is_finite(per[-1][1]) and per[-1][1] == per[-2][1]
+    return per, sorted(families), "stable" if stable else "growing"
+
+
+def test_profile_measures_each_sample_once(monkeypatch):
+    maps = [(GROUPS[key], phi) for key, fam in sorted(INERTIAL.items())
+            for _, phi in sorted(fam.items())]
+    maps += [(parsed.group, phi) for parsed in CORPUS for phi in parsed.endos.values()]
+    measured = Counter()
+
+    def counting(sub, endo):
+        if endo is phi:
+            measured[sub.generators] += 1
+        return index_in_sum(sub, endo)
+
+    for group, phi in maps:
+        want = _reference_profile(group, phi, (1, 2, 4), samples=24, seed=5)
+        measured.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "index_in_sum", counting)
+            ev = inertness_profile(group, phi, (1, 2, 4), samples=24, seed=5)
+        assert (list(ev.per_level), list(ev.sampled_families), ev.verdict_hint) == want
+        assert measured and max(measured.values()) == 1, (group, phi)
 
 
 # -- FS condition profile -------------------------------------------------
