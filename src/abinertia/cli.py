@@ -239,6 +239,8 @@ class _Parser:
         value = self.integer()
         if value < 0:
             self.fail("a count cannot be negative", t)
+        if value > MAX_COUNT:
+            self.fail(f"a finite count is at most {MAX_COUNT}, not {value}", t)
         return value
 
     def coord(self, group: GroupDesc) -> tuple[str, int]:
@@ -631,6 +633,7 @@ def _selector_view(sel) -> dict:
 _COMMANDS = ("analyze", "check", "decompose", "oracle", "defect")
 
 # work caps: past one of these a run fails as a usage error before any work
+MAX_COUNT = 1024         # finite mult, copies or rank of one block
 MAX_LEVEL = 64           # truncation level of a shadow
 MAX_SAMPLES = 10000      # sampled subgroups per level, or defect trials
 MAX_BUDGET = 32          # depths explored per witness family
@@ -651,7 +654,6 @@ class SessionConfig:
     budget: int = 6
     output: str | None = None
     enumerate_all: bool = False
-    inject_verdict: str | None = None   # test hook for the contradiction path
 
 
 def _check_config(config: SessionConfig) -> None:
@@ -675,8 +677,6 @@ def _check_config(config: SessionConfig) -> None:
         raise UsageError(f"budget must be at most {MAX_BUDGET}")
     if not 0 <= config.seed < 2 ** 64:
         raise UsageError("the seed must fit in 64 bits")
-    if config.inject_verdict not in (None, "inertial", "non-inertial"):
-        raise UsageError(f"bad injected verdict {config.inject_verdict!r}")
 
 
 def _check_work(config: SessionConfig, path: str, group: GroupDesc) -> None:
@@ -706,7 +706,7 @@ def _check_work(config: SessionConfig, path: str, group: GroupDesc) -> None:
 def _load(path: str) -> ParsedInput:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {exc}") from None
     try:
         parsed = parse(text)
@@ -840,8 +840,6 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]
     for name, phi in parsed.endos.items():
         cert, viols = is_inertial(phi)
         verdict = "inertial" if cert is not None else "non-inertial"
-        if config.inject_verdict is not None:
-            verdict = config.inject_verdict
         ev = inertness_profile(parsed.group, phi, config.levels,
                                samples=config.samples, seed=config.seed)
         fs = None
@@ -1000,15 +998,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="write the report here instead of stdout")
     parser.add_argument("--enumerate-all", action="store_true",
                         help="exhaust all subgroups of a tiny truncation")
-    parser.add_argument("--inject-verdict", choices=("inertial", "non-inertial"),
-                        default=None, help=argparse.SUPPRESS)
     try:
         ns = parser.parse_args(argv)
         config = SessionConfig(
             command=ns.command, inputs=tuple(ns.inputs),
             levels=_parse_levels(ns.levels), samples=ns.samples, seed=ns.seed,
-            budget=ns.budget, output=ns.out, enumerate_all=ns.enumerate_all,
-            inject_verdict=ns.inject_verdict)
+            budget=ns.budget, output=ns.out, enumerate_all=ns.enumerate_all)
         code, text = run(config)
         if config.output is None:
             sys.stdout.write(text)

@@ -666,16 +666,6 @@ def _tf_scalar(phi: Endo) -> Fraction | None | str:
     return m if diag is None or diag == m else "nonscalar"
 
 
-def _cyc_residue(phi: Endo, name: str) -> Residue | None:
-    """The block's scalar as a residue; None when the block acts by a
-    genuine matrix."""
-    b = phi.group.block(name)
-    val = phi.cyc.get(name, 0)
-    if isinstance(val, dict):
-        return None
-    return Residue(val, b.prime, b.exp)
-
-
 def _cyc_crt(phi: Endo, p: int, omega_only: bool) -> Residue | None | str:
     """Joint residue of the scalar actions across cyclic p-blocks.
 
@@ -685,10 +675,10 @@ def _cyc_crt(phi: Endo, p: int, omega_only: bool) -> Residue | None | str:
     for name, b in phi.group.cyclic_at(p):
         if omega_only and b.mult is not OMEGA:
             continue
-        r = _cyc_residue(phi, name)
-        if r is None:
+        val = phi.cyc.get(name, 0)
+        if isinstance(val, dict):
             return "conflict"
-        congs.append(r)
+        congs.append(Residue(val, b.prime, b.exp))
     if not congs:
         return None
     got = crt_solve(congs)
@@ -700,28 +690,7 @@ def is_multiplication(phi: Endo) -> Fraction | JElement | None:
     value exactly everywhere, else None."""
     if phi.tau or phi.fin:
         return None
-    g = phi.group
-    inv = invariants(g)
-    if g.is_periodic:
-        scalars = _periodic_scalars(phi, inv, omega_only=False)
-        return None if scalars is None else JElement(0, scalars)
-    r = _tf_scalar(phi)
-    if r == "nonscalar" or r is None:
-        return None
-    for p in prime_divisors(r.denominator):
-        prof = inv.profile(p)
-        if prof.max_exp or prof.prufer_rank != 0:
-            return None  # p-torsion blocks the division
-        if any(p not in b.primes for _, b in g.tf_items()):
-            return None  # some free direction is not p-divisible
-    for _, b in g.prufer_items():
-        if phi.div.get(b.prime, Fraction(0)) != r:
-            return None
-    for name, b in g.cyclic_items():
-        joint = _cyc_residue(phi, name)
-        if joint is None or frac_residue(r, b.prime, b.exp) != joint:
-            return None
-    return r
+    return _scalar_action(phi, invariants(phi.group), omega_only=False)
 
 
 @dataclass(frozen=True)
@@ -784,32 +753,46 @@ def _multiplication_shape(phi: Endo, inv: Invariants, p: int,
     return alpha
 
 
-def _periodic_scalars(phi: Endo, inv: Invariants,
-                      omega_only: bool) -> dict[int, Fraction] | None:
-    """The scalar at each active prime of a periodic group, or None when
-    some prime has no single one."""
-    scalars: dict[int, Fraction] = {}
-    for p in phi.group.active_primes():
-        alpha = _multiplication_shape(phi, inv, p, None, omega_only)
-        if alpha == "mismatch":
-            return None
-        if alpha:
-            scalars[p] = alpha
-    return scalars
+def _scalar_action(phi: Endo, inv: Invariants,
+                   omega_only: bool) -> Fraction | JElement | None:
+    """The one multiplication phi performs at every prime, or None.
+
+    On a periodic group it is the componentwise scalar.  Otherwise it is
+    the torsion-free scalar q, provided the primes of q's denominator
+    are finite primes and every prime's blocks act by q exactly;
+    omega_only consults only the cyclic blocks of multiplicity OMEGA."""
+    g = phi.group
+    if g.is_periodic:
+        scalars: dict[int, Fraction] = {}
+        for p in g.active_primes():
+            alpha = _multiplication_shape(phi, inv, p, None, omega_only)
+            if alpha == "mismatch":
+                return None
+            if alpha:
+                scalars[p] = alpha
+        return JElement(0, scalars)
+    q = _tf_scalar(phi)
+    if not isinstance(q, Fraction) or \
+            any(p not in inv.finite_primes for p in prime_divisors(q.denominator)):
+        return None
+    if any(_multiplication_shape(phi, inv, p, q, omega_only) != q
+           for p in g.active_primes()):
+        return None
+    return q
 
 
 def _extract_semi(phi: Endo, need_finite: bool) -> tuple | None:
     """Receipt for the shape (integer on a finite prime part) + (one
-    multiplication elsewhere); need_finite additionally confines the
-    prime part to finite p-components and the multiplication's
-    denominator to the prime part."""
+    multiplication elsewhere).  The prime part holds the denominator
+    primes of the multiplication; need_finite confines it to finite
+    p-components rather than bounded ones."""
     if phi.tau or phi.fin:
         return None
     g = phi.group
     inv = invariants(g)
     allowed = inv.finite_primes if need_finite else inv.bounded_primes
     if g.is_periodic:
-        mult = is_multiplication(phi)
+        mult = _scalar_action(phi, inv, omega_only=False)
         return None if mult is None else (0, frozenset(), mult)
     q = _tf_scalar(phi)
     if q == "nonscalar" or q is None:
@@ -832,8 +815,6 @@ def _extract_semi(phi: Endo, need_finite: bool) -> tuple | None:
     for p in pi:
         if p not in allowed:
             return None
-    if need_finite and not prime_divisors(q.denominator) <= pi:
-        return None
     n = crt_lift(residues) if residues else 0
     return (n, frozenset(pi), q)
 
@@ -844,33 +825,12 @@ def fm_split(phi: Endo) -> tuple[Endo, Endo] | None:
     if phi.tau:
         return None
     g = phi.group
-    inv = invariants(g)
-    if g.is_periodic:
-        scalars = _periodic_scalars(phi, inv, omega_only=True)
-        if scalars is None:
-            return None
-        qm = multiplication_endo(g, JElement(0, scalars))
-    else:
-        q = _tf_scalar(phi)
-        if not isinstance(q, Fraction):
-            return None
-        pi = prime_divisors(q.denominator)
-        for p in pi:
-            if p not in inv.finite_primes:
-                return None
-        for _, b in g.prufer_items():
-            if phi.div.get(b.prime, Fraction(0)) != q:
-                return None
-        for name, b in g.cyclic_items():
-            if b.mult is not OMEGA:
-                continue
-            joint = _cyc_residue(phi, name)
-            if joint is None or b.prime in pi or \
-                    frac_residue(q, b.prime, b.exp) != joint:
-                return None
-        qm = semi_multiplication(g, q)
+    alpha = _scalar_action(phi, invariants(g), omega_only=True)
+    if alpha is None:
+        return None
+    qm = multiplication_endo(g, alpha) if g.is_periodic else semi_multiplication(g, alpha)
     fin_part = sub(phi, qm)
-    if not is_finitary(fin_part):  # pragma: no cover - guarded by the scans above
+    if not is_finitary(fin_part):  # pragma: no cover - guarded by _scalar_action
         return None
     return (fin_part, qm)
 
@@ -922,12 +882,7 @@ def multiplication_endo(group: GroupDesc, value) -> Endo:
     for name, b in group.tf_items():
         if not den_primes <= b.primes:
             raise UsageError(f"{q} cannot act on the torsion-free block {name}")
-    free = group.free_omega_name
-    cyc = {name: frac_residue(q, b.prime, b.exp).value
-           for name, b in group.cyclic_items()}
-    div = {b.prime: q for _, b in group.prufer_items()}
-    return Endo(group, tf=q, free_scalar=q.numerator if free else 0,
-                div=div, cyc=cyc)
+    return semi_multiplication(group, q, ())
 
 
 def semi_multiplication(group: GroupDesc, q: Fraction, pi: Iterable[int] | None = None) -> Endo:

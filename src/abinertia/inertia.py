@@ -24,8 +24,8 @@ from .exactnum import (
 )
 from .groupkit import HElement, h_descriptor, invariants
 from .endokit import (
-    Endo, _cyc_crt, _tf_diagonal, add, is_finitary, mini_endo,
-    multiplication_endo, semi_multiplication, sub, validate, zero_endo,
+    Endo, _cyc_crt, _multiplication_shape, _tf_diagonal, add, is_finitary,
+    mini_endo, multiplication_endo, semi_multiplication, sub, validate, zero_endo,
 )
 
 __all__ = [
@@ -246,28 +246,16 @@ def is_uniform(phi: Endo) -> JElement | None:
     cert, violations = is_inertial(phi)
     if violations or phi.tf or phi.free_scalar or phi.tau:
         return None
-    g = phi.group
-    inv = invariants(g)
+    if any(isinstance(val, dict) for val in phi.div.values()):
+        raise AssertionError("an inertial map acts on divisible "
+                             "blocks by a scalar")
+    inv = invariants(phi.group)
     betas: dict[int, Fraction] = {}
-    for p in g.active_primes():
-        prof = inv.profile(p)
-        joint = _cyc_crt(phi, p, omega_only=True)
-        if prof.tf_rank != 0:
-            beta = Fraction(0)
-        elif prof.prufer_rank != 0:
-            val = phi.div.get(p, Fraction(0))
-            if not isinstance(val, Fraction):
-                raise AssertionError("an inertial map acts on divisible "
-                                     "blocks by a scalar")
-            beta = val
-        elif joint is not None:
-            beta = Fraction(joint.value)
-        else:
-            beta = Fraction(0)
-        if prof.prufer_rank != 0 and phi.div.get(p, Fraction(0)) != beta:
-            return None
-        if joint is not None and (beta.denominator % p == 0 or
-                                  frac_residue(beta, p, joint.exp) != joint):
+    for p in phi.group.active_primes():
+        # beta vanishes where the torsion-free part is p-divisible
+        zero = Fraction(0) if inv.profile(p).tf_rank != 0 else None
+        beta = _multiplication_shape(phi, inv, p, zero, omega_only=True)
+        if beta == "mismatch":
             return None
         if beta:
             betas[p] = beta

@@ -11,7 +11,7 @@ import pytest
 import abinertia
 from abinertia import cli
 from abinertia.cli import (
-    ParseError, ParsedInput, SessionConfig, main, parse, run, serialize,
+    MAX_COUNT, ParseError, ParsedInput, SessionConfig, main, parse, run, serialize,
 )
 from abinertia.endokit import add, classify, compose, sub, validate
 from abinertia.exactnum import OMEGA, UsageError
@@ -323,12 +323,18 @@ def test_check_and_oracle_agree_on_prufer_negatives():
     assert views["triple"]["fs_profile"] == {"2": 1, "3": 1}
 
 
-def test_injected_verdict_trips_the_contradiction_exit():
-    code, _ = run(config("oracle", "critical", levels=(2, 3), samples=8,
-                         inject_verdict="non-inertial"))
+def _force_verdict(monkeypatch, verdict: str) -> None:
+    """Let the rules give one verdict, with no violations, for every map."""
+    cert = object() if verdict == "inertial" else None
+    monkeypatch.setattr(cli, "is_inertial", lambda phi: (cert, ()))
+
+
+def test_injected_verdict_trips_the_contradiction_exit(monkeypatch):
+    _force_verdict(monkeypatch, "non-inertial")
+    code, _ = run(config("oracle", "critical", levels=(2, 3), samples=8))
     assert code == 2
-    code, _ = run(config("oracle", "prufer_pair", levels=(2, 3), samples=8,
-                         inject_verdict="inertial"))
+    _force_verdict(monkeypatch, "inertial")
+    code, _ = run(config("oracle", "prufer_pair", levels=(2, 3), samples=8))
     assert code == 2
 
 
@@ -467,7 +473,6 @@ def test_config_validation():
         SessionConfig("check", good.inputs, samples=0),
         SessionConfig("check", good.inputs, budget=0),
         SessionConfig("check", good.inputs, seed=-1),
-        SessionConfig("check", good.inputs, inject_verdict="maybe"),
     ):
         with pytest.raises(UsageError):
             run(broken)
@@ -550,6 +555,36 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
         main(["oracle", str(path), "--levels", "63"])
 
 
+def test_block_counts_are_capped_where_they_are_read(tmp_path, capsys):
+    # one matrix entry on 10^6 copies took 10 s and 226 MB in decompose
+    for block in (f"cyclic(p=2, k=1, mult={MAX_COUNT + 1})",
+                  f"prufer(p=3, copies={MAX_COUNT + 1})",
+                  f"torsionfree(pi={{}}, rank={MAX_COUNT + 1})"):
+        line = f"  block A = {block}"
+        col = line.index(str(MAX_COUNT + 1)) + 1
+        path = tmp_path / "huge.txt"
+        path.write_text(f"group H {{\n{line}\n}}\n", encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: line 2, column {col}: a finite count "
+                                f"is at most {MAX_COUNT}, not {MAX_COUNT + 1}\n")
+    path.write_text(f"group H {{\n  block A = cyclic(p=2, k=1, mult={MAX_COUNT})\n}}\n"
+                    "endo e on H {\n  cyc[A.0 -> A.1] = 1;\n}\n", encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+
+
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"group A {\n  block B = cyclic(p=2, k=1, mult=1)\n}\n# \xff\n")
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert "0xff" in lines[0]
+
+
 def test_periodic_corpus_fits_the_shadow_cap(capsys):
     # periodic.txt flattens 64 + 64 + 1 coordinates at level 64
     assert main(["oracle", corpus("periodic"), "--levels", "64", "--samples", "1",
@@ -558,9 +593,9 @@ def test_periodic_corpus_fits_the_shadow_cap(capsys):
     assert views["triple"]["fs_profile"] == {"64": 1}
 
 
-def test_main_reports_the_contradiction_exit(capsys):
-    argv = ["oracle", corpus("prufer_pair"), "--levels", "2,3", "--samples",
-            "8", "--inject-verdict", "inertial"]
+def test_main_reports_the_contradiction_exit(capsys, monkeypatch):
+    _force_verdict(monkeypatch, "inertial")
+    argv = ["oracle", corpus("prufer_pair"), "--levels", "2,3", "--samples", "8"]
     assert main(argv) == 2
     report = json.loads(capsys.readouterr().out)
     views = report["results"][corpus("prufer_pair")]

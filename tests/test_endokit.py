@@ -1,4 +1,5 @@
 """Normal-form endomorphisms: canonicalization, evaluation, ring laws."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abinertia.endokit import (
-    Endo, add, apply, classify, close, compose, fm_split,
-    identity_endo, is_finitary, is_multiplication, mini_endo,
-    multiplication_endo, negate, semi_endo, semi_multiplication, sub,
-    validate, zero_endo,
+    Endo, EndoClass, _extract_mini, _tf_scalar, add, apply, classify, close,
+    compose, fm_split, identity_endo, is_finitary, is_multiplication,
+    mini_endo, multiplication_endo, negate, semi_endo, semi_multiplication,
+    sub, validate, zero_endo,
 )
-from abinertia.exactnum import OMEGA, JElement, UsageError
-from abinertia.groupkit import Cyclic, Element, GroupDesc, Prufer, TorsionFree
+from abinertia.exactnum import (
+    OMEGA, JElement, Residue, UsageError, crt_lift, crt_solve, frac_residue,
+    prime_divisors,
+)
+from abinertia.groupkit import (
+    Cyclic, Element, GroupDesc, Prufer, TorsionFree, invariants,
+)
+from abinertia.inertia import is_inertial, is_uniform
+from conftest import GROUPS, INERTIAL
 
 F = Fraction
 
@@ -353,3 +361,291 @@ def test_compose_pulls_corrections_through_linear_action():
     x = el(TFMIX, {("V", 0): 1})
     assert apply(both, x) == apply(phi, apply(psi, x))
     assert both.fin[("t", ("V", 0), 3)] == el(TFMIX, {("T3", 0): 2})
+
+
+# ---------------------------------------------------------------------------
+# the shape receipts against a frozen copy of the per-prime scans they
+# replaced: each receipt once read the scalar action with its own loop
+
+def _ref_cyc_residue(phi, name):
+    b = phi.group.block(name)
+    val = phi.cyc.get(name, 0)
+    if isinstance(val, dict):
+        return None
+    return Residue(val, b.prime, b.exp)
+
+
+def _ref_cyc_crt(phi, p, omega_only):
+    congs = []
+    for name, b in phi.group.cyclic_at(p):
+        if omega_only and b.mult is not OMEGA:
+            continue
+        r = _ref_cyc_residue(phi, name)
+        if r is None:
+            return "conflict"
+        congs.append(r)
+    if not congs:
+        return None
+    got = crt_solve(congs)
+    return got if got is not None else "conflict"
+
+
+def _ref_multiplication_shape(phi, inv, p, q, omega_only):
+    alpha = q
+    if inv.profile(p).prufer_rank != 0:
+        val = phi.div.get(p, Fraction(0))
+        if not isinstance(val, Fraction):
+            return "mismatch"
+        if alpha is None:
+            alpha = val
+        elif val != alpha:
+            return "mismatch"
+    joint = _ref_cyc_crt(phi, p, omega_only)
+    if joint == "conflict":
+        return "mismatch"
+    if joint is not None:
+        if alpha is None:
+            alpha = Fraction(joint.value)
+        elif alpha.denominator % p == 0 or \
+                frac_residue(alpha, p, joint.exp) != joint:
+            return "mismatch"
+    return alpha
+
+
+def _ref_periodic_scalars(phi, inv, omega_only):
+    scalars = {}
+    for p in phi.group.active_primes():
+        alpha = _ref_multiplication_shape(phi, inv, p, None, omega_only)
+        if alpha == "mismatch":
+            return None
+        if alpha:
+            scalars[p] = alpha
+    return scalars
+
+
+def _ref_is_multiplication(phi):
+    if phi.tau or phi.fin:
+        return None
+    g = phi.group
+    inv = invariants(g)
+    if g.is_periodic:
+        scalars = _ref_periodic_scalars(phi, inv, omega_only=False)
+        return None if scalars is None else JElement(0, scalars)
+    r = _tf_scalar(phi)
+    if r == "nonscalar" or r is None:
+        return None
+    for p in prime_divisors(r.denominator):
+        prof = inv.profile(p)
+        if prof.max_exp or prof.prufer_rank != 0:
+            return None
+        if any(p not in b.primes for _, b in g.tf_items()):
+            return None
+    for _, b in g.prufer_items():
+        if phi.div.get(b.prime, Fraction(0)) != r:
+            return None
+    for name, b in g.cyclic_items():
+        joint = _ref_cyc_residue(phi, name)
+        if joint is None or frac_residue(r, b.prime, b.exp) != joint:
+            return None
+    return r
+
+
+def _ref_extract_semi(phi, need_finite):
+    if phi.tau or phi.fin:
+        return None
+    g = phi.group
+    inv = invariants(g)
+    allowed = inv.finite_primes if need_finite else inv.bounded_primes
+    if g.is_periodic:
+        mult = _ref_is_multiplication(phi)
+        return None if mult is None else (0, frozenset(), mult)
+    q = _tf_scalar(phi)
+    if q == "nonscalar" or q is None:
+        return None
+    pi = set(prime_divisors(q.denominator))
+    residues = []
+    for p in g.active_primes():
+        if p not in pi and _ref_multiplication_shape(phi, inv, p, q, False) == q:
+            continue
+        if p not in allowed:
+            return None
+        joint = _ref_cyc_crt(phi, p, omega_only=False)
+        if joint == "conflict":
+            return None
+        pi.add(p)
+        if joint is not None:
+            residues.append(joint)
+    for p in pi:
+        if p not in allowed:
+            return None
+    if need_finite and not prime_divisors(q.denominator) <= pi:
+        return None
+    n = crt_lift(residues) if residues else 0
+    return (n, frozenset(pi), q)
+
+
+def _ref_fm_split(phi):
+    if phi.tau:
+        return None
+    g = phi.group
+    inv = invariants(g)
+    if g.is_periodic:
+        scalars = _ref_periodic_scalars(phi, inv, omega_only=True)
+        if scalars is None:
+            return None
+        qm = multiplication_endo(g, JElement(0, scalars))
+    else:
+        q = _tf_scalar(phi)
+        if not isinstance(q, Fraction):
+            return None
+        pi = prime_divisors(q.denominator)
+        for p in pi:
+            if p not in inv.finite_primes:
+                return None
+        for _, b in g.prufer_items():
+            if phi.div.get(b.prime, Fraction(0)) != q:
+                return None
+        for name, b in g.cyclic_items():
+            if b.mult is not OMEGA:
+                continue
+            joint = _ref_cyc_residue(phi, name)
+            if joint is None or b.prime in pi or \
+                    frac_residue(q, b.prime, b.exp) != joint:
+                return None
+        qm = semi_multiplication(g, q)
+    fin_part = sub(phi, qm)
+    if not is_finitary(fin_part):
+        return None
+    return (fin_part, qm)
+
+
+def _ref_is_uniform(phi):
+    cert, violations = is_inertial(phi)
+    if violations or phi.tf or phi.free_scalar or phi.tau:
+        return None
+    g = phi.group
+    inv = invariants(g)
+    betas = {}
+    for p in g.active_primes():
+        prof = inv.profile(p)
+        joint = _ref_cyc_crt(phi, p, omega_only=True)
+        if prof.tf_rank != 0:
+            beta = Fraction(0)
+        elif prof.prufer_rank != 0:
+            val = phi.div.get(p, Fraction(0))
+            if not isinstance(val, Fraction):
+                raise AssertionError("an inertial map acts on divisible "
+                                     "blocks by a scalar")
+            beta = val
+        elif joint is not None:
+            beta = Fraction(joint.value)
+        else:
+            beta = Fraction(0)
+        if prof.prufer_rank != 0 and phi.div.get(p, Fraction(0)) != beta:
+            return None
+        if joint is not None and (beta.denominator % p == 0 or
+                                  frac_residue(beta, p, joint.exp) != joint):
+            return None
+        if beta:
+            betas[p] = beta
+    return JElement(0, betas)
+
+
+def _ref_classify(phi):
+    return EndoClass(
+        finitary=is_finitary(phi),
+        multiplication=_ref_is_multiplication(phi),
+        quasi=_ref_extract_semi(phi, need_finite=True),
+        semi=_ref_extract_semi(phi, need_finite=False),
+        mini=_extract_mini(phi),
+        fm=_ref_fm_split(phi),
+    )
+
+
+def _outcome(fn, phi):
+    """The value of fn(phi), or the type and message of what it raised."""
+    try:
+        return ("value", fn(phi))
+    except (UsageError, AssertionError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+RECEIPTS = ((classify, _ref_classify), (is_multiplication, _ref_is_multiplication),
+            (fm_split, _ref_fm_split), (is_uniform, _ref_is_uniform))
+
+
+def _assert_receipts_match(maps):
+    for phi in maps:
+        for new, ref in RECEIPTS:
+            assert _outcome(new, phi) == _outcome(ref, phi), (new.__name__, phi)
+
+
+def _random_map(group, rng):
+    """A map near one multiplication q: each slot follows q or is drawn at
+    random, so some maps are receipts' shapes and some fail validate."""
+    q = Fraction(rng.randint(-3, 7), rng.choice([1, 1, 1, 2, 3, 5, 6, 7]))
+
+    def near(p=None):
+        if rng.random() < 0.7 and (p is None or q.denominator % p):
+            return q
+        return Fraction(rng.randint(-3, 7), rng.choice([1, 1, 3, p or 2]))
+
+    copies = group.tf_copies()
+    tf = {}
+    if copies and rng.random() < 0.85:
+        tf = {(c, c): near() for c in copies} if rng.random() < 0.4 else \
+            {(c, c): q for c in copies}
+        if rng.random() < 0.15:
+            tf[(copies[0], rng.choice(copies))] = near()
+    free = 0
+    if group.free_omega_name is not None and rng.random() < 0.8:
+        free = q.numerator if rng.random() < 0.7 else rng.randint(-2, 4)
+    div = {}
+    for name, b in group.prufer_items():
+        roll = rng.random()
+        if roll < 0.7:
+            div[b.prime] = near(b.prime)
+        elif roll < 0.85 and b.copies is not OMEGA:
+            div[b.prime] = {((name, 0), (name, rng.randrange(b.copies))): near(b.prime)}
+    cyc = {}
+    for name, b in group.cyclic_items():
+        m = b.prime ** b.exp
+        roll = rng.random()
+        if roll < 0.6:
+            alpha = near(b.prime)
+            cyc[name] = (alpha.numerator * pow(alpha.denominator, -1, m) % m
+                         if alpha.denominator % b.prime else rng.randrange(m))
+        elif roll < 0.8:
+            cyc[name] = rng.randrange(m)
+        elif roll < 0.95 or b.mult is OMEGA:
+            size = b.mult if b.mult is not OMEGA else 3
+            cyc[name] = {(rng.randrange(size), rng.randrange(size)): rng.randrange(m)
+                         for _ in range(2)}
+    tau = {}
+    if copies and div and rng.random() < 0.1:
+        name, b = rng.choice(group.prufer_items())
+        tau[(copies[0], (name, 0))] = Fraction(1, b.prime)
+    fin = []
+    cyclic = group.cyclic_items()
+    if cyclic and rng.random() < 0.15:
+        name, b = rng.choice(cyclic)
+        fin.append((("c", name, 0), {(name, 0): 1}))
+    return Endo(group, tf=tf, free_scalar=free, div=div, cyc=cyc, tau=tau, fin=fin)
+
+
+def test_receipts_match_the_frozen_scans_on_certified_combinations():
+    for key, fam in INERTIAL.items():
+        maps = list(fam.values())
+        maps += [op(a, b) for a in fam.values() for b in fam.values()
+                 for op in (add, sub, compose)]
+        _assert_receipts_match(maps)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_receipts_match_the_frozen_scans_on_random_maps(seed):
+    rng = random.Random(seed)
+    maps = [_random_map(group, rng) for group in GROUPS.values() for _ in range(40)]
+    invalid = sum(1 for phi in maps if validate(phi))
+    shaped = sum(1 for phi in maps if not validate(phi) and is_multiplication(phi))
+    assert invalid and shaped  # both kinds are exercised
+    _assert_receipts_match(maps)
