@@ -55,10 +55,9 @@ from .groupkit import (
     Cyclic, Element, GroupDesc, HElement, Prufer, TorsionFree, h_descriptor,
     Truncation, invariants, nm_type, truncate,
 )
-from .inertia import decompose, is_inertial, is_uniform, ui_class_in_H
+from .inertia import decompose, is_inertial, is_uniform
 from .linmap import (
     ExactMatrix, count_subspaces, growth_bound_check, max_inert_codim,
-    scalar_defect,
 )
 from .oracle import (
     FGSubgroup, enumerate_subgroups, fs_profile, index_in_sum, inertness_profile,
@@ -792,8 +791,10 @@ def _run_decompose(parsed: ParsedInput) -> dict:
             parts = decompose(phi)
         except UsageError as exc:
             raise UsageError(f"endo {name!r}: {exc}") from None
+        beta = is_uniform(parts.ui)
         try:
-            h_class = _jv(ui_class_in_H(parts.ui))
+            h_class = None if beta is None else \
+                _jv(HElement.make(h_descriptor(parsed.group), beta))
         except UsageError:
             h_class = None
         out[name] = {
@@ -801,7 +802,7 @@ def _run_decompose(parsed: ParsedInput) -> dict:
             "residual": _jv(parts.residual),
             "sum_exact": equal(add(add(parts.sm, parts.ui), parts.nm), phi),
             "sm_semi": _jv(classify(parts.sm).semi),
-            "ui_uniform": _jv(is_uniform(parts.ui)),
+            "ui_uniform": _jv(beta),
             "nm_mini": _jv(classify(parts.nm).mini),
             "ui_h_class": h_class,
         }
@@ -911,14 +912,13 @@ def _run_defect(config: SessionConfig, parsed: ParsedInput) -> dict:
             M = _matrix_of(parsed.group, phi)
         except UsageError as exc:
             raise UsageError(f"endo {name!r}: {exc}") from None
-        res = scalar_defect(M)
         growth = growth_bound_check(M, trials=config.samples, seed=config.seed)
         exhaustive = None
         if count_subspaces(M.field, M.n) <= MAX_SUBSPACES:
             exhaustive = max_inert_codim(M, budget=M.field ** M.n)
         out[name] = {
             "field": M.field, "dimension": M.n,
-            "lam": _jv(res.lam), "defect": res.defect,
+            "lam": _jv(growth.lam), "defect": growth.bound,
             "max_inert_codim": exhaustive,
             "growth": {"trials": growth.trials, "max_growth": growth.max_growth,
                        "bound": growth.bound, "lam": _jv(growth.lam)},
@@ -987,12 +987,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Analyze endomorphisms of finitely described abelian groups.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("inputs", nargs="+", metavar="FILE")
-    parser.add_argument("--levels", default="2,4,6,8",
+    parser.add_argument("--levels", default=",".join(map(str, SessionConfig.levels)),
                         help="comma-separated truncation levels")
-    parser.add_argument("--samples", type=int, default=40,
+    parser.add_argument("--samples", type=int, default=SessionConfig.samples,
                         help="sampled subgroups per level (and defect trials)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=6,
+    parser.add_argument("--seed", type=int, default=SessionConfig.seed)
+    parser.add_argument("--budget", type=int, default=SessionConfig.budget,
                         help="depths explored per witness family")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")

@@ -6,11 +6,8 @@ An endomorphism is stored as five interacting parts:
   (entry source -> target needs the source's prime set inside the
   target's, and its denominator supported on the target's set), plus a
   single integer scalar on the infinite-rank free block when present;
-* ``div``: per prime, the action on the divisible p-coordinates, a
-  p-integral scalar (mandatory when there are infinitely many copies)
-  or a p-integral matrix;
-* ``cyc``: per cyclic block, a residue scalar, or a residue matrix when
-  the block has finite multiplicity;
+* ``div``: per prime, the slot acting on the divisible p-coordinates;
+* ``cyc``: per cyclic block, the slot acting on its residues;
 * ``tau``: finitely many twisted projections q -> fractional p-part of
   (scale * q) from a torsion-free copy into a divisible p-coordinate;
 * ``fin``: finitely many finite-image corrections, each sending one
@@ -18,16 +15,28 @@ An endomorphism is stored as five interacting parts:
   (by its residue modulo a modulus coprime to the source primes) to a
   fixed torsion element.
 
-The constructor canonicalizes: zero entries vanish, scalar-shaped
-matrices collapse to scalars, in-block corrections on finite cyclic
-blocks are absorbed into the block matrix, and torsion-free correction
-moduli shrink to the image order.  Equality of canonical forms is
-therefore structural equality, and the sum and composite of normal
-forms are again normal forms.
+A slot is either a scalar c, which acts as multiplication by c on
+every coordinate of the slot (a power action there), or a sparse
+matrix keyed by (source, target) pairs: pairs of divisible coordinates
+for ``div``, pairs of indices into the block for ``cyc``.  ``div``
+scalars and entries are p-integral rationals, ``cyc`` ones residues.
+A matrix needs finitely many coordinates; on an OMEGA block only the
+scalar form is valid.  Three helpers carry every slot operation:
+``_fold`` turns c times the identity into the scalar c and zero into
+no slot, ``_expand`` turns a scalar back into its matrix, and
+``_diagonal`` reads the scalar of a scalar-shaped matrix, which also
+serves the ``tf`` diagonal.
+
+The constructor canonicalizes: zero entries vanish, slots fold,
+in-block corrections on finite cyclic blocks are absorbed into the
+block's slot, and torsion-free correction moduli shrink to the image
+order.  Equality of canonical forms is therefore structural equality,
+and the sum and composite of normal forms are again normal forms.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -92,6 +101,57 @@ def _copy_str(c: Coord) -> str:
 
 
 # ---------------------------------------------------------------------------
+# slots: a scalar, or a sparse matrix over finitely many coordinates
+
+def _keys(g: GroupDesc, field: str, key) -> list | range | None:
+    """The coordinates the div slot at prime key, or the cyc slot of
+    block key, acts on; None when there are infinitely many."""
+    if field == "div":
+        copies, has_omega = g.prufer_copies(key)
+        return None if has_omega else copies
+    mult = g.block(key).mult
+    return None if mult is OMEGA else range(mult)
+
+
+def _diagonal(mat: Mapping, keys: Iterable, zero):
+    """The scalar c when mat is c times the identity on keys, else None."""
+    if any(s != d for s, d in mat):
+        return None
+    vals = {mat.get((k, k), zero) for k in keys}
+    return vals.pop() if len(vals) == 1 else None
+
+
+def _fold(g: GroupDesc, field: str, key, val):
+    """A slot in canonical form: c times the identity becomes the scalar
+    c, and zero becomes None.  val holds no zero entries."""
+    if isinstance(val, dict):
+        keys = _keys(g, field, key)
+        # a matrix on an OMEGA block stays: validate reports it
+        scalar = None if keys is None else _diagonal(val, keys, 0)
+        val = val if scalar is None else scalar
+    return val or None
+
+
+def _expand(val, keys, label: str) -> dict:
+    """A slot as a matrix: a scalar c becomes c times the identity."""
+    if isinstance(val, dict):
+        return val
+    if keys is None:
+        raise UsageError(f"{label}: cannot expand a scalar over infinitely many copies")
+    return {(k, k): val for k in keys}
+
+
+# what a coordinate must be in each role: its block kind, the block's size
+# attribute, whether an OMEGA block is excluded, and the message otherwise
+_ROLES = {
+    "tf": (TorsionFree, "rank", True, "{copy} is not a finite torsion-free copy"),
+    "div": (Prufer, "copies", False, "{copy} is not a divisible coordinate"),
+    "fin": (TorsionFree, "rank", False, "{copy} is not a torsion-free copy"),
+    "cyc": (Cyclic, "mult", False, "{name} is not a cyclic block"),
+}
+
+
+# ---------------------------------------------------------------------------
 # the normal form
 
 class Endo:
@@ -119,139 +179,75 @@ class Endo:
         self.free_scalar = free_scalar
         self.div = self._norm_div(div)
         self.cyc = self._norm_cyc(cyc)
-        self.tau = self._norm_tau(tau)
+        self.tau = self._norm_pairs(tau, "tf", "div")
         self._norm_fin(fin)
 
     # -- normalization ------------------------------------------------------
 
-    def _tf_copy(self, c: Coord) -> Coord:
+    def _coord(self, c: Coord, role: str) -> Coord:
+        """c checked as a coordinate of the kind the role acts on."""
         name, idx = c
         b = self.group.block(name)
-        if not isinstance(b, TorsionFree) or b.rank is OMEGA:
-            raise UsageError(f"{_copy_str(c)} is not a finite torsion-free copy")
-        if not isinstance(idx, int) or not 0 <= idx < b.rank:
+        kind, size_attr, finite_only, wrong = _ROLES[role]
+        if not isinstance(b, kind) or finite_only and b.rank is OMEGA:
+            raise UsageError(wrong.format(copy=_copy_str(c), name=name))
+        size = getattr(b, size_attr)
+        if not isinstance(idx, int) or idx < 0 or (is_finite(size) and idx >= size):
             raise UsageError(f"{_copy_str(c)} is out of range")
         return (name, idx)
 
-    def _prufer_copy(self, c: Coord) -> Coord:
-        name, idx = c
-        b = self.group.block(name)
-        if not isinstance(b, Prufer):
-            raise UsageError(f"{_copy_str(c)} is not a divisible coordinate")
-        if not isinstance(idx, int) or idx < 0 or \
-                (is_finite(b.copies) and idx >= b.copies):
-            raise UsageError(f"{_copy_str(c)} is out of range")
-        return (name, idx)
-
-    def _norm_tf(self, tf) -> dict[tuple[Coord, Coord], Fraction]:
+    def _norm_pairs(self, mat, src: str, dst: str) -> dict[tuple[Coord, Coord], Fraction]:
+        """A rational matrix keyed by (source, target) coordinates in the
+        roles src and dst, with its zero entries dropped."""
         out: dict[tuple[Coord, Coord], Fraction] = {}
-        if tf is None:
-            return out
-        if isinstance(tf, (int, Fraction)):
-            q = Fraction(tf)
-            if q:
-                for c in self.group.tf_copies():
-                    out[(c, c)] = q
-            return out
-        for (s, d), v in tf.items():
+        for (s, d), v in (mat or {}).items():
             v = Fraction(v)
             if v:
-                out[(self._tf_copy(s), self._tf_copy(d))] = v
+                out[(self._coord(s, src), self._coord(d, dst))] = v
         return out
+
+    def _norm_tf(self, tf) -> dict[tuple[Coord, Coord], Fraction]:
+        if isinstance(tf, (int, Fraction)):
+            q = Fraction(tf)
+            return {(c, c): q for c in self.group.tf_copies()} if q else {}
+        return self._norm_pairs(tf, "tf", "tf")
 
     def _norm_div(self, div) -> dict[int, Fraction | dict]:
         out: dict[int, Fraction | dict] = {}
-        if div is None:
-            return out
         if isinstance(div, (int, Fraction)):
             div = {b.prime: div for _, b in self.group.prufer_items()}
-        for p, val in div.items():
+        for p, val in (div or {}).items():
             if isinstance(val, (int, Fraction)):
-                q = Fraction(val)
-                if q:
-                    out[p] = q
-                continue
-            mat = {}
-            for (s, d), v in val.items():
-                v = Fraction(v)
-                if v:
-                    mat[(self._prufer_copy(s), self._prufer_copy(d))] = v
-            folded = self._fold_div(p, mat)
-            if folded is not None:
-                out[p] = folded
+                val = Fraction(val)
+            else:
+                val = self._norm_pairs(val, "div", "div")
+            val = _fold(self.group, "div", p, val)
+            if val is not None:
+                out[p] = val
         return out
-
-    def _fold_div(self, p: int, mat: dict) -> Fraction | dict | None:
-        copies, has_omega = self.group.prufer_copies(p)
-        if has_omega or not copies:
-            return mat or None  # matrix form here is a validation defect
-        diag = {mat.get((c, c), Fraction(0)) for c in copies}
-        off = any(v for (s, d), v in mat.items() if s != d)
-        if not off and len(diag) == 1:
-            q = diag.pop()
-            return q or None
-        return mat or None
 
     def _norm_cyc(self, cyc) -> dict[str, int | dict]:
         out: dict[str, int | dict] = {}
-        if cyc is None:
-            return out
-        for name, val in cyc.items():
+        for name, val in (cyc or {}).items():
             b = self.group.block(name)
             if not isinstance(b, Cyclic):
                 raise UsageError(f"{name} is not a cyclic block")
             m = b.prime ** b.exp
             if isinstance(val, int):
-                out[name] = val % m
+                val %= m
             else:
                 mat = {}
                 for (i, j), v in val.items():
-                    for idx in (i, j):
-                        if not isinstance(idx, int) or idx < 0 or \
-                                (is_finite(b.mult) and idx >= b.mult):
-                            raise UsageError(f"{name}.{idx} is out of range")
-                    v = v % m
+                    self._coord((name, i), "cyc")
+                    self._coord((name, j), "cyc")
+                    v %= m
                     if v:
                         mat[(i, j)] = v
-                out[name] = mat
-            folded = self._fold_cyc(b, out[name])
-            if folded is None:
-                del out[name]
-            else:
-                out[name] = folded
+                val = mat
+            val = _fold(self.group, "cyc", name, val)
+            if val is not None:
+                out[name] = val
         return out
-
-    @staticmethod
-    def _fold_cyc(b: Cyclic, val: int | dict) -> int | dict | None:
-        if isinstance(val, int):
-            return val or None
-        if b.mult is OMEGA:
-            return val or None  # matrix form here is a validation defect
-        diag = {val.get((i, i), 0) for i in range(b.mult)}
-        off = any(v for (i, j), v in val.items() if i != j)
-        if not off and len(diag) == 1:
-            return diag.pop() or None
-        return val or None
-
-    def _norm_tau(self, tau) -> dict[tuple[Coord, Coord], Fraction]:
-        out: dict[tuple[Coord, Coord], Fraction] = {}
-        if tau is None:
-            return out
-        for (s, d), v in tau.items():
-            v = Fraction(v)
-            if v:
-                out[(self._tf_copy(s), self._prufer_copy(d))] = v
-        return out
-
-    def _fin_source_copy(self, c: Coord) -> Coord:
-        name, idx = c
-        b = self.group.block(name)
-        if not isinstance(b, TorsionFree):
-            raise UsageError(f"{_copy_str(c)} is not a torsion-free copy")
-        if not isinstance(idx, int) or idx < 0 or \
-                (is_finite(b.rank) and idx >= b.rank):
-            raise UsageError(f"{_copy_str(c)} is out of range")
-        return (name, idx)
 
     def _norm_fin(self, fin) -> None:
         pairs: Iterable = []
@@ -267,17 +263,10 @@ class Endo:
             elif img.group != self.group:
                 raise UsageError("correction image lives in another group")
             if key[0] == "c":
-                _, name, idx = key
-                b = self.group.block(name)
-                if not isinstance(b, Cyclic):
-                    raise UsageError(f"{name} is not a cyclic block")
-                if not isinstance(idx, int) or idx < 0 or \
-                        (is_finite(b.mult) and idx >= b.mult):
-                    raise UsageError(f"{name}.{idx} is out of range")
-                c = (name, idx)
+                c = self._coord(key[1:], "cyc")
                 by_cyc[c] = by_cyc[c] + img if c in by_cyc else img
             elif key[0] == "t":
-                c = self._fin_source_copy(key[1])
+                c = self._coord(key[1], "fin")
                 w = key[2] if len(key) > 2 else None
                 if w is not None and (not isinstance(w, int) or w < 1):
                     raise UsageError("correction modulus must be a positive integer")
@@ -293,7 +282,7 @@ class Endo:
             else:
                 raise UsageError(f"unknown correction key {key!r}")
 
-        # absorb in-block corrections on finite cyclic blocks into the matrix
+        # absorb in-block corrections on finite cyclic blocks into the slot
         out: dict[FinKey, Element] = {}
         cyc_extra: dict[str, dict[tuple[int, int], int]] = {}
         for (name, idx), img in sorted(by_cyc.items()):
@@ -317,25 +306,16 @@ class Endo:
             out[("t", copy, 1 if w is None else w)] = img
         self.fin = out
 
-        if cyc_extra:
-            merged = dict(self.cyc)
-            for name, entries in cyc_extra.items():
-                b = self.group.block(name)
-                m = b.prime ** b.exp
-                cur = merged.get(name, 0)
-                if isinstance(cur, int):
-                    cur = {(i, i): cur for i in range(b.mult)} if cur else {}
-                else:
-                    cur = dict(cur)
-                for (i, j), v in entries.items():
-                    cur[(i, j)] = (cur.get((i, j), 0) + v) % m
-                cur = {k: v for k, v in cur.items() if v}
-                folded = self._fold_cyc(b, cur)
-                if folded is None:
-                    merged.pop(name, None)
-                else:
-                    merged[name] = folded
-            self.cyc = merged
+        for name, entries in cyc_extra.items():
+            b = self.group.block(name)
+            m = b.prime ** b.exp
+            mat = _msum(_expand(self.cyc.get(name, 0), range(b.mult), f"cyc {name}"), entries)
+            val = _fold(self.group, "cyc", name,
+                        {k: v % m for k, v in mat.items() if v % m})
+            if val is None:
+                self.cyc.pop(name, None)
+            else:
+                self.cyc[name] = val
 
     # -- equality -----------------------------------------------------------
 
@@ -501,21 +481,6 @@ def _check_same_group(a: Endo, b: Endo) -> GroupDesc:
     return a.group
 
 
-def _div_matrix(g: GroupDesc, p: int, val) -> dict:
-    if isinstance(val, dict):
-        return val
-    copies, has_omega = g.prufer_copies(p)
-    if has_omega:
-        raise UsageError(f"div {p}: cannot expand a scalar over infinitely many copies")
-    return {(c, c): val for c in copies}
-
-
-def _cyc_matrix(b: Cyclic, val) -> dict:
-    if isinstance(val, dict):
-        return val
-    return {(i, i): val for i in range(b.mult)}
-
-
 def _msum(x: Mapping, y: Mapping) -> dict:
     out = dict(x)
     for k, v in y.items():
@@ -533,39 +498,42 @@ def _mprod(x: Mapping, y: Mapping) -> dict:
     return out
 
 
+def _neg(val):
+    return {k: -x for k, x in val.items()} if isinstance(val, dict) else -val
+
+
+def _combine(a: Endo, b: Endo, scalar_op, matrix_op,
+             both: bool) -> tuple[dict, dict]:
+    """The div and cyc slots of a combination of a and b: scalar_op on two
+    scalars, else matrix_op on the two slots as matrices.  A slot that
+    only one map has takes part as zero, or is skipped when both is set."""
+    g = a.group
+    out: tuple[dict, dict] = ({}, {})
+    for field, res in zip(("div", "cyc"), out):
+        x, y = getattr(a, field), getattr(b, field)
+        for key in sorted(x.keys() & y.keys() if both else x.keys() | y.keys()):
+            u, v = x.get(key, 0), y.get(key, 0)
+            if isinstance(u, dict) or isinstance(v, dict):
+                keys, label = _keys(g, field, key), f"{field} {key}"
+                res[key] = matrix_op(_expand(u, keys, label), _expand(v, keys, label))
+            else:
+                res[key] = scalar_op(u, v)
+    return out
+
+
 def add(a: Endo, b: Endo) -> Endo:
     g = _check_same_group(a, b)
-    div: dict[int, object] = {}
-    for p in sorted(set(a.div) | set(b.div)):
-        x, y = a.div.get(p, Fraction(0)), b.div.get(p, Fraction(0))
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            div[p] = x + y
-        else:
-            div[p] = _msum(_div_matrix(g, p, x), _div_matrix(g, p, y))
-    cyc: dict[str, object] = {}
-    for name in sorted(set(a.cyc) | set(b.cyc)):
-        blk = g.block(name)
-        x, y = a.cyc.get(name, 0), b.cyc.get(name, 0)
-        if isinstance(x, int) and isinstance(y, int):
-            cyc[name] = x + y
-        else:
-            cyc[name] = _msum(_cyc_matrix(blk, x), _cyc_matrix(blk, y))
+    div, cyc = _combine(a, b, operator.add, _msum, both=False)
     fin = list(a.fin.items()) + list(b.fin.items())
     return Endo(g, tf=_msum(a.tf, b.tf), free_scalar=a.free_scalar + b.free_scalar,
                 div=div, cyc=cyc, tau=_msum(a.tau, b.tau), fin=fin)
 
 
 def negate(a: Endo) -> Endo:
-    div = {p: -v if isinstance(v, Fraction) else
-           {k: -x for k, x in v.items()} for p, v in a.div.items()}
-    cyc = {n: -v if isinstance(v, int) else
-           {k: -x for k, x in v.items()} for n, v in a.cyc.items()}
-    return Endo(a.group,
-                tf={k: -v for k, v in a.tf.items()},
-                free_scalar=-a.free_scalar,
-                div=div, cyc=cyc,
-                tau={k: -v for k, v in a.tau.items()},
-                fin=[(k, -img) for k, img in a.fin.items()])
+    return Endo(a.group, tf=_neg(a.tf), free_scalar=-a.free_scalar,
+                div={p: _neg(v) for p, v in a.div.items()},
+                cyc={n: _neg(v) for n, v in a.cyc.items()},
+                tau=_neg(a.tau), fin=[(k, -img) for k, img in a.fin.items()])
 
 
 def sub(a: Endo, b: Endo) -> Endo:
@@ -576,29 +544,13 @@ def compose(a: Endo, b: Endo) -> Endo:
     """The composite x -> a(b(x)), again in normal form."""
     g = _check_same_group(a, b)
     # linear parts: row-vector convention, so the matrix of a∘b is M_b M_a
-    div: dict[int, object] = {}
-    for p in sorted(set(a.div) & set(b.div)):
-        x, y = a.div[p], b.div[p]
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            div[p] = x * y
-        else:
-            div[p] = _mprod(_div_matrix(g, p, y), _div_matrix(g, p, x))
-    cyc: dict[str, object] = {}
-    for name in sorted(set(a.cyc) & set(b.cyc)):
-        blk = g.block(name)
-        x, y = a.cyc[name], b.cyc[name]
-        if isinstance(x, int) and isinstance(y, int):
-            cyc[name] = x * y
-        else:
-            cyc[name] = _mprod(_cyc_matrix(blk, y), _cyc_matrix(blk, x))
+    div, cyc = _combine(b, a, operator.mul, _mprod, both=True)
     # twisted projections: a.tau after b's torsion-free action, and
     # a's divisible action after b.tau
     tau = _mprod(b.tf, a.tau)
     for (s, d), u in b.tau.items():
-        val = a.div.get(g.block(d[0]).prime, {})
-        if isinstance(val, Fraction):
-            val = {(d, d): val}
-        tau = _msum(tau, _mprod({(s, d): u}, val))
+        p = g.block(d[0]).prime
+        tau = _msum(tau, _mprod({(s, d): u}, _expand(a.div.get(p, {}), [d], f"div {p}")))
     # corrections: push b's images through a, pull a's keys back through
     # b's linear action
     fin: list[tuple[FinKey, Element]] = []
@@ -650,10 +602,8 @@ def _tf_diagonal(tf: Mapping, copies: list[Coord]) -> Fraction | None | str:
     copies, None when there are no copies, or "nonscalar"."""
     if not copies:  # then tf is empty too
         return None
-    if any(s != d for s, d in tf):
-        return "nonscalar"
-    vals = {tf.get((c, c), Fraction(0)) for c in copies}
-    return vals.pop() if len(vals) == 1 else "nonscalar"
+    diag = _diagonal(tf, copies, Fraction(0))
+    return "nonscalar" if diag is None else diag
 
 
 def _tf_scalar(phi: Endo) -> Fraction | None | str:
@@ -766,8 +716,8 @@ def _scalar_action(phi: Endo, inv: Invariants,
         scalars: dict[int, Fraction] = {}
         for p in g.active_primes():
             alpha = _multiplication_shape(phi, inv, p, None, omega_only)
-            if alpha == "mismatch":
-                return None
+            if alpha == "mismatch" or alpha and alpha.denominator % p == 0:
+                return None  # not p-integral, so validate rejects the map
             if alpha:
                 scalars[p] = alpha
         return JElement(0, scalars)

@@ -522,7 +522,7 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
         raise AssertionError("a capped run started work")
 
     monkeypatch.setattr(cli, "inertness_profile", no_work)
-    monkeypatch.setattr(cli, "scalar_defect", no_work)
+    monkeypatch.setattr(cli, "growth_bound_check", no_work)
     cases = (
         ("oracle", "cyclic(p=2, k=1, mult=513)", (), "oracle flattens at most 512"),
         ("defect", "cyclic(p=2, k=1, mult=65)", (), "defect reads at most 64"),

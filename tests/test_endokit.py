@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abinertia.endokit import (
-    Endo, EndoClass, _extract_mini, _tf_scalar, add, apply, classify, close,
+    Endo, EndoClass, _extract_mini, _residue_coeff, _tf_scalar, add, apply, classify, close,
     compose, fm_split, identity_endo, is_finitary, is_multiplication,
     mini_endo, multiplication_endo, negate, semi_endo, semi_multiplication,
     sub, validate, zero_endo,
@@ -347,6 +347,15 @@ def test_fm_split_periodic():
     assert add(fin_part, qm) == phi
 
 
+def test_receipts_read_none_on_a_divisible_scalar_that_is_not_p_integral():
+    g = GroupDesc([("D", Prufer(5, 1)), ("B", Cyclic(3, 1, OMEGA))])
+    phi = Endo(g, div={5: F(1, 5)})
+    assert validate(phi) == ["div 5: scalar is not 5-integral"]
+    assert is_multiplication(phi) is None
+    assert fm_split(phi) is None
+    assert classify(phi).multiplication is None
+
+
 def test_close_detects_finitary_difference():
     a = multiplication_endo(RICH, 3)
     b = add(a, Endo(RICH, cyc={"C": {(1, 0): 1}}))
@@ -417,6 +426,10 @@ def _ref_periodic_scalars(phi, inv, omega_only):
     for p in phi.group.active_primes():
         alpha = _ref_multiplication_shape(phi, inv, p, None, omega_only)
         if alpha == "mismatch":
+            return None
+        # the one departure from the frozen scans: a scalar that is not
+        # p-integral reads None, where the scans raised from JElement
+        if alpha and alpha.denominator % p == 0:
             return None
         if alpha:
             scalars[p] = alpha
@@ -562,10 +575,10 @@ def _ref_classify(phi):
     )
 
 
-def _outcome(fn, phi):
-    """The value of fn(phi), or the type and message of what it raised."""
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
     try:
-        return ("value", fn(phi))
+        return ("value", fn(*args))
     except (UsageError, AssertionError) as exc:
         return ("raised", type(exc).__name__, str(exc))
 
@@ -649,3 +662,209 @@ def test_receipts_match_the_frozen_scans_on_random_maps(seed):
     shaped = sum(1 for phi in maps if not validate(phi) and is_multiplication(phi))
     assert invalid and shaped  # both kinds are exercised
     _assert_receipts_match(maps)
+
+
+# ---------------------------------------------------------------------------
+# ring arithmetic against a frozen copy of the slot code it replaced: div
+# and cyc slots once had a fold, an expansion and a loop each
+
+def _ref_div_matrix(g, p, val):
+    if isinstance(val, dict):
+        return val
+    copies, has_omega = g.prufer_copies(p)
+    if has_omega:
+        raise UsageError(f"div {p}: cannot expand a scalar over infinitely many copies")
+    return {(c, c): val for c in copies}
+
+
+def _ref_cyc_matrix(b, val):
+    if isinstance(val, dict):
+        return val
+    return {(i, i): val for i in range(b.mult)}
+
+
+def _ref_msum(x, y):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + v
+    return out
+
+
+def _ref_mprod(x, y):
+    out = {}
+    for (s, m1), v in x.items():
+        for (m2, d), w in y.items():
+            if m1 == m2:
+                out[(s, d)] = out.get((s, d), 0) + v * w
+    return out
+
+
+def _ref_add(a, b):
+    g = a.group
+    div = {}
+    for p in sorted(set(a.div) | set(b.div)):
+        x, y = a.div.get(p, Fraction(0)), b.div.get(p, Fraction(0))
+        if isinstance(x, Fraction) and isinstance(y, Fraction):
+            div[p] = x + y
+        else:
+            div[p] = _ref_msum(_ref_div_matrix(g, p, x), _ref_div_matrix(g, p, y))
+    cyc = {}
+    for name in sorted(set(a.cyc) | set(b.cyc)):
+        blk = g.block(name)
+        x, y = a.cyc.get(name, 0), b.cyc.get(name, 0)
+        if isinstance(x, int) and isinstance(y, int):
+            cyc[name] = x + y
+        else:
+            cyc[name] = _ref_msum(_ref_cyc_matrix(blk, x), _ref_cyc_matrix(blk, y))
+    fin = list(a.fin.items()) + list(b.fin.items())
+    return Endo(g, tf=_ref_msum(a.tf, b.tf), free_scalar=a.free_scalar + b.free_scalar,
+                div=div, cyc=cyc, tau=_ref_msum(a.tau, b.tau), fin=fin)
+
+
+def _ref_negate(a):
+    div = {p: -v if isinstance(v, Fraction) else
+           {k: -x for k, x in v.items()} for p, v in a.div.items()}
+    cyc = {n: -v if isinstance(v, int) else
+           {k: -x for k, x in v.items()} for n, v in a.cyc.items()}
+    return Endo(a.group,
+                tf={k: -v for k, v in a.tf.items()},
+                free_scalar=-a.free_scalar,
+                div=div, cyc=cyc,
+                tau={k: -v for k, v in a.tau.items()},
+                fin=[(k, -img) for k, img in a.fin.items()])
+
+
+def _ref_compose(a, b):
+    g = a.group
+    div = {}
+    for p in sorted(set(a.div) & set(b.div)):
+        x, y = a.div[p], b.div[p]
+        if isinstance(x, Fraction) and isinstance(y, Fraction):
+            div[p] = x * y
+        else:
+            div[p] = _ref_mprod(_ref_div_matrix(g, p, y), _ref_div_matrix(g, p, x))
+    cyc = {}
+    for name in sorted(set(a.cyc) & set(b.cyc)):
+        blk = g.block(name)
+        x, y = a.cyc[name], b.cyc[name]
+        if isinstance(x, int) and isinstance(y, int):
+            cyc[name] = x * y
+        else:
+            cyc[name] = _ref_mprod(_ref_cyc_matrix(blk, y), _ref_cyc_matrix(blk, x))
+    tau = _ref_mprod(b.tf, a.tau)
+    for (s, d), u in b.tau.items():
+        val = a.div.get(g.block(d[0]).prime, {})
+        if isinstance(val, Fraction):
+            val = {(d, d): val}
+        tau = _ref_msum(tau, _ref_mprod({(s, d): u}, val))
+    fin = []
+    for key, img in b.fin.items():
+        fin.append((key, apply(a, img)))
+    free = g.free_omega_name
+    for key, img in a.fin.items():
+        if key[0] == "c":
+            _, name, idx = key
+            val = b.cyc.get(name)
+            if isinstance(val, int):
+                fin.append((key, img.scale(val)))
+            elif isinstance(val, dict):
+                for (i, j), c in val.items():
+                    if j == idx:
+                        fin.append((("c", name, i), img.scale(c)))
+        else:
+            _, copy, w = key
+            if copy[0] == free:
+                fin.append((key, img.scale(b.free_scalar % w)))
+            else:
+                for (s, d), c in b.tf.items():
+                    if d == copy:
+                        fin.append((("t", s, w), img.scale(_residue_coeff(c, w))))
+    return Endo(g, tf=_ref_mprod(b.tf, a.tf), free_scalar=a.free_scalar * b.free_scalar,
+                div=div, cyc=cyc, tau=tau, fin=fin)
+
+
+RING_GROUPS = [
+    GroupDesc([("D", Prufer(5, 2)), ("E", Prufer(5, 1)), ("C", Cyclic(5, 2, 3)),
+               ("B", Cyclic(5, 1, OMEGA)), ("K", Cyclic(2, 1, 2))]),
+    GroupDesc([("V", TorsionFree(frozenset({2}), 2)), ("D", Prufer(2, 2)),
+               ("C", Cyclic(2, 2, 2)), ("K", Cyclic(3, 1, 3)), ("B", Cyclic(3, 1, OMEGA))]),
+    GroupDesc([("L", TorsionFree(frozenset(), OMEGA)), ("W", TorsionFree(frozenset(), 1)),
+               ("C", Cyclic(3, 1, 2)), ("P", Prufer(3, OMEGA)), ("Q", Prufer(2, 3))]),
+]
+
+
+def _ring_map(group, rng):
+    """A map whose div and cyc slots are each absent, a scalar, a matrix
+    on finitely many coordinates, or a scalar written as a matrix; tf,
+    tau and fin parts ride along."""
+    def frac(p):  # a p-integral rational
+        return Fraction(rng.randint(-4, 4), rng.choice([d for d in (1, 1, 2, 3, 7) if d % p]))
+
+    def slot(keys, value):
+        roll = rng.random()
+        if roll < 0.2:
+            return None
+        if roll < 0.5 or keys is None:
+            return value()
+        if roll < 0.6:
+            c = value()
+            return {(k, k): c for k in keys}
+        return {(rng.choice(keys), rng.choice(keys)): value() for _ in range(rng.randint(1, 3))}
+
+    div = {}
+    for p in sorted({b.prime for _, b in group.prufer_items()}):
+        copies, has_omega = group.prufer_copies(p)
+        val = slot(None if has_omega else copies, lambda: frac(p))
+        if val is not None:
+            div[p] = val
+    cyc = {}
+    for name, b in group.cyclic_items():
+        m = b.prime ** b.exp
+        val = slot(None if b.mult is OMEGA else list(range(b.mult)), lambda: rng.randrange(m))
+        if val is not None:
+            cyc[name] = val
+    copies = group.tf_copies()
+    tf = {(rng.choice(copies), rng.choice(copies)): rng.randint(-3, 3)
+          for _ in range(rng.randint(0, 2))} if copies else {}
+    free = rng.randint(-2, 3) if group.free_omega_name else 0
+    tau = {}
+    if copies and group.prufer_items() and rng.random() < 0.3:
+        name, b = rng.choice(group.prufer_items())
+        if b.prime in group.pi_of(copies[0][0]):
+            tau[(copies[0], (name, 0))] = Fraction(1, b.prime)
+    fin = []
+    cyclic = group.cyclic_items()
+    if rng.random() < 0.3:
+        name, b = rng.choice(cyclic)
+        other, _ = rng.choice(cyclic)
+        fin.append((("c", name, 0), {(other, 0): 1}))
+    if copies and rng.random() < 0.2:
+        fin.append((("t", copies[0], 7), {}))
+    return Endo(group, tf=tf, free_scalar=free, div=div, cyc=cyc, tau=tau, fin=fin)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ring_arithmetic_matches_the_frozen_slot_code(seed):
+    rng = random.Random(seed)
+    seen = {"div matrix": 0, "cyc matrix": 0, "mixed pair": 0}
+    for group in RING_GROUPS:
+        maps = [_ring_map(group, rng) for _ in range(10)]
+        for a in maps:
+            assert _outcome(negate, a) == _outcome(_ref_negate, a), a
+            seen["div matrix"] += any(isinstance(v, dict) for v in a.div.values())
+            seen["cyc matrix"] += any(isinstance(v, dict) for v in a.cyc.values())
+            for b in maps:
+                seen["mixed pair"] += sum(
+                    isinstance(x.get(k), dict) != isinstance(y.get(k), dict)
+                    for x, y in ((a.div, b.div), (a.cyc, b.cyc)) for k in x.keys() & y.keys())
+                for new, ref in ((add, _ref_add), (compose, _ref_compose)):
+                    assert _outcome(new, a, b) == _outcome(ref, a, b), (new.__name__, a, b)
+    assert all(seen.values()), seen
+
+
+def test_cyc_matrix_on_an_omega_block_cannot_meet_a_scalar():
+    phi = Endo(OMEGA2, cyc={"B": {(0, 1): 1}})
+    assert validate(phi) == ["cyc B: matrix form needs finite multiplicity"]
+    for op in (add, compose):
+        with pytest.raises(UsageError, match="cyc B: cannot expand a scalar"):
+            op(phi, identity_endo(OMEGA2))

@@ -49,16 +49,31 @@ def test_every_imported_name_is_used():
     assert not unused, f"imported but never used: {unused}"
 
 
+def _private(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+        node.name.startswith("_") and not node.name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level private functions and classes, and the private
+    methods of module-level classes, each with its qualified name."""
+    for stmt in tree.body:
+        if _private(stmt):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if _private(sub):
+                    yield f"{stmt.name}.{sub.name}", sub
+
+
 def test_every_private_helper_has_a_caller():
     refs: Counter = Counter()
     for tree in MODULES.values():
         refs += _references(tree)
     orphans = []
     for name, tree in MODULES.items():
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
-                    stmt.name.startswith("_") and not stmt.name.startswith("__"):
-                # a helper that only calls itself has no caller
-                if refs[stmt.name] - _references(stmt)[stmt.name] == 0:
-                    orphans.append(f"{name}: {stmt.name}")
+        for qual, node in _private_definitions(tree):
+            # a helper that only calls itself has no caller
+            if refs[node.name] - _references(node)[node.name] == 0:
+                orphans.append(f"{name}: {qual}")
     assert not orphans, f"private helpers nothing in src/ refers to: {orphans}"
