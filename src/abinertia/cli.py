@@ -33,7 +33,9 @@ canonically.
 Reports are single JSON documents with sorted keys and no
 insignificant whitespace; rationals print as ``m/n`` strings and
 infinite quantities as ``"inf"`` or ``"omega"``, so byte equality of
-reports is meaningful across runs.
+reports is meaningful across runs.  Each record in a report is the
+object of its dataclass's fields, by name, so a field added to a
+certificate or receipt shows up in the reports and the goldens catch it.
 """
 from __future__ import annotations
 
@@ -41,15 +43,16 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .endokit import Endo, add, apply, classify, equal, validate
 from .exactnum import (
-    INF, OMEGA, JElement, Residue, UsageError, is_finite, is_prime,
+    INF, OMEGA, JElement, UsageError, is_finite, is_prime,
 )
 from .groupkit import (
     Cyclic, Element, GroupDesc, HElement, Prufer, TorsionFree, h_descriptor,
@@ -103,7 +106,6 @@ _TOKEN = re.compile(r"""
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line = 1
     for line, raw in enumerate(text.splitlines(), start=1):
         for m in _TOKEN.finditer(raw):
             kind = m.lastgroup
@@ -116,14 +118,15 @@ def _tokenize(text: str) -> list[_Token]:
                 raise ParseError("stray '-'" if ch == "-" else f"unexpected character {ch!r}",
                                  line, m.start() + 1)
             toks.append(_Token(kind, m.group(), line, m.start() + 1))
-    toks.append(_Token("end", "", line, 1))
+    last = toks[-1] if toks else _Token("end", "", 1, 1)
+    toks.append(_Token("end", "", last.line, last.col + len(last.text)))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # the parser
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParsedInput:
     """One description file: a named group and its named endomorphisms.
 
@@ -137,12 +140,6 @@ class ParsedInput:
 
     def __iter__(self) -> Iterator:
         return iter((self.group, self.endos))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ParsedInput):
-            return NotImplemented
-        return (self.group_name == other.group_name
-                and self.group == other.group and self.endos == other.endos)
 
 
 class _Parser:
@@ -172,9 +169,10 @@ class _Parser:
         except UsageError as exc:
             self.fail(str(exc), tok)
 
-    def expect_punct(self, text: str) -> _Token:
+    def expect(self, text: str) -> _Token:
+        # a literal's text fixes its kind, so the text alone is compared
         t = self.take()
-        if t.kind != "punct" or t.text != text:
+        if t.text != text:
             self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}", t)
         return t
 
@@ -184,19 +182,8 @@ class _Parser:
             self.fail(f"expected {what}, found {t.text or 'end of input'!r}", t)
         return t
 
-    def expect_keyword(self, word: str) -> _Token:
-        t = self.take()
-        if t.kind != "name" or t.text != word:
-            self.fail(f"expected {word!r}, found {t.text or 'end of input'!r}", t)
-        return t
-
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    def at_name(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "name" and t.text == word
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
 
     # -- atoms --------------------------------------------------------------
 
@@ -208,13 +195,13 @@ class _Parser:
 
     def int_only(self) -> int:
         value = self.integer()
-        if self.at_punct("/"):
+        if self.at("/"):
             self.fail("expected an integer, not a rational")
         return value
 
     def rational(self) -> Fraction:
         num = self.integer()
-        if self.at_punct("/"):
+        if self.at("/"):
             self.take()
             dtok = self.peek()
             den = self.integer()
@@ -231,7 +218,7 @@ class _Parser:
         return value
 
     def nat_or_omega(self):
-        if self.at_name("omega"):
+        if self.at("omega"):
             self.take()
             return OMEGA
         t = self.peek()
@@ -246,19 +233,19 @@ class _Parser:
         t = self.expect_name("a block name")
         if not group.has_block(t.text):
             self.fail(f"unknown block {t.text!r}", t)
-        self.expect_punct(".")
+        self.expect(".")
         idx = self.integer()
         return (t.text, idx)
 
     def braced(self, item) -> _Token:
         """``{ item, item, ... }``, possibly empty; returns the opening brace."""
-        brace = self.expect_punct("{")
-        if not self.at_punct("}"):
+        brace = self.expect("{")
+        if not self.at("}"):
             item()
-            while self.at_punct(","):
+            while self.at(","):
                 self.take()
                 item()
-        self.expect_punct("}")
+        self.expect("}")
         return brace
 
     def prime_set(self) -> frozenset[int]:
@@ -274,11 +261,11 @@ class _Parser:
         endos: dict[str, Endo] = {}
         while self.peek().kind != "end":
             t = self.peek()
-            if t.kind == "name" and t.text == "group":
+            if self.at("group"):
                 if group is not None:
                     self.fail("a file describes a single group", t)
                 name, group = self.group_decl()
-            elif t.kind == "name" and t.text == "endo":
+            elif self.at("endo"):
                 if group is None:
                     self.fail("the group must come before its endomorphisms", t)
                 self.endo_decl(name, group, endos)
@@ -289,57 +276,57 @@ class _Parser:
         return ParsedInput(name, group, endos)
 
     def group_decl(self) -> tuple[str, GroupDesc]:
-        head = self.expect_keyword("group")
+        head = self.expect("group")
         name = self.expect_name("a group name").text
-        self.expect_punct("{")
+        self.expect("{")
         blocks: list[tuple[str, object]] = []
         seen: set[str] = set()
-        while self.at_name("block"):
+        while self.at("block"):
             self.take()
             btok = self.expect_name("a block name")
             if btok.text in seen:
                 self.fail(f"duplicate block name {btok.text!r}", btok)
             seen.add(btok.text)
-            self.expect_punct("=")
+            self.expect("=")
             blocks.append((btok.text, self.block_expr()))
         if not blocks:
             self.fail("a group needs at least one block")
-        self.expect_punct("}")
+        self.expect("}")
         return name, self.build(head, GroupDesc, blocks)
 
     def block_expr(self):
         head = self.expect_name("a block kind")
-        self.expect_punct("(")
+        self.expect("(")
         if head.text not in _BLOCK_KINDS:
             self.fail(f"unknown block kind {head.text!r}", head)
         kind, params = _BLOCK_KINDS[head.text]
         args = []
         for i, (key, read) in enumerate(params):
             if i:
-                self.expect_punct(",")
-            self.expect_keyword(key)
-            self.expect_punct("=")
+                self.expect(",")
+            self.expect(key)
+            self.expect("=")
             args.append(read(self))
-        self.expect_punct(")")
+        self.expect(")")
         return self.build(head, kind, *args)
 
     def endo_decl(self, group_name: str, group: GroupDesc,
                   endos: dict[str, Endo]) -> None:
-        head = self.expect_keyword("endo")
+        head = self.expect("endo")
         ntok = self.expect_name("an endo name")
         if ntok.text in endos:
             self.fail(f"duplicate endo name {ntok.text!r}", ntok)
-        self.expect_keyword("on")
+        self.expect("on")
         gtok = self.expect_name("a group name")
         if gtok.text != group_name:
             self.fail(f"unknown group {gtok.text!r}", gtok)
-        self.expect_punct("{")
+        self.expect("{")
         body = _EndoEntries(self, group)
-        while not self.at_punct("}"):
+        while not self.at("}"):
             body.entry()
-            if self.at_punct(";"):
+            if self.at(";"):
                 self.take()
-        self.expect_punct("}")
+        self.expect("}")
         try:
             endos[ntok.text] = Endo(group, **body.merged())
         except UsageError as exc:
@@ -406,7 +393,7 @@ class _EndoEntries:
         head = p.expect_name("an entry map (tf, div, cyc, tau, fin)")
         if head.text != "fin" and head.text not in _PAIR_MAPS:
             p.fail(f"unknown entry map {head.text!r}", head)
-        p.expect_punct("[")
+        p.expect("[")
         self.entries.append(
             (head, self.fin_entry() if head.text == "fin" else self.pair_entry(head.text)))
 
@@ -430,36 +417,36 @@ class _EndoEntries:
         src_kind, dst_kind = _PAIR_MAPS[name]
         stok = p.expect_name("a block name")
         blk = self.block_of(stok)
-        bare = p.at_punct("]")
+        bare = p.at("]")
         if bare and name == "tau":
-            p.expect_punct(".")  # tau has no bare form: fails as a missing '.'
+            p.expect(".")  # tau has no bare form: fails as a missing '.'
         if bare and name == "tf" and not (isinstance(blk, TorsionFree) and blk.rank is OMEGA):
             p.fail("the bare tf form needs the infinite-rank free block", stok)
         self.check_kind(stok, blk, src_kind)
         key = blk.prime if name == "div" else stok.text
         if bare:
             p.take()
-            p.expect_punct("=")
+            p.expect("=")
             if (name, key) in self.claimed:
                 p.fail(f"duplicate {name} entry for {self.slot_label(name, key)}", stok)
             self.claimed[(name, key)] = None
             if name == "tf":
                 return {"free_scalar": p.int_only()}
             return {name: {key: p.rational() if name == "div" else p.int_only()}}
-        p.expect_punct(".")
+        p.expect(".")
         src = (stok.text, p.integer())
-        p.expect_punct("->")
+        p.expect("->")
         dtok = p.expect_name("a block name")
         if name == "cyc" and dtok.text != stok.text:
             p.fail("cyclic matrix entries stay within one block", dtok)
         dblk = self.block_of(dtok)
-        p.expect_punct(".")
+        p.expect(".")
         dst = (dtok.text, p.integer())
         self.check_kind(dtok, dblk, dst_kind)
         if name == "div" and dblk.prime != blk.prime:
             p.fail("divisible entries stay within one prime", dtok)
-        p.expect_punct("]")
-        p.expect_punct("=")
+        p.expect("]")
+        p.expect("=")
         # only div and cyc pairs share their slot with a bare entry
         pairs = self.claimed.setdefault((name, key if name in ("div", "cyc") else None), set())
         if pairs is None:
@@ -479,7 +466,7 @@ class _EndoEntries:
         src = p.coord(self.group)
         blk = self.group.block(src[0])
         key: tuple
-        if p.at_name("mod"):
+        if p.at("mod"):
             p.take()
             wtok = p.peek()
             w = p.integer()
@@ -492,8 +479,8 @@ class _EndoEntries:
             if not isinstance(blk, Cyclic):
                 p.fail("a torsion-free source needs a mod clause", stok)
             key = ("c", src[0], src[1])
-        p.expect_punct("]")
-        p.expect_punct("=")
+        p.expect("]")
+        p.expect("=")
         coeffs: dict[tuple[str, int], Fraction] = {}
         vtok = p.braced(lambda: self.fin_coeff(coeffs))
         if ("fin", key) in self.claimed:
@@ -507,7 +494,7 @@ class _EndoEntries:
         c = p.coord(self.group)
         if c in coeffs:
             p.fail(f"duplicate coefficient for {c[0]}.{c[1]}", ctok)
-        p.expect_punct(":")
+        p.expect(":")
         coeffs[c] = p.rational()
 
 
@@ -594,6 +581,12 @@ def serialize(parsed: ParsedInput) -> str:
 # ---------------------------------------------------------------------------
 # JSON views of exact values
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A record class's field names, read once per class rather than per record."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _jv(x):
     if x is INF:
         return "inf"
@@ -603,14 +596,9 @@ def _jv(x):
         return x
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, Residue):
-        return {"value": x.value, "prime": x.prime, "exp": x.exp}
     if isinstance(x, JElement):
         return {"default": x.default,
                 "exceptions": {str(p): str(v) for p, v in x.exceptions}}
-    if isinstance(x, HElement):
-        return {"descriptor": [[p, _jv(b), _jv(e)] for p, b, e in x.descriptor],
-                "value": _jv(x.value)}
     if isinstance(x, Endo):
         return _endo_entries(x)
     if isinstance(x, frozenset):
@@ -619,17 +607,13 @@ def _jv(x):
         return [_jv(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jv(v) for k, v in x.items()}
+    if is_dataclass(x):
+        return {name: _jv(getattr(x, name)) for name in _field_names(type(x))}
     raise UsageError(f"cannot encode {type(x).__name__} in a report")
-
-
-def _selector_view(sel) -> dict:
-    return {"default": sel.default, "exceptions": sorted(sel.exceptions)}
 
 
 # ---------------------------------------------------------------------------
 # the session
-
-_COMMANDS = ("analyze", "check", "decompose", "oracle", "defect")
 
 # work caps: past one of these a run fails as a usage error before any work
 MAX_COUNT = 1024         # finite mult, copies or rank of one block
@@ -656,7 +640,7 @@ class SessionConfig:
 
 
 def _check_config(config: SessionConfig) -> None:
-    if config.command not in _COMMANDS:
+    if config.command not in _RUNNERS:
         raise UsageError(f"unknown command {config.command!r}")
     if not config.inputs:
         raise UsageError("at least one input file is required")
@@ -720,71 +704,40 @@ def _load(path: str) -> ParsedInput:
 
 # -- commands ----------------------------------------------------------------
 
-def _class_view(phi: Endo) -> dict:
-    c = classify(phi)
-    return {"finitary": c.finitary, "multiplication": _jv(c.multiplication),
-            "quasi": _jv(c.quasi), "semi": _jv(c.semi), "mini": _jv(c.mini),
-            "fm": _jv(c.fm)}
-
-
-def _run_analyze(parsed: ParsedInput) -> dict:
+def _run_analyze(config: SessionConfig, parsed: ParsedInput) -> dict:
     g = parsed.group
     inv = invariants(g)
     primes = {}
     for prof in inv.profiles:
-        primes[str(prof.prime)] = {
-            "max_exp": prof.max_exp, "omega_exp": prof.omega_exp,
-            "prufer_rank": _jv(prof.prufer_rank), "tf_rank": _jv(prof.tf_rank),
-            "bound": _jv(prof.bound),
-            "essential_bound": _jv(prof.essential_bound),
-            "reduced_bound": prof.reduced_bound, "critical": prof.critical,
-        }
-    if g.torsion_free_rank is OMEGA:
-        descriptor = None
-    else:
-        descriptor = {str(p): [_jv(b), _jv(e)]
-                      for p, (b, e) in sorted(h_descriptor(g).items())}
+        view = _jv(prof)
+        primes[str(view.pop("prime"))] = view
     return {
         "group": parsed.group_name,
         "torsion_free_rank": _jv(g.torsion_free_rank),
         "periodic": g.is_periodic,
         "primes": primes,
-        "finite_primes": _selector_view(inv.finite_primes),
-        "bounded_primes": _selector_view(inv.bounded_primes),
-        "critical_primes": sorted(inv.critical_primes),
-        "nm_type": {str(p): c for p, c in nm_type(g).items()},
-        "h_descriptor": descriptor,
-        "endos": {name: _class_view(phi) for name, phi in parsed.endos.items()},
+        "finite_primes": _jv(inv.finite_primes),
+        "bounded_primes": _jv(inv.bounded_primes),
+        "critical_primes": _jv(inv.critical_primes),
+        "nm_type": _jv(nm_type(g)),
+        "h_descriptor": None if g.torsion_free_rank is OMEGA else _jv(h_descriptor(g)),
+        "endos": {name: _jv(classify(phi)) for name, phi in parsed.endos.items()},
     }
 
 
-def _viol_view(v) -> dict:
-    return {"kind": v.kind, "site": v.site, "hint": v.hint, "prime": v.prime}
-
-
-def _cert_view(cert) -> dict:
-    return {
-        "r": _jv(cert.r), "pi": sorted(cert.pi),
-        "per_prime": [{"prime": f.prime, "alpha_cyc": _jv(f.alpha_cyc),
-                       "alpha_div": _jv(f.alpha_div), "bridged": f.bridged}
-                      for f in cert.per_prime],
-        "exempt": list(cert.exempt),
-    }
-
-
-def _run_check(parsed: ParsedInput) -> dict:
+def _run_check(config: SessionConfig, parsed: ParsedInput) -> dict:
     out = {}
     for name, phi in parsed.endos.items():
         cert, viols = is_inertial(phi)
         out[name] = {
             "verdict": "inertial" if cert is not None else "non-inertial",
-            "certificate": None if cert is None else _cert_view(cert),
-            "violations": [_viol_view(v) for v in viols],
+            "certificate": _jv(cert),
+            "violations": _jv(viols),
         }
     return out
 
 
-def _run_decompose(parsed: ParsedInput) -> dict:
+def _run_decompose(config: SessionConfig, parsed: ParsedInput) -> dict:
     out = {}
     for name, phi in parsed.endos.items():
         try:
@@ -798,8 +751,7 @@ def _run_decompose(parsed: ParsedInput) -> dict:
         except UsageError:
             h_class = None
         out[name] = {
-            "sm": _jv(parts.sm), "ui": _jv(parts.ui), "nm": _jv(parts.nm),
-            "residual": _jv(parts.residual),
+            **_jv(parts),
             "sum_exact": equal(add(add(parts.sm, parts.ui), parts.nm), phi),
             "sm_semi": _jv(classify(parts.sm).semi),
             "ui_uniform": _jv(beta),
@@ -833,9 +785,8 @@ def _exhaustive_view(shadow: Truncation, subs: list[FGSubgroup] | str,
     return {"level": 2, "subgroups": len(subs), "max_index": _jv(worst)}
 
 
-def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]:
+def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:
     out = {}
-    contradiction = False
     if config.enumerate_all:
         shadow, subs = _shadow_subgroups(parsed.group)
     for name, phi in parsed.endos.items():
@@ -845,9 +796,7 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]
                                samples=config.samples, seed=config.seed)
         fs = None
         if parsed.group.is_periodic:
-            fs = {str(k): v
-                  for k, v in sorted(fs_profile(parsed.group, phi,
-                                                config.levels).items())}
+            fs = _jv(fs_profile(parsed.group, phi, config.levels))
         witnesses = []
         if verdict == "non-inertial":
             seen: set[str] = set()
@@ -860,8 +809,8 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]
                     witnesses.append({
                         "kind": fam.kind, "prime": fam.prime,
                         "description": fam.description,
-                        "depths": list(fam.depths),
-                        "indices": [_jv(i) for i in fam.indices],
+                        "depths": _jv(fam.depths),
+                        "indices": _jv(fam.indices),
                         "generators": [[_elem_text(x) for x in s.generators]
                                        for s in fam.subgroups],
                     })
@@ -871,8 +820,8 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]
                 and ev.verdict_hint == "stable"))
         view = {
             "verdict": verdict,
-            "profile": {"per_level": [[lvl, _jv(ix)] for lvl, ix in ev.per_level],
-                        "families": list(ev.sampled_families),
+            "profile": {"per_level": _jv(ev.per_level),
+                        "families": _jv(ev.sampled_families),
                         "hint": ev.verdict_hint},
             "fs_profile": fs,
             "witnesses": witnesses,
@@ -881,8 +830,7 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> tuple[dict, bool]
         if config.enumerate_all:
             view["exhaustive"] = _exhaustive_view(shadow, subs, phi)
         out[name] = view
-        contradiction = contradiction or not consistent
-    return out, contradiction
+    return out
 
 
 def _matrix_of(group: GroupDesc, phi: Endo) -> ExactMatrix:
@@ -920,10 +868,16 @@ def _run_defect(config: SessionConfig, parsed: ParsedInput) -> dict:
             "field": M.field, "dimension": M.n,
             "lam": _jv(growth.lam), "defect": growth.bound,
             "max_inert_codim": exhaustive,
-            "growth": {"trials": growth.trials, "max_growth": growth.max_growth,
-                       "bound": growth.bound, "lam": _jv(growth.lam)},
+            "growth": _jv(growth),
         }
     return out
+
+
+# command -> its runner, which maps (config, one parsed file) to that file's view
+_RUNNERS = {
+    "analyze": _run_analyze, "check": _run_check, "decompose": _run_decompose,
+    "oracle": _run_oracle, "defect": _run_defect,
+}
 
 
 def run(config: SessionConfig) -> tuple[int, str]:
@@ -932,20 +886,11 @@ def run(config: SessionConfig) -> tuple[int, str]:
     files = {path: _load(path) for path in config.inputs}
     for path, parsed in files.items():
         _check_work(config, path, parsed.group)
-    results: dict[str, dict] = {}
-    contradiction = False
-    for path, parsed in files.items():
-        if config.command == "analyze":
-            results[path] = _run_analyze(parsed)
-        elif config.command == "check":
-            results[path] = _run_check(parsed)
-        elif config.command == "decompose":
-            results[path] = _run_decompose(parsed)
-        elif config.command == "oracle":
-            results[path], bad = _run_oracle(config, parsed)
-            contradiction = contradiction or bad
-        else:
-            results[path] = _run_defect(config, parsed)
+    runner = _RUNNERS[config.command]
+    results = {path: runner(config, parsed) for path, parsed in files.items()}
+    # an oracle view whose two routes disagree exits 2
+    contradiction = any(isinstance(view, dict) and view.get("consistent") is False
+                        for views in results.values() for view in views.values())
     report = {
         "command": config.command,
         "inputs": {
@@ -985,7 +930,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _ArgumentParser(
         prog="abinertia",
         description="Analyze endomorphisms of finitely described abelian groups.")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=list(_RUNNERS))
     parser.add_argument("inputs", nargs="+", metavar="FILE")
     parser.add_argument("--levels", default=",".join(map(str, SessionConfig.levels)),
                         help="comma-separated truncation levels")

@@ -199,8 +199,13 @@ class Endo:
     def _norm_pairs(self, mat, src: str, dst: str) -> dict[tuple[Coord, Coord], Fraction]:
         """A rational matrix keyed by (source, target) coordinates in the
         roles src and dst, with its zero entries dropped."""
+        try:
+            items = (mat or {}).items()
+        except AttributeError:
+            raise UsageError(f"expected a mapping of coordinate pairs, "
+                             f"not {type(mat).__name__}") from None
         out: dict[tuple[Coord, Coord], Fraction] = {}
-        for (s, d), v in (mat or {}).items():
+        for (s, d), v in items:
             v = Fraction(v)
             if v:
                 out[(self._coord(s, src), self._coord(d, dst))] = v
@@ -235,6 +240,11 @@ class Endo:
             m = b.prime ** b.exp
             if isinstance(val, int):
                 val %= m
+            elif isinstance(val, Fraction) and val.denominator == 1:
+                val = val.numerator % m
+            elif not isinstance(val, Mapping):
+                raise UsageError(f"cyc {name}: expected an integer or a mapping of "
+                                 f"index pairs, not {type(val).__name__}")
             else:
                 mat = {}
                 for (i, j), v in val.items():

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational", "UsageError", "ExtendedNat", "OMEGA", "INF", "is_finite",
+    "UsageError", "ExtendedNat", "OMEGA", "INF", "is_finite",
     "is_prime", "factor", "prime_divisors", "valuation", "frac_valuation",
     "inv_mod", "Residue", "JElement",
     "crt_solve", "crt_lift", "frac_residue",
-    "identity_matrix", "mat_mul", "snf", "hnf", "solve_in_rowspace",
-    "kernel_left", "det_int",
+    "identity_matrix", "snf", "hnf", "solve_in_rowspace", "kernel_left",
 ]
 
 
@@ -356,21 +353,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise UsageError("matrix shapes do not compose")
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in a]
-    for i, row in enumerate(a):
-        for k, aik in enumerate(row):
-            if aik:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cols):
-                    orow[j] += aik * brow[j]
-    return out
-
-
 def _swap_rows(a: Matrix, i: int, j: int) -> None:
     a[i], a[j] = a[j], a[i]
 
@@ -557,28 +539,3 @@ def kernel_left(matrix: Sequence[Sequence[int]]) -> Matrix:
     aug = [list(map(int, row)) + [1 if k == i else 0 for k in range(m)]
            for i, row in enumerate(matrix)]
     return [row[n:] for row in hnf(aug) if not any(row[:n])]
-
-
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise UsageError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -223,6 +223,40 @@ def test_integers_are_ascii_digits(tmp_path, capsys, text, col):
     assert err.startswith("error: ") and "line 1, column " in err
 
 
+DECL_GROUP = "group A { block B = cyclic(p=2, k=1, mult=1) }\n"
+
+# one malformed declaration per case: (text, line, column, message)
+DECL_DIAGNOSTICS = [
+    ("group A ( block B = cyclic(p=2, k=1, mult=1) }", 1, 9,
+     "expected '{', found '('"),
+    ("group A { block B cyclic(p=2, k=1, mult=1) }", 1, 19,
+     "expected '=', found 'cyclic'"),
+    ("group A { block B = cyclic(p=2 k=1, mult=1) }", 1, 32,
+     "expected ',', found 'k'"),
+    ("group A { block B = cyclic(q=2, k=1, mult=1) }", 1, 28,
+     "expected 'p', found 'q'"),
+    ("group A { block B = cyclic(p=2, k=1, mult=on) }", 1, 43,
+     "expected an integer, found 'on'"),
+    (DECL_GROUP + "endo e of A { }", 2, 8, "expected 'on', found 'of'"),
+    (DECL_GROUP + "endo e on A { fin[B.0] = { B.0 1 } }", 2, 32,
+     "expected ':', found '1'"),
+    # end of input is placed just past the last token, not on a later line
+    ("group A { block B = cyclic(p=2, k=1, mult=1)", 1, 45,
+     "expected '}', found 'end of input'"),
+    (DECL_GROUP + "endo e on A {\n  cyc[B] =\n\n", 3, 11,
+     "expected an integer, found 'end of input'"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,message", DECL_DIAGNOSTICS,
+                         ids=[case[3] for case in DECL_DIAGNOSTICS])
+def test_every_declaration_diagnostic_is_positioned(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"line {line}, column {col}: {message}"
+
+
 def test_comments_and_omega_literals():
     text = ("# leading note\n"
             "group A {  # trailing note\n"

@@ -102,6 +102,18 @@ def test_constructor_rejects_unknown_coordinates():
         Endo(SEC3, free_scalar=2)
 
 
+def test_constructor_reads_integral_fractions_and_rejects_other_scalars():
+    assert Endo(TWOMAT, cyc={"C": F(9)}) == Endo(TWOMAT, cyc={"C": 1})
+    assert Endo(TWOMAT, cyc={"C": F(-1)}).cyc == {"C": 7}
+    for bad in ({"cyc": {"C": F(1, 3)}}, {"cyc": {"C": 2.0}}):
+        with pytest.raises(UsageError, match="cyc C: expected an integer"):
+            Endo(TWOMAT, **bad)
+    with pytest.raises(UsageError, match="expected a mapping"):
+        Endo(PRUF2, div={5: 0.5})
+    with pytest.raises(UsageError, match="expected a mapping"):
+        Endo(SEC3, tf=0.5)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -5,10 +5,52 @@ from hypothesis import given, settings, strategies as st
 
 from abinertia.exactnum import (
     INF, OMEGA, JElement, Residue, UsageError,
-    crt_lift, crt_solve, det_int, factor, frac_residue, frac_valuation, hnf,
-    identity_matrix, inv_mod, is_prime, kernel_left, mat_mul, prime_divisors,
+    crt_lift, crt_solve, factor, frac_residue, frac_valuation, hnf,
+    identity_matrix, inv_mod, is_prime, kernel_left, prime_divisors,
     snf, solve_in_rowspace, valuation,
 )
+
+
+# -- reference matrix arithmetic for the snf checks --------------------------
+
+def mat_mul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise UsageError("matrix shapes do not compose")
+    cols = len(b[0]) if b else 0
+    out = [[0] * cols for _ in a]
+    for i, row in enumerate(a):
+        for k, aik in enumerate(row):
+            if aik:
+                brow = b[k]
+                orow = out[i]
+                for j in range(cols):
+                    orow[j] += aik * brow[j]
+    return out
+
+
+def det_int(matrix):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise UsageError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = [list(map(int, row)) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def test_extended_nat_total_order_against_ints():
