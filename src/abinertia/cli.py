@@ -63,7 +63,7 @@ from .linmap import (
     ExactMatrix, count_subspaces, growth_bound_check, max_inert_codim,
 )
 from .oracle import (
-    FGSubgroup, enumerate_subgroups, fs_profile, index_in_sum, inertness_profile,
+    FGSubgroup, enumerate_subgroups, fs_profiles, index_in_sum, inertness_profiles,
     truncate_endo, witness_search,
 )
 
@@ -789,14 +789,15 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:
     out = {}
     if config.enumerate_all:
         shadow, subs = _shadow_subgroups(parsed.group)
-    for name, phi in parsed.endos.items():
+    phis = list(parsed.endos.values())
+    evidence = inertness_profiles(parsed.group, phis, config.levels,
+                                  samples=config.samples, seed=config.seed)
+    fs_reports = [None] * len(phis)
+    if parsed.group.is_periodic:
+        fs_reports = [_jv(r) for r in fs_profiles(parsed.group, phis, config.levels)]
+    for (name, phi), ev, fs in zip(parsed.endos.items(), evidence, fs_reports):
         cert, viols = is_inertial(phi)
         verdict = "inertial" if cert is not None else "non-inertial"
-        ev = inertness_profile(parsed.group, phi, config.levels,
-                               samples=config.samples, seed=config.seed)
-        fs = None
-        if parsed.group.is_periodic:
-            fs = _jv(fs_profile(parsed.group, phi, config.levels))
         witnesses = []
         if verdict == "non-inertial":
             seen: set[str] = set()

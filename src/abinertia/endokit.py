@@ -100,6 +100,13 @@ def _copy_str(c: Coord) -> str:
     return f"{c[0]}.{c[1]}"
 
 
+def _integer(v) -> int | None:
+    """v as an int when it is an int or an integral Fraction, else None."""
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    return v if isinstance(v, int) else None
+
+
 # ---------------------------------------------------------------------------
 # slots: a scalar, or a sparse matrix over finitely many coordinates
 
@@ -179,7 +186,7 @@ class Endo:
         self.free_scalar = free_scalar
         self.div = self._norm_div(div)
         self.cyc = self._norm_cyc(cyc)
-        self.tau = self._norm_pairs(tau, "tf", "div")
+        self.tau = self._norm_pairs(tau, "tau", "tf", "div")
         self._norm_fin(fin)
 
     # -- normalization ------------------------------------------------------
@@ -196,9 +203,11 @@ class Endo:
             raise UsageError(f"{_copy_str(c)} is out of range")
         return (name, idx)
 
-    def _norm_pairs(self, mat, src: str, dst: str) -> dict[tuple[Coord, Coord], Fraction]:
+    def _norm_pairs(self, mat, label: str, src: str,
+                    dst: str) -> dict[tuple[Coord, Coord], Fraction]:
         """A rational matrix keyed by (source, target) coordinates in the
-        roles src and dst, with its zero entries dropped."""
+        roles src and dst, with its zero entries dropped.  Each entry is an
+        int or a Fraction; a float would be read as its binary rounding."""
         try:
             items = (mat or {}).items()
         except AttributeError:
@@ -206,16 +215,19 @@ class Endo:
                              f"not {type(mat).__name__}") from None
         out: dict[tuple[Coord, Coord], Fraction] = {}
         for (s, d), v in items:
-            v = Fraction(v)
+            if not isinstance(v, (int, Fraction)):
+                s, d = self._coord(s, src), self._coord(d, dst)
+                raise UsageError(f"{label} {_copy_str(s)}->{_copy_str(d)}: expected "
+                                 f"an integer or a Fraction, not {type(v).__name__} {v!r}")
             if v:
-                out[(self._coord(s, src), self._coord(d, dst))] = v
+                out[(self._coord(s, src), self._coord(d, dst))] = Fraction(v)
         return out
 
     def _norm_tf(self, tf) -> dict[tuple[Coord, Coord], Fraction]:
         if isinstance(tf, (int, Fraction)):
             q = Fraction(tf)
             return {(c, c): q for c in self.group.tf_copies()} if q else {}
-        return self._norm_pairs(tf, "tf", "tf")
+        return self._norm_pairs(tf, "tf", "tf", "tf")
 
     def _norm_div(self, div) -> dict[int, Fraction | dict]:
         out: dict[int, Fraction | dict] = {}
@@ -225,7 +237,7 @@ class Endo:
             if isinstance(val, (int, Fraction)):
                 val = Fraction(val)
             else:
-                val = self._norm_pairs(val, "div", "div")
+                val = self._norm_pairs(val, f"div {p}", "div", "div")
             val = _fold(self.group, "div", p, val)
             if val is not None:
                 out[p] = val
@@ -237,11 +249,9 @@ class Endo:
             b = self.group.block(name)
             if not isinstance(b, Cyclic):
                 raise UsageError(f"{name} is not a cyclic block")
-            m = b.prime ** b.exp
-            if isinstance(val, int):
-                val %= m
-            elif isinstance(val, Fraction) and val.denominator == 1:
-                val = val.numerator % m
+            m, n = b.prime ** b.exp, _integer(val)
+            if n is not None:
+                val = n % m
             elif not isinstance(val, Mapping):
                 raise UsageError(f"cyc {name}: expected an integer or a mapping of "
                                  f"index pairs, not {type(val).__name__}")
@@ -250,9 +260,12 @@ class Endo:
                 for (i, j), v in val.items():
                     self._coord((name, i), "cyc")
                     self._coord((name, j), "cyc")
-                    v %= m
-                    if v:
-                        mat[(i, j)] = v
+                    n = _integer(v)
+                    if n is None:
+                        raise UsageError(f"cyc {name}.{i}->{name}.{j}: expected an "
+                                         f"integer, not {type(v).__name__} {v}")
+                    if n % m:
+                        mat[(i, j)] = n % m
                 val = mat
             val = _fold(self.group, "cyc", name, val)
             if val is not None:

@@ -36,8 +36,8 @@ from .inertia import (
 __all__ = [
     "FGSubgroup", "InertnessEvidence", "WitnessFamily", "FiniteLattice",
     "index_in_sum", "naive_index_in_sum", "enumerate_subgroups",
-    "sample_subgroups", "truncate_endo", "inertness_profile", "fs_profile",
-    "witness_search",
+    "sample_subgroups", "truncate_endo", "inertness_profile",
+    "inertness_profiles", "fs_profile", "fs_profiles", "witness_search",
 ]
 
 
@@ -454,6 +454,55 @@ def _nat_max(a: Nat, b: Nat) -> Nat:
     return a if a >= b else b
 
 
+def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
+                       levels: Sequence[int], samples: int = 40,
+                       seed: int = 0) -> list[InertnessEvidence]:
+    """inertness_profile of each map in phis, sharing the group-only work.
+
+    The levels are the outer loop and the maps the inner one.  Each level
+    truncates the group, lists the shadow prelude and draws the samples
+    once for all maps, from one stream of random draws per call.  Each
+    distinct untruncated sample is looked up once per level and measured
+    once per map per call.  The memo holds one index per map for each
+    distinct sample and lives only as long as the call.  A map's evidence
+    is what the singular call gives, whichever maps share the call.
+    """
+    if any(phi.group != group for phi in phis):
+        raise UsageError("the endomorphism acts on a different group")
+    lv = _check_levels(levels)
+    if not phis:
+        return []
+    has_torsion = any(not isinstance(b, TorsionFree) for _, b in group.blocks)
+    per: list[list[tuple[int, Nat]]] = [[] for _ in phis]
+    families: set[str] = set()  # the labels depend on the group alone
+    draws = _Draws(group, seed)
+    measured: dict[tuple[Element, ...], list[Nat]] = {}
+    for level in lv:
+        worst: list[Nat] = [1] * len(phis)
+        if has_torsion:
+            shadow = truncate(group, level)
+            psis = [truncate_endo(phi, shadow) for phi in phis]
+            for s in _prelude(shadow.group, level):
+                worst = [_nat_max(w, index_in_sum(s, psi)) for w, psi in zip(worst, psis)]
+                families.add(s.label.split()[0])
+        for s in sample_subgroups(group, samples, seed, level, _draws=draws):
+            found = measured.get(s.generators)
+            if found is None:
+                found = measured[s.generators] = [index_in_sum(s, phi) for phi in phis]
+            worst = [_nat_max(w, v) for w, v in zip(worst, found)]
+            families.add(s.label.split()[0])
+        for row, w in zip(per, worst):
+            row.append((level, w))
+    out = []
+    for row in per:
+        # an infinite observed index is already unbounded growth
+        stable = is_finite(row[-1][1]) and (len(row) < 2
+                                            or row[-1][1] == row[-2][1])
+        out.append(InertnessEvidence(tuple(row), tuple(sorted(families)),
+                                     "stable" if stable else "growing"))
+    return out
+
+
 def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
                       samples: int = 40, seed: int = 0) -> InertnessEvidence:
     """Worst observed |H + phi(H) : H| per truncation level.
@@ -465,33 +514,7 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
     random draws are made once per call and shared by every level, and
     each distinct untruncated sample is measured once per call.
     """
-    if phi.group != group:
-        raise UsageError("the endomorphism acts on a different group")
-    lv = _check_levels(levels)
-    has_torsion = any(not isinstance(b, TorsionFree) for _, b in group.blocks)
-    per: list[tuple[int, Nat]] = []
-    families: set[str] = set()
-    draws = _Draws(group, seed)
-    measured: dict[tuple[Element, ...], Nat] = {}
-    for level in lv:
-        worst: Nat = 1
-        if has_torsion:
-            shadow = truncate(group, level)
-            psi = truncate_endo(phi, shadow)
-            for s in _prelude(shadow.group, level):
-                worst = _nat_max(worst, index_in_sum(s, psi))
-                families.add(s.label.split()[0])
-        for s in sample_subgroups(group, samples, seed, level, _draws=draws):
-            if s.generators not in measured:
-                measured[s.generators] = index_in_sum(s, phi)
-            worst = _nat_max(worst, measured[s.generators])
-            families.add(s.label.split()[0])
-        per.append((level, worst))
-    # an infinite observed index is already unbounded growth
-    stable = is_finite(per[-1][1]) and (len(per) < 2
-                                        or per[-1][1] == per[-2][1])
-    return InertnessEvidence(tuple(per), tuple(sorted(families)),
-                             "stable" if stable else "growing")
+    return inertness_profiles(group, [phi], levels, samples, seed)[0]
 
 
 class FiniteLattice:
@@ -561,6 +584,56 @@ def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
     return coords, [b.prime ** b.exp for _, b in group.blocks for _ in range(b.mult)]
 
 
+def _shadow_action(psi: Endo, coords: Sequence[Coord],
+                   moduli: Sequence[int]) -> tuple[list, list]:
+    """The flat action of a shadow map and its dual, as pair lists."""
+    index = {c: i for i, c in enumerate(coords)}
+    action = [[(index[d], a) for d, a in apply(psi, Element.unit(psi.group, *c)).coeffs.items()]
+              for c in coords]
+    dual: list[list[tuple[int, int]]] = [[] for _ in coords]
+    for i, images in enumerate(action):
+        for j, a in images:
+            if a * moduli[i] % moduli[j]:
+                raise AssertionError("the shadow map is not a homomorphism")
+            dual[j].append((i, a * moduli[i] // moduli[j]))
+    return action, dual
+
+
+def fs_profiles(group: GroupDesc, phis: Sequence[Endo],
+                levels: Sequence[int]) -> list[dict[int, int]]:
+    """fs_profile of each map in phis, sharing the group-only work.
+
+    The levels are the outer loop, the prelude families the middle one
+    and the maps the inner one.  Each level truncates and flattens the
+    group once; each family builds X and X^perp once, and only the two
+    closures run per map.  Besides each map's flat action and dual, one
+    family's lattices are alive at a time, so the lattices held do not
+    grow with the number of maps or families.
+    """
+    if not group.is_periodic:
+        raise UsageError("the FS profile needs a periodic group")
+    if any(phi.group != group for phi in phis):
+        raise UsageError("the endomorphism acts on a different group")
+    lv = _check_levels(levels)
+    if not phis:
+        return []
+    reports: list[dict[int, int]] = [{} for _ in phis]
+    for level in lv:
+        shadow = truncate(group, level)
+        coords, moduli = _flat_space(shadow.group)
+        maps = [_shadow_action(truncate_endo(phi, shadow), coords, moduli) for phi in phis]
+        worst = [1] * len(phis)
+        total = prod(moduli)
+        for s in _prelude(shadow.group, level):
+            x = FiniteLattice(moduli, [[g.coeffs.get(c, 0) for c in coords] for g in s.generators])
+            perp = x.annihilator()
+            worst = [max(w, x.closure(action).order() * perp.closure(dual).order() // total)
+                     for w, (action, dual) in zip(worst, maps)]
+        for report, w in zip(reports, worst):
+            report[level] = w
+    return reports
+
+
 def fs_profile(group: GroupDesc, phi: Endo,
                levels: Sequence[int]) -> dict[int, int]:
     """Max |X^* / X_*| per truncation level, over structured samples.
@@ -570,31 +643,7 @@ def fs_profile(group: GroupDesc, phi: Endo,
     sum x_i y_i / m_i: the closure of X^perp under the dual map, whose
     entries are phi_ij m_i / m_j.  The ratio is |X^*| |X_*^perp| / |G|.
     """
-    if not group.is_periodic:
-        raise UsageError("the FS profile needs a periodic group")
-    if phi.group != group:
-        raise UsageError("the endomorphism acts on a different group")
-    report: dict[int, int] = {}
-    for level in _check_levels(levels):
-        shadow = truncate(group, level)
-        psi = truncate_endo(phi, shadow)
-        coords, moduli = _flat_space(shadow.group)
-        index = {c: i for i, c in enumerate(coords)}
-        action = [[(index[d], a) for d, a in apply(psi, Element.unit(shadow.group, *c)).coeffs.items()]
-                  for c in coords]
-        dual: list[list[tuple[int, int]]] = [[] for _ in coords]
-        for i, images in enumerate(action):
-            for j, a in images:
-                if a * moduli[i] % moduli[j]:
-                    raise AssertionError("the shadow map is not a homomorphism")
-                dual[j].append((i, a * moduli[i] // moduli[j]))
-        worst = 1
-        for s in _prelude(shadow.group, level):
-            x = FiniteLattice(moduli, [[g.coeffs.get(c, 0) for c in coords] for g in s.generators])
-            lower_perp = x.annihilator().closure(dual)
-            worst = max(worst, x.closure(action).order() * lower_perp.order() // prod(moduli))
-        report[level] = worst
-    return report
+    return fs_profiles(group, [phi], levels)[0]
 
 
 # ---------------------------------------------------------------------------

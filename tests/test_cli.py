@@ -555,7 +555,7 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a capped run started work")
 
-    monkeypatch.setattr(cli, "inertness_profile", no_work)
+    monkeypatch.setattr(cli, "inertness_profiles", no_work)
     monkeypatch.setattr(cli, "growth_bound_check", no_work)
     cases = (
         ("oracle", "cyclic(p=2, k=1, mult=513)", (), "oracle flattens at most 512"),
@@ -587,6 +587,20 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
     assert "the level-64 shadow has 513 coordinates" in capsys.readouterr().err
     with pytest.raises(AssertionError, match="started work"):  # 8 * 63 + 1 passes
         main(["oracle", str(path), "--levels", "63"])
+
+
+def test_an_untruncatable_map_fails_the_oracle_file(tmp_path, capsys):
+    # the profiles of a file run for all of its maps at once; the first map
+    # whose shadow cannot be built still fails the file with this message
+    path = tmp_path / "cross.txt"
+    path.write_text("group P {\n  block D = prufer(p=3, copies=1)\n"
+                    "  block E = prufer(p=3, copies=1)\n}\n\n"
+                    "endo fine on P {\n  div[D] = 2;\n}\n\n"
+                    "endo cross on P {\n  div[D.0 -> E.0] = 1;\n}\n", encoding="utf-8")
+    assert main(["oracle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the shadow cannot carry a divisible matrix across blocks\n"
 
 
 def test_block_counts_are_capped_where_they_are_read(tmp_path, capsys):

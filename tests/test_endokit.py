@@ -114,6 +114,26 @@ def test_constructor_reads_integral_fractions_and_rejects_other_scalars():
         Endo(SEC3, tf=0.5)
 
 
+def test_constructor_rejects_non_integral_cyc_matrix_entries():
+    assert Endo(TWOMAT, cyc={"C": {(0, 1): F(9)}}).cyc == {"C": {(0, 1): 1}}
+    for bad, text in ((F(1, 2), "Fraction 1/2"), (2.5, "float 2.5")):
+        with pytest.raises(UsageError) as err:
+            Endo(TWOMAT, cyc={"C": {(0, 0): 1, (0, 1): bad}})
+        assert str(err.value) == f"cyc C.0->C.1: expected an integer, not {text}"
+
+
+@pytest.mark.parametrize("group, field, pairs, where, value", [
+    (SEC3, "tf", {(("Q", 0), ("Q", 0)): 0.1}, "tf Q.0->Q.0", "0.1"),
+    (PRUF2, "div", {5: {(("D", 0), ("D", 1)): 0.5}}, "div 5 D.0->D.1", "0.5"),
+    (TAUG, "tau", {(("V", 0), ("D", 0)): 0.25}, "tau V.0->D.0", "0.25"),
+])
+def test_constructor_rejects_float_rational_entries(group, field, pairs, where, value):
+    # a float would be stored as its binary rounding, 0.1 as a 2^-55 fraction
+    with pytest.raises(UsageError) as err:
+        Endo(group, **{field: pairs})
+    assert str(err.value) == f"{where}: expected an integer or a Fraction, not float {value}"
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -365,6 +365,29 @@ def test_profile_measures_each_sample_once(monkeypatch):
         assert measured and max(measured.values()) == 1, (group, phi)
 
 
+def test_plural_profiles_do_not_depend_on_the_other_maps():
+    """Each map's entry is the same in file order, reversed and alone."""
+    shapes, distinct = set(), False
+    for parsed in CORPUS:
+        group, phis = parsed.group, list(parsed.endos.values())
+        if len(phis) < 2:
+            continue
+        free = {isinstance(b, TorsionFree) for _, b in group.blocks}
+        shapes.add("periodic" if group.is_periodic
+                   else "mixed" if free == {True, False} else "torsion-free")
+        calls = [lambda ps: oracle.inertness_profiles(group, ps, (1, 2, 4),
+                                                      samples=24, seed=5)]
+        if group.is_periodic:
+            calls.append(lambda ps: oracle.fs_profiles(group, ps, (2, 3)))
+        for call in calls:
+            forward = call(phis)
+            assert call(phis[::-1])[::-1] == forward, parsed.group_name
+            assert [call([phi])[0] for phi in phis] == forward, parsed.group_name
+            distinct |= len({repr(entry) for entry in forward}) > 1
+    assert {"periodic", "mixed"} <= shapes
+    assert distinct  # some file's maps differ, so a swapped entry would show
+
+
 # -- FS condition profile -------------------------------------------------
 
 def test_fs_multiplication_ratios_are_one():
