@@ -56,14 +56,14 @@ from .exactnum import (
 )
 from .groupkit import (
     Cyclic, Element, GroupDesc, HElement, Prufer, TorsionFree, h_descriptor,
-    Truncation, invariants, nm_type, truncate,
+    invariants, nm_type, truncate,
 )
 from .inertia import decompose, is_inertial, is_uniform
 from .linmap import (
     ExactMatrix, count_subspaces, growth_bound_check, max_inert_codim,
 )
 from .oracle import (
-    FGSubgroup, enumerate_subgroups, fs_profiles, index_in_sum, inertness_profiles,
+    enumerate_subgroups, fs_profiles, index_in_sums, inertness_profiles,
     truncate_endo, witness_search,
 )
 
@@ -662,14 +662,21 @@ def _check_config(config: SessionConfig) -> None:
         raise UsageError("the seed must fit in 64 bits")
 
 
-def _check_work(config: SessionConfig, path: str, group: GroupDesc) -> None:
-    """The work caps that depend on a file's group, checked before any work."""
-    if config.command == "oracle" and group.is_periodic:
+def _check_work(config: SessionConfig, path: str, parsed: ParsedInput) -> None:
+    """The limits that depend on a file's group and maps, checked before any work."""
+    group = parsed.group
+    if config.command == "oracle":
         top = config.levels[-1]
-        width = sum(b.mult for _, b in truncate(group, top).group.blocks)
-        if width > MAX_SHADOW_COORDS:
+        shadow = truncate(group, top)
+        width = sum(b.mult for _, b in shadow.group.blocks)
+        if group.is_periodic and width > MAX_SHADOW_COORDS:
             raise UsageError(f"{path}: the level-{top} shadow has {width} coordinates; "
                              f"oracle flattens at most {MAX_SHADOW_COORDS}")
+        for name, phi in parsed.endos.items():
+            try:
+                truncate_endo(phi, shadow)
+            except UsageError as exc:
+                raise UsageError(f"{path}: endo {name!r}: {exc}") from None
     if config.command == "defect":
         dim = sum(b.mult for _, b in group.blocks
                   if isinstance(b, Cyclic) and is_finite(b.mult))
@@ -761,41 +768,38 @@ def _run_decompose(config: SessionConfig, parsed: ParsedInput) -> dict:
     return out
 
 
-def _shadow_subgroups(group: GroupDesc) -> tuple[Truncation, list[FGSubgroup] | str]:
-    """The level-2 shadow with its subgroup list, or why it is not listed."""
+def _exhaustive_views(group: GroupDesc, phis: Sequence[Endo]) -> list[dict]:
+    """Each map's worst index over every subgroup of the level-2 shadow.
+
+    The subgroups are listed once, and each is presented and reduced
+    once for all of the maps.
+    """
     shadow = truncate(group, 2)
     order = shadow.group.order()
     if not is_finite(order) or order > 4096:
-        return shadow, "the level-2 shadow is too large"
+        return [{"skipped": "the level-2 shadow is too large"} for _ in phis]
     try:
-        return shadow, enumerate_subgroups(shadow.group, limit=4096)
+        subs = enumerate_subgroups(shadow.group, limit=4096)
     except UsageError as exc:
-        return shadow, str(exc)
-
-
-def _exhaustive_view(shadow: Truncation, subs: list[FGSubgroup] | str,
-                     phi: Endo) -> dict:
-    try:
-        psi = truncate_endo(phi, shadow)
-    except UsageError as exc:
-        return {"skipped": str(exc)}
-    if isinstance(subs, str):
-        return {"skipped": subs}
-    worst = max(index_in_sum(s, psi) for s in subs)
-    return {"level": 2, "subgroups": len(subs), "max_index": _jv(worst)}
+        return [{"skipped": str(exc)} for _ in phis]
+    psis = [truncate_endo(phi, shadow) for phi in phis]
+    worst = [max(col) for col in zip(*(index_in_sums(s, psis) for s in subs))]
+    return [{"level": 2, "subgroups": len(subs), "max_index": _jv(w)} for w in worst]
 
 
 def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:
     out = {}
-    if config.enumerate_all:
-        shadow, subs = _shadow_subgroups(parsed.group)
     phis = list(parsed.endos.values())
+    views = [None] * len(phis)
+    if config.enumerate_all:
+        views = _exhaustive_views(parsed.group, phis)
     evidence = inertness_profiles(parsed.group, phis, config.levels,
                                   samples=config.samples, seed=config.seed)
     fs_reports = [None] * len(phis)
     if parsed.group.is_periodic:
         fs_reports = [_jv(r) for r in fs_profiles(parsed.group, phis, config.levels)]
-    for (name, phi), ev, fs in zip(parsed.endos.items(), evidence, fs_reports):
+    for (name, phi), ev, fs, exhaustive in zip(parsed.endos.items(), evidence,
+                                               fs_reports, views):
         cert, viols = is_inertial(phi)
         verdict = "inertial" if cert is not None else "non-inertial"
         witnesses = []
@@ -828,8 +832,8 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:
             "witnesses": witnesses,
             "consistent": consistent,
         }
-        if config.enumerate_all:
-            view["exhaustive"] = _exhaustive_view(shadow, subs, phi)
+        if exhaustive is not None:
+            view["exhaustive"] = exhaustive
         out[name] = view
     return out
 
@@ -886,7 +890,7 @@ def run(config: SessionConfig) -> tuple[int, str]:
     _check_config(config)
     files = {path: _load(path) for path in config.inputs}
     for path, parsed in files.items():
-        _check_work(config, path, parsed.group)
+        _check_work(config, path, parsed)
     runner = _RUNNERS[config.command]
     results = {path: runner(config, parsed) for path, parsed in files.items()}
     # an oracle view whose two routes disagree exits 2

@@ -258,7 +258,7 @@ class Element:
     rationals with denominators inside the block's prime set.
     """
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "coeffs", "_hash")
 
     def __init__(self, group: GroupDesc, coeffs: Mapping[Coord, int | Fraction]) -> None:
         self.group = group
@@ -274,6 +274,7 @@ class Element:
             if v:
                 canon[(bname, idx)] = v
         self.coeffs = canon
+        self._hash: int | None = None  # filled by the first __hash__
 
     @classmethod
     def zero(cls, group: GroupDesc) -> "Element":
@@ -338,7 +339,10 @@ class Element:
         return self.group == other.group and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
+        # coeffs is never written after __init__, so the hash is kept
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(self.coeffs.items())))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

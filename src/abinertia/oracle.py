@@ -35,9 +35,10 @@ from .inertia import (
 
 __all__ = [
     "FGSubgroup", "InertnessEvidence", "WitnessFamily", "FiniteLattice",
-    "index_in_sum", "naive_index_in_sum", "enumerate_subgroups",
-    "sample_subgroups", "truncate_endo", "inertness_profile",
-    "inertness_profiles", "fs_profile", "fs_profiles", "witness_search",
+    "index_in_sum", "index_in_sums", "naive_index_in_sum",
+    "enumerate_subgroups", "sample_subgroups", "truncate_endo",
+    "inertness_profile", "inertness_profiles", "fs_profile", "fs_profiles",
+    "witness_search",
 ]
 
 
@@ -110,6 +111,54 @@ def _presentation(group: GroupDesc,
     return rows, moduli
 
 
+def _leads(basis: Sequence[Sequence[int]]) -> list[int]:
+    return [next(j for j, x in enumerate(row) if x) for row in basis]
+
+
+def index_in_sums(sub: FGSubgroup, phis: Sequence[Endo]) -> list[Nat]:
+    """index_in_sum of sub under each map in phis, presenting H once.
+
+    One presentation covers the generators of H and the nonzero images
+    under every map, and H is reduced once; each map then inserts only
+    its own images into H's Hermite basis.  Each index equals what a
+    presentation over H and that map's images alone gives:
+
+    * a column that only other maps reach holds m e_c in both bases, or
+      no pivot if it is free, so it adds a factor of 1;
+    * a divisible column's modulus is the largest denominator over all
+      the rows, and embedding (1/p^j)Z/Z into Z/p^J is injective;
+    * a free column's scale is the lcm of all its denominators, and
+      scaling by a positive integer is injective.
+    """
+    if any(phi.group != sub.group for phi in phis):
+        raise UsageError("the endomorphism acts on a different group")
+    hs = [g for g in sub.generators if g]
+    images = [[im for im in (apply(phi, g) for g in hs) if im] for phi in phis]
+    ks = hs + [im for ims in images for im in ims]
+    if not ks:
+        return [1] * len(phis)
+    rows, moduli = _presentation(sub.group, ks)
+    basis_h = hnf(rows[:len(hs)], moduli)
+    lead = _leads(basis_h)
+    out: list[Nat] = []
+    start = len(hs)
+    for ims in images:
+        basis_k = hnf(rows[start:start + len(ims)], moduli, basis_h)
+        start += len(ims)
+        if len(basis_h) < len(basis_k):
+            out.append(INF)
+            continue
+        if lead != _leads(basis_k):
+            raise AssertionError("H escaped H + phi(H)")
+        index = 1
+        for col, row_h, row_k in zip(lead, basis_h, basis_k):
+            if row_h[col] % row_k[col]:
+                raise AssertionError("H escaped H + phi(H)")
+            index *= row_h[col] // row_k[col]
+        out.append(index)
+    return out
+
+
 def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
     """Exact index |H + phi(H) : H| for a finitely generated H.
 
@@ -121,27 +170,7 @@ def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
     columns, and the index is the product of the pivots of H over the
     product of the pivots of H + phi(H).
     """
-    if phi.group != sub.group:
-        raise UsageError("the endomorphism acts on a different group")
-    hs = [g for g in sub.generators if g]
-    images = [apply(phi, g) for g in hs]
-    ks = hs + [im for im in images if im]
-    if not ks:
-        return 1
-    rows, moduli = _presentation(sub.group, ks)
-    basis_h = hnf(rows[:len(hs)], moduli)
-    basis_k = hnf(rows[len(hs):], moduli, basis_h)
-    if len(basis_h) < len(basis_k):
-        return INF
-    lead = [next(j for j, x in enumerate(row) if x) for row in basis_h]
-    if lead != [next(j for j, x in enumerate(row) if x) for row in basis_k]:
-        raise AssertionError("H escaped H + phi(H)")
-    out = 1
-    for col, row_h, row_k in zip(lead, basis_h, basis_k):
-        if row_h[col] % row_k[col]:
-            raise AssertionError("H escaped H + phi(H)")
-        out *= row_h[col] // row_k[col]
-    return out
+    return index_in_sums(sub, [phi])[0]
 
 
 def _span(group: GroupDesc, gens: Sequence[Element]) -> set[Element]:
@@ -462,10 +491,12 @@ def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
     The levels are the outer loop and the maps the inner one.  Each level
     truncates the group, lists the shadow prelude and draws the samples
     once for all maps, from one stream of random draws per call.  Each
-    distinct untruncated sample is looked up once per level and measured
-    once per map per call.  The memo holds one index per map for each
-    distinct sample and lives only as long as the call.  A map's evidence
-    is what the singular call gives, whichever maps share the call.
+    subgroup is presented and reduced once for all maps (index_in_sums).
+    Each distinct untruncated sample is looked up once per level and
+    measured once per map per call.  The memo holds one index per map for
+    each distinct sample and lives only as long as the call.  A map's
+    evidence is what the singular call gives, whichever maps share the
+    call.
     """
     if any(phi.group != group for phi in phis):
         raise UsageError("the endomorphism acts on a different group")
@@ -483,12 +514,12 @@ def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
             shadow = truncate(group, level)
             psis = [truncate_endo(phi, shadow) for phi in phis]
             for s in _prelude(shadow.group, level):
-                worst = [_nat_max(w, index_in_sum(s, psi)) for w, psi in zip(worst, psis)]
+                worst = [_nat_max(w, v) for w, v in zip(worst, index_in_sums(s, psis))]
                 families.add(s.label.split()[0])
         for s in sample_subgroups(group, samples, seed, level, _draws=draws):
             found = measured.get(s.generators)
             if found is None:
-                found = measured[s.generators] = [index_in_sum(s, phi) for phi in phis]
+                found = measured[s.generators] = index_in_sums(s, phis)
             worst = [_nat_max(w, v) for w, v in zip(worst, found)]
             families.add(s.label.split()[0])
         for row, w in zip(per, worst):

@@ -470,6 +470,36 @@ def test_oracle_exhausts_the_periodic_shadow():
             "level": 2, "subgroups": 2225, "max_index": worst}
 
 
+def test_exhaustive_views_do_not_depend_on_the_other_maps(tmp_path):
+    """Each map's exhaustive view is the same in file order, reversed and alone."""
+    path = tmp_path / "maps.txt"
+
+    def views(parsed, names):
+        endos = {name: parsed.endos[name] for name in names}
+        path.write_text(serialize(ParsedInput(parsed.group_name, parsed.group, endos)),
+                        encoding="utf-8")
+        _, text = run(SessionConfig("oracle", (str(path),), levels=(2,), samples=1,
+                                    enumerate_all=True))
+        return {name: view["exhaustive"]
+                for name, view in json.loads(text)["results"][str(path)].items()}
+
+    worst = set()
+    for file in CORPUS:
+        parsed = parse(file.read_text(encoding="utf-8"))
+        names = list(parsed.endos)
+        # the 2225 subgroups of periodic.txt take 2 s a run; its views are
+        # pinned by test_oracle_exhausts_the_periodic_shadow
+        if len(names) < 2 or file.stem == "periodic":
+            continue
+        forward = views(parsed, names)
+        assert views(parsed, names[::-1]) == forward, file
+        for name in names:
+            assert views(parsed, [name]) == {name: forward[name]}, (file, name)
+        worst.add(tuple(view.get("max_index") for view in forward.values()))
+    # some file's maps differ, so a swapped view would show
+    assert any(len(set(w)) > 1 for w in worst)
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", corpus("critical")],
     ["oracle", corpus("critical"), "--enumerate-all"],
@@ -590,8 +620,8 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
 
 
 def test_an_untruncatable_map_fails_the_oracle_file(tmp_path, capsys):
-    # the profiles of a file run for all of its maps at once; the first map
-    # whose shadow cannot be built still fails the file with this message
+    # a map whose shadow cannot be built fails the file before any work,
+    # named with its path and map as the load errors are
     path = tmp_path / "cross.txt"
     path.write_text("group P {\n  block D = prufer(p=3, copies=1)\n"
                     "  block E = prufer(p=3, copies=1)\n}\n\n"
@@ -600,7 +630,9 @@ def test_an_untruncatable_map_fails_the_oracle_file(tmp_path, capsys):
     assert main(["oracle", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the shadow cannot carry a divisible matrix across blocks\n"
+    assert captured.err == (f"error: {path}: endo 'cross': the shadow cannot carry "
+                            "a divisible matrix across blocks\n")
+    assert main(["check", str(path)]) == 0  # only the oracle builds shadows
 
 
 def test_block_counts_are_capped_where_they_are_read(tmp_path, capsys):

@@ -27,7 +27,7 @@ from abinertia.oracle import (
     witness_search,
 )
 from abinertia.oracle import _TAIL_WINDOW, _nat_max, _prelude, _span, _width
-from conftest import GROUPS, INERTIAL
+from conftest import GROUPS, INERTIAL, ORACLE_CASES
 
 F = Fraction
 
@@ -117,6 +117,70 @@ def test_double_oracle_on_cyclic_pairs(scalar, coeff):
     phi = Endo(group, cyc={"A": scalar, "B": scalar + 2})
     h = gens(group, Element(group, {("A", 0): coeff % 4 or 1, ("B", 0): coeff % 3}))
     assert index_in_sum(h, phi) == naive_index_in_sum(h, phi)
+
+
+def _map_sets():
+    """The maps of each corpus file, and of each conftest group its certified
+    and its violating maps together, so that some sets mix INF and finite."""
+    out = [(parsed.group, list(parsed.endos.values())) for parsed in CORPUS]
+    for key, fam in sorted(INERTIAL.items()):
+        bad = [phi for _, k, phi, verdict in ORACLE_CASES
+               if k == key and verdict == "non-inertial"]
+        out.append((GROUPS[key], [phi for _, phi in sorted(fam.items())] + bad))
+    return out
+
+
+def _shared(sub, phis):
+    """index_in_sums over all of phis, checked against one call per map."""
+    out = oracle.index_in_sums(sub, phis)
+    assert out == [oracle.index_in_sums(sub, [phi])[0] for phi in phis], sub
+    return out
+
+
+def test_shared_indices_equal_the_singleton_indices():
+    mixed = 0
+    for group, phis in _map_sets():
+        cases = [(s, phis) for s in sample_subgroups(group, 16, seed=3, depth=3)]
+        if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
+            shadow = truncate(group, 3)
+            psis = [truncate_endo(phi, shadow) for phi in phis]
+            cases += [(s, psis) for s in _prelude(shadow.group, 3)]
+        for s, maps in cases:
+            found = {is_finite(v) for v in _shared(s, maps)}
+            mixed += found == {True, False}
+    assert mixed  # one call where one map gives INF and another does not
+
+
+def test_shared_indices_reach_past_the_subgroup():
+    # the images reach a cyclic and a free column that H lacks, a deeper
+    # divisible layer and a deeper torsion-free denominator than H's
+    group = GroupDesc([("D", Prufer(2, 1)), ("V", TorsionFree({2, 3}, 2)),
+                       ("B", Cyclic(3, 1, 2))])
+    h = gens(group, Element(group, {("V", 0): 1, ("D", 0): F(1, 2), ("B", 0): 1}))
+    phis = [
+        Endo(group, tf=1, div={2: 1}, cyc={"B": 1}, tau={(("V", 0), ("D", 0)): F(1, 8)}),
+        Endo(group, tf=F(1, 3), div={2: 1}, cyc={"B": 1}),
+        Endo(group, tf={(("V", 0), ("V", 1)): 1}),
+        Endo(group, tf=1, div={2: 1}, cyc={"B": {(0, 1): 1}}),
+    ]
+    assert all(not validate(phi) for phi in phis)
+    assert _shared(h, phis) == [8, 9, INF, 3]
+    assert _shared(h, phis[::-1]) == [3, INF, 9, 8]
+
+
+def test_shared_indices_agree_with_naive_enumeration():
+    shadows = 0
+    for group, phis in _map_sets():
+        if not group.is_periodic:
+            continue
+        shadow = truncate(group, 2)
+        if shadow.group.order() > 4096:
+            continue
+        shadows += 1
+        psis = [truncate_endo(phi, shadow) for phi in phis]
+        for s in sample_subgroups(shadow.group, 6, seed=1, depth=2):
+            assert _shared(s, psis) == [naive_index_in_sum(s, psi) for psi in psis], s
+    assert shadows >= 4
 
 
 # -- subgroup generation ------------------------------------------------
@@ -349,17 +413,17 @@ def test_profile_measures_each_sample_once(monkeypatch):
             for _, phi in sorted(fam.items())]
     maps += [(parsed.group, phi) for parsed in CORPUS for phi in parsed.endos.values()]
     measured = Counter()
+    shared = oracle.index_in_sums
 
-    def counting(sub, endo):
-        if endo is phi:
-            measured[sub.generators] += 1
-        return index_in_sum(sub, endo)
+    def counting(sub, endos):
+        measured[sub.generators] += sum(endo is phi for endo in endos)
+        return shared(sub, endos)
 
     for group, phi in maps:
         want = _reference_profile(group, phi, (1, 2, 4), samples=24, seed=5)
         measured.clear()
         with monkeypatch.context() as m:
-            m.setattr(oracle, "index_in_sum", counting)
+            m.setattr(oracle, "index_in_sums", counting)
             ev = inertness_profile(group, phi, (1, 2, 4), samples=24, seed=5)
         assert (list(ev.per_level), list(ev.sampled_families), ev.verdict_hint) == want
         assert measured and max(measured.values()) == 1, (group, phi)
