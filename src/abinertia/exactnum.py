@@ -18,7 +18,7 @@ __all__ = [
     "is_prime", "factor", "prime_divisors", "valuation", "frac_valuation",
     "inv_mod", "Residue", "JElement",
     "crt_solve", "crt_lift", "frac_residue",
-    "identity_matrix", "snf", "hnf", "solve_in_rowspace", "kernel_left",
+    "identity_matrix", "snf", "hnf", "hnf_insert", "solve_in_rowspace", "kernel_left",
 ]
 
 
@@ -440,6 +440,54 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     return d, u, v
 
 
+def hnf_insert(slots: list[Sequence[int] | None], row: Sequence[int],
+               moduli: Sequence[int]) -> bool:
+    """Insert one row into echelon slots; return whether the lattice grew.
+
+    slots[i] is None or the basis row whose pivot, the first nonzero
+    entry, sits in column i and is positive; moduli gives one modulus
+    per column, 0 for a free column, and a column with modulus m > 0
+    must hold a row whose pivot divides m.  The row is swept from the
+    left: a pivot that divides its entry clears it, one that does not is
+    replaced by their gcd through a unimodular 2 x 2 step that carries
+    the second result on to the next column, and an empty slot takes the
+    rest (Cohen, section 2.4).  Each step reduces the entries right of
+    its column modulo the moduli.  The lattice grew exactly when a gcd
+    step or an empty slot was met, since otherwise the row reduced to
+    zero by exact divisions.  Slot rows are replaced, never changed in
+    place, and the row itself is not changed.
+    """
+    n = len(moduli)
+    if len(row) != n:
+        raise UsageError("ragged matrix")
+    v = list(row)
+    grew = False
+    for i in range(n):
+        x = v[i]
+        if not x:
+            continue
+        slot = slots[i]
+        if slot is None:
+            slots[i] = v if x > 0 else [-a % m if m else -a for a, m in zip(v, moduli)]
+            return True
+        p = slot[i]
+        cols = list(zip(slot[i:], v[i:], moduli[i:]))
+        if x % p:
+            g = math.gcd(p, x)
+            xg, pg = x // g, p // g
+            t = pow(xg, -1, pg)
+            s = (g - t * x) // p
+            slots[i] = [0] * i + [(s * a + t * b) % m if m else s * a + t * b
+                                  for a, b, m in cols]
+            v[i:] = [(xg * a - pg * b) % m if m else xg * a - pg * b
+                     for a, b, m in cols]
+            grew = True
+        else:
+            q = x // p
+            v[i:] = [(b - q * a) % m if m else b - q * a for a, b, m in cols]
+    return grew
+
+
 def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
         basis: Iterable[Sequence[int]] = ()) -> Matrix:
     """Row-style Hermite normal form: echelon basis of the row lattice.
@@ -450,12 +498,11 @@ def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
 
     moduli gives one modulus per column, 0 for a free column; without
     it every column is free.  A column with modulus m > 0 holds the row
-    m e_i from the start and is kept modulo m.  basis is a Hermite basis
-    over the same moduli, by default that of the rows m e_i alone, and
-    the rows are inserted into it: the result is the Hermite form of
-    basis + rows + diag(m).  Each row is inserted from the left: a gcd
-    step maps the pivot row and the row by a unimodular 2 x 2 matrix and
-    carries the second result on to the next column (Cohen, section 2.4).
+    m e_i from the start and is kept modulo m.  basis is an echelon
+    basis with positive pivots over the same moduli, by default that of
+    the rows m e_i alone, and the rows are inserted into it one by one
+    with hnf_insert: the result is the Hermite form of basis + rows +
+    diag(m).
     """
     rows = list(rows)
     basis = list(basis)
@@ -471,31 +518,7 @@ def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
         if m and work[i] is None:
             work[i] = [0] * i + [m] + [0] * (n - i - 1)
     for r in rows:
-        if len(r) != n:
-            raise UsageError("ragged matrix")
-        v = [x % m if m else x for x, m in zip(r, mods)]
-        for i in range(n):
-            x = v[i]
-            if not x:
-                continue
-            row = work[i]
-            if row is None:
-                work[i] = v if x > 0 else [-a % m if m else -a for a, m in zip(v, mods)]
-                break
-            p = row[i]
-            cols = list(zip(row[i:], v[i:], mods[i:]))
-            if x % p:
-                g = math.gcd(p, x)
-                xg, pg = x // g, p // g
-                t = pow(xg, -1, pg)
-                s = (g - t * x) // p
-                work[i] = [0] * i + [(s * a + t * b) % m if m else s * a + t * b
-                                     for a, b, m in cols]
-                v[i:] = [(xg * a - pg * b) % m if m else xg * a - pg * b
-                         for a, b, m in cols]
-            else:
-                q = x // p
-                v[i:] = [(b - q * a) % m if m else b - q * a for a, b, m in cols]
+        hnf_insert(work, r, mods)
     pivots = [i for i, row in enumerate(work) if row is not None]
     result = [work[i] for i in pivots]
     # reduce entries above each pivot, leftmost pivot first, so that a

@@ -19,7 +19,7 @@ from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
-    INF, OMEGA, UsageError, frac_residue, frac_valuation, hnf, is_finite,
+    INF, OMEGA, UsageError, frac_residue, frac_valuation, hnf, hnf_insert, is_finite,
     solve_in_rowspace,
 )
 from .groupkit import (
@@ -551,11 +551,14 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
 class FiniteLattice:
     """A subgroup of Z^n / diag(moduli) as the lattice of all its lifts.
 
-    That lattice contains diag(moduli), so its Hermite basis is square,
-    with pivot i dividing m_i.  The basis is hnf(rows, moduli, basis):
-    the rows inserted into a given Hermite basis over the same moduli,
-    by default diag(moduli).  The order is the modulus product over the
-    pivot product.
+    That lattice contains diag(moduli), so it has an echelon basis with
+    one row per column: basis[i] starts at column i with a positive
+    pivot dividing m_i.  The basis is kept in that echelon form, not
+    reduced above the pivots, so it is not canonical; compare lattices
+    through hnf((), moduli, basis).  The rows are inserted with
+    hnf_insert into a given echelon basis over the same moduli, by
+    default diag(moduli).  The order is the modulus product over the
+    pivot product.  Every modulus must be positive.
     """
 
     __slots__ = ("moduli", "basis")
@@ -563,7 +566,16 @@ class FiniteLattice:
     def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int]],
                  basis: Sequence[Sequence[int]] = ()):
         self.moduli = tuple(moduli)
-        self.basis = tuple(map(tuple, hnf(rows, self.moduli, basis)))
+        n = len(self.moduli)
+        for i, m in enumerate(self.moduli):
+            if m < 1:
+                raise UsageError(f"lattice modulus {m} at column {i} is not positive")
+        slots: list[Sequence[int] | None] = (
+            list(basis) if basis else
+            [[0] * i + [m] + [0] * (n - i - 1) for i, m in enumerate(self.moduli)])
+        for r in rows:
+            hnf_insert(slots, r, self.moduli)
+        self.basis = tuple(map(tuple, slots))
 
     def order(self) -> int:
         return prod(m // row[i] for i, (m, row) in enumerate(zip(self.moduli, self.basis)))
@@ -571,41 +583,50 @@ class FiniteLattice:
     def closure(self, action: Sequence[Sequence[tuple[int, int]]]) -> "FiniteLattice":
         """The smallest lattice over this one that a map carries into itself.
 
-        action[i] lists the pairs (j, a) of the image of e_i.  The map is
-        applied to the basis rows, then to the last images, until the order
-        stops growing: a lattice only grows, so equal orders are equal.
+        action[i] lists the pairs (j, a) of the image of e_i; the map must
+        be a homomorphism, so it kills every m_i e_i.  A worklist holds
+        the rows whose images are still to be inserted: first every basis
+        row other than m_i e_i, then each image whose insertion grew the
+        lattice.  An image that did not grow it already lies in it, so
+        when the worklist is empty the map carries every generator, and
+        with them the lattice, into the lattice.
         """
-        out, frontier = self, [r for i, r in enumerate(self.basis) if r[i] != self.moduli[i]]
-        while frontier:
-            images = [[0] * len(self.moduli) for _ in frontier]
-            for img, row in zip(images, frontier):
-                for x, pairs in zip(row, action):
+        moduli = self.moduli
+        n = len(moduli)
+        slots = list(self.basis)
+        queue = [r for i, r in enumerate(self.basis) if r[i] != moduli[i] or any(r[i + 1:])]
+        while queue:
+            img = [0] * n
+            for x, pairs in zip(queue.pop(), action):
+                if x:
                     for j, a in pairs:
                         img[j] += x * a
-            frontier = [r for r in ([x % m for x, m in zip(img, self.moduli)]
-                                    for img in images) if any(r)]
-            grown = FiniteLattice(self.moduli, frontier, out.basis)
-            if grown.order() == out.order():
-                break
-            out = grown
-        return out
+            img = [x % m for x, m in zip(img, moduli)]
+            if hnf_insert(slots, img, moduli):
+                queue.append(img)
+        return FiniteLattice(moduli, (), slots)
 
     def annihilator(self) -> "FiniteLattice":
         """The subgroup pairing to zero with this one under sum x_i y_i / m_i.
 
         Its lattice is spanned by the columns of diag(moduli) H^-1 for the
-        Hermite basis H; row i of that matrix writes m_i e_i over H and is
-        found by integer back-substitution.
+        echelon basis H; row i of that matrix writes m_i e_i over H and is
+        found by integer back-substitution.  H is upper triangular, so
+        column j of that matrix ends at row j with m_j / H_jj: over the
+        reversed coordinates the columns are already an echelon basis.
+        The result lives there, over the reversed moduli, so a map acts on
+        it through its coordinates reversed, and its annihilator is back
+        in this lattice's coordinates.
         """
         n = len(self.moduli)
         cols = [[0] * n for _ in range(n)]
         for i, m in enumerate(self.moduli):
             rest = [0] * i + [m] + [0] * (n - i - 1)
             for j in range(i, n):
-                cols[j][i] = q = rest[j] // self.basis[j][j]
+                cols[n - 1 - j][n - 1 - i] = q = rest[j] // self.basis[j][j]
                 if q:
                     rest[j:] = [x - q * y for x, y in zip(rest[j:], self.basis[j][j:])]
-        return FiniteLattice(self.moduli, cols)
+        return FiniteLattice(self.moduli[::-1], (), cols)
 
 
 def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
@@ -617,16 +638,22 @@ def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
 
 def _shadow_action(psi: Endo, coords: Sequence[Coord],
                    moduli: Sequence[int]) -> tuple[list, list]:
-    """The flat action of a shadow map and its dual, as pair lists."""
+    """The flat action of a shadow map and its dual, as pair lists.
+
+    The dual acts on annihilators, which live over the reversed
+    coordinates (see FiniteLattice.annihilator), so it is written there:
+    e_j of the original coordinates is e_(n-1-j) of the reversed ones.
+    """
     index = {c: i for i, c in enumerate(coords)}
     action = [[(index[d], a) for d, a in apply(psi, Element.unit(psi.group, *c)).coeffs.items()]
               for c in coords]
+    n = len(coords)
     dual: list[list[tuple[int, int]]] = [[] for _ in coords]
     for i, images in enumerate(action):
         for j, a in images:
             if a * moduli[i] % moduli[j]:
                 raise AssertionError("the shadow map is not a homomorphism")
-            dual[j].append((i, a * moduli[i] // moduli[j]))
+            dual[n - 1 - j].append((n - 1 - i, a * moduli[i] // moduli[j]))
     return action, dual
 
 
@@ -636,8 +663,10 @@ def fs_profiles(group: GroupDesc, phis: Sequence[Endo],
 
     The levels are the outer loop, the prelude families the middle one
     and the maps the inner one.  Each level truncates and flattens the
-    group once; each family builds X and X^perp once, and only the two
-    closures run per map.  Besides each map's flat action and dual, one
+    group once and writes each map's flat action, and its dual over the
+    reversed coordinates where annihilators live, once.  Each family
+    builds X and X^perp once, as echelon slots, and only the two
+    worklist closures run per map.  Besides each map's two actions, one
     family's lattices are alive at a time, so the lattices held do not
     grow with the number of maps or families.
     """
@@ -672,7 +701,10 @@ def fs_profile(group: GroupDesc, phi: Endo,
     X^* is the closure of X under phi.  X_*, the largest phi-invariant
     subgroup of X, is reached through its annihilator under the pairing
     sum x_i y_i / m_i: the closure of X^perp under the dual map, whose
-    entries are phi_ij m_i / m_j.  The ratio is |X^*| |X_*^perp| / |G|.
+    entries are phi_ij m_i / m_j.  The ratio is |X^*| |X_*^perp| / |G|,
+    and only orders enter it, so X^perp and its closure stay over the
+    reversed coordinates and neither lattice is ever brought to its
+    canonical Hermite form.
     """
     return fs_profiles(group, [phi], levels)[0]
 

@@ -2,7 +2,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -571,20 +571,33 @@ def test_witness_search_validates_arguments():
 
 # -- finite lattice calculus ----------------------------------------------
 
+def _canon(x):
+    """The Hermite form of a lattice's lifts: equal exactly when the lattices are."""
+    return hnf((), x.moduli, x.basis)
+
+
+def _reversed(x):
+    """The same subgroup over the reversed coordinates, where annihilators live."""
+    return FiniteLattice(x.moduli[::-1], [r[::-1] for r in x.basis])
+
+
 def test_lattice_orders_and_bounds():
     line = FiniteLattice([4, 2], [[2, 1]])
     whole = FiniteLattice([4, 2], [[1, 0], [0, 1]])
     zero = FiniteLattice([4, 2], [])
     assert (line.order(), whole.order(), zero.order()) == (2, 8, 1)
     # rows inserted into another lattice's basis span the join
-    assert FiniteLattice([4, 2], whole.basis, line.basis).basis == whole.basis
-    assert FiniteLattice([4, 2], line.basis, zero.basis).basis == line.basis
-    # the annihilators under x0 y0 / 4 + x1 y1 / 2 reverse the order
-    assert whole.annihilator().basis == zero.basis
-    assert zero.annihilator().basis == whole.basis
+    assert _canon(FiniteLattice([4, 2], whole.basis, line.basis)) == _canon(whole)
+    assert _canon(FiniteLattice([4, 2], line.basis, zero.basis)) == _canon(line)
+    # the annihilators under x0 y0 / 4 + x1 y1 / 2 reverse the order, and
+    # live over the reversed coordinates
+    assert whole.annihilator().moduli == (2, 4)
+    assert _canon(whole.annihilator()) == _canon(_reversed(zero))
+    assert _canon(zero.annihilator()) == _canon(_reversed(whole))
     perp = line.annihilator()
-    assert perp.basis == FiniteLattice([4, 2], [[1, 1]]).basis
-    assert perp.annihilator().basis == line.basis
+    assert _canon(perp) == _canon(_reversed(FiniteLattice([4, 2], [[1, 1]])))
+    assert perp.annihilator().moduli == (4, 2)
+    assert _canon(perp.annihilator()) == _canon(line)
     assert line.order() * perp.order() == whole.order()
 
 
@@ -596,11 +609,20 @@ def test_lattice_image_and_preimage_are_adjoint_on_an_example():
     image = FiniteLattice([4, 2], [[2, 0]])
     assert image.order() == 2
     kernel = FiniteLattice([4, 2], [[2, 0], [0, 1]])
-    assert image.annihilator().basis == kernel.basis
-    assert kernel.annihilator().basis == image.basis
+    assert _canon(image.annihilator()) == _canon(_reversed(kernel))
+    assert _canon(kernel.annihilator()) == _canon(_reversed(image))
     assert image.order() * kernel.order() == whole.order()
-    assert whole.closure(doubling).basis == whole.basis
+    assert _canon(whole.closure(doubling)) == _canon(whole)
     assert FiniteLattice([4, 2], [[0, 1]]).closure(doubling).order() == 2
+
+
+def test_lattice_moduli_must_be_positive():
+    for moduli in ([0, 2], [-4, 2], [4, 2, -1]):
+        bad = next(m for m in moduli if m < 1)
+        with pytest.raises(UsageError, match=f"modulus {bad} at column {moduli.index(bad)}"):
+            FiniteLattice(moduli, [[1] * len(moduli)])
+    # hnf keeps 0 as the free column
+    assert hnf([[1, 1]], [0, 2]) == [[1, 1], [0, 2]]
 
 
 def _reference_hnf(rows):
@@ -647,9 +669,9 @@ def _moduli_and_rows(choices, batches):
 def test_lattice_basis_is_the_hermite_form(case):
     moduli, rows = case
     x = FiniteLattice(moduli, rows)
-    assert x.basis == tuple(map(tuple, _reference_hnf(rows + _diag(moduli))))
+    assert _canon(x) == _reference_hnf(rows + _diag(moduli))
     perp = x.annihilator()
-    assert perp.annihilator().basis == x.basis
+    assert _canon(perp.annihilator()) == _canon(x)
     assert x.order() * perp.order() == prod(moduli)
 
 
@@ -661,6 +683,107 @@ def test_hnf_with_moduli_is_the_hermite_form_of_the_rows_and_diagonal(case):
     basis = hnf(rows, moduli)
     assert basis == _reference_hnf(rows + _diag(moduli))
     assert hnf(more, moduli, basis) == _reference_hnf(rows + more + _diag(moduli))
+
+
+def _images(rows, action, moduli):
+    out = []
+    for r in rows:
+        img = [0] * len(moduli)
+        for x, pairs in zip(r, action):
+            for j, a in pairs:
+                img[j] += x * a
+        out.append([v % m for v, m in zip(img, moduli)])
+    return out
+
+
+def _reference_closure(rows, action, moduli):
+    """X + phi X + phi^2 X + ... as a fixpoint of _reference_hnf."""
+    basis = _reference_hnf(rows + _diag(moduli))
+    while True:
+        grown = _reference_hnf(basis + _images(basis, action, moduli))
+        if grown == basis:
+            return basis
+        basis = grown
+
+
+def _dual_columns(h, moduli):
+    """The columns of diag(moduli) H^-1 for a square Hermite basis H."""
+    n = len(moduli)
+    cols = [[0] * n for _ in range(n)]
+    for i, m in enumerate(moduli):
+        rest = [Fraction(m if k == i else 0) for k in range(n)]
+        for j in range(i, n):
+            c = rest[j] / h[j][j]
+            assert c.denominator == 1
+            cols[j][i] = int(c)
+            rest = [x - c * y for x, y in zip(rest, h[j])]
+    return cols
+
+
+def _back(x):
+    """Rows of a lattice over reversed coordinates, read in the original ones."""
+    return [list(r[::-1]) for r in x.basis]
+
+
+def _homomorphic_action(moduli, ks):
+    # e_i maps to sum a_ij e_j with a_ij m_i = 0 mod m_j
+    n = len(moduli)
+    return [[(j, ks[i * n + j] * (moduli[j] // gcd(moduli[i], moduli[j])) % moduli[j])
+             for j in range(n)] for i in range(n)]
+
+
+def _reversed_dual(action, moduli):
+    n = len(moduli)
+    dual = [[] for _ in moduli]
+    for i, pairs in enumerate(action):
+        for j, a in pairs:
+            dual[j].append((i, a * moduli[i] // moduli[j]))
+    return dual, [[(n - 1 - i, c) for i, c in dual[n - 1 - j]] for j in range(n)]
+
+
+@given(_moduli_and_rows([2, 3, 4, 8, 9, 27], 1).flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(st.integers(0, 26), min_size=len(case[0]) ** 2,
+                            max_size=len(case[0]) ** 2))))
+@settings(max_examples=200, deadline=None)
+def test_closure_and_annihilator_match_the_reference(case):
+    (moduli, rows), ks = case
+    action = _homomorphic_action(moduli, ks)
+    x = FiniteLattice(moduli, rows)
+    upper = x.closure(action)
+    assert _canon(upper) == _reference_closure(rows, action, moduli)
+    assert _canon(FiniteLattice(moduli, _images(upper.basis, action, moduli),
+                                upper.basis)) == _canon(upper)
+    # the annihilator, read back in the original coordinates, is the
+    # lattice of the columns of diag(m) H^-1
+    perp = x.annihilator()
+    h = _reference_hnf(rows + _diag(moduli))
+    assert _reference_hnf(_back(perp) + _diag(moduli)) == \
+        _reference_hnf(_dual_columns(h, moduli) + _diag(moduli))
+    assert x.order() * perp.order() == prod(moduli)
+    # the dual map acts on annihilators over the reversed coordinates
+    dual, rdual = _reversed_dual(action, moduli)
+    closed = perp.closure(rdual)
+    assert _reference_hnf(_back(closed) + _diag(moduli)) == \
+        _reference_closure(_back(perp), dual, moduli)
+    # X_phi, the annihilator of that closure, is a phi-invariant part of X
+    lower = closed.annihilator()
+    assert _reference_hnf(h + [list(r) for r in lower.basis]) == h
+    assert _canon(lower.closure(action)) == _canon(lower)
+
+
+def test_closure_of_an_annihilator_row_with_a_full_pivot_and_a_tail():
+    # X = {(2a, b)} in Z/4 x Z/8 keeps the unreduced basis ((2, 5), (0, 1)),
+    # so diag(4, 8) H^-1 has the column (-10, 8): over the reversed moduli
+    # (8, 4) the annihilator row (8, -10) has pivot 8 = m_0, a tail, and
+    # carries the element (0, 2)
+    x = FiniteLattice([4, 8], [[2, 5], [2, 4]])
+    assert x.basis == ((2, 5), (0, 1))
+    perp = x.annihilator()
+    assert (perp.moduli, perp.basis) == ((8, 4), ((8, -10), (0, 2)))
+    # e_1 -> 2 e_0 carries (0, 2) to (4, 0)
+    closed = perp.closure([[], [(0, 2)]])
+    assert _canon(closed) == _canon(FiniteLattice((8, 4), [[0, 2], [4, 0]]))
+    assert closed.order() == 4
 
 
 def _reference_fs(group, phi, levels):
@@ -706,11 +829,13 @@ def _random_shadow_maps(group, rng, count):
                for _, b in group.blocks if isinstance(b, Prufer)}
         fin = {}
         if rng.random() < 0.6:
+            # a finite map from a p-block reaches only p-blocks, and a
+            # divisible p-value is some k / p^2
             name, b = rng.choice([(n, b) for n, b in group.blocks
                                   if isinstance(b, Cyclic)])
-            target, tb = rng.choice(group.blocks)
+            target, tb = rng.choice([(n, c) for n, c in group.blocks if c.prime == b.prime])
             value = (rng.randrange(tb.prime ** tb.exp) if isinstance(tb, Cyclic)
-                     else F(rng.randrange(1, 4), 4))
+                     else F(rng.randrange(1, tb.prime ** 2), tb.prime ** 2))
             size = tb.mult if isinstance(tb, Cyclic) else tb.copies
             fin[("c", name, 0)] = Element(group, {(target, 0 if size == 1 else 1): value})
         phi = Endo(group, cyc=cyc, div=div, fin=fin)
@@ -720,8 +845,13 @@ def _random_shadow_maps(group, rng, count):
 
 
 def test_fs_profile_matches_element_set_closures():
+    # the last two groups interleave p- and q-columns, so the reversed
+    # coordinates of the dual map meet both primes
     rng = random.Random(20261018)
-    groups = (OMEGA2, CRIT, GroupDesc([("A", Cyclic(2, 2, 2)), ("D", Prufer(2, 1))]))
+    groups = (OMEGA2, CRIT, GroupDesc([("A", Cyclic(2, 2, 2)), ("D", Prufer(2, 1))]),
+              GroupDesc([("B", Cyclic(2, 1, OMEGA)), ("D", Prufer(3, 1))]),
+              GroupDesc([("B", Cyclic(3, 1, OMEGA)), ("A", Cyclic(2, 2, 1)),
+                         ("D", Prufer(2, 1))]))
     for group in groups:
         for phi in _random_shadow_maps(group, rng, 5):
             assert truncate(group, 3).group.order() <= 4096
