@@ -468,7 +468,8 @@ def hnf_insert(slots: list[Sequence[int] | None], row: Sequence[int],
             continue
         slot = slots[i]
         if slot is None:
-            slots[i] = v if x > 0 else [-a % m if m else -a for a, m in zip(v, moduli)]
+            sign = 1 if x > 0 else -1
+            slots[i] = [sign * a % m if m else sign * a for a, m in zip(v, moduli)]
             return True
         p = slot[i]
         cols = list(zip(slot[i:], v[i:], moduli[i:]))

@@ -774,8 +774,9 @@ def test_closure_and_annihilator_match_the_reference(case):
 def test_closure_of_an_annihilator_row_with_a_full_pivot_and_a_tail():
     # X = {(2a, b)} in Z/4 x Z/8 keeps the unreduced basis ((2, 5), (0, 1)),
     # so diag(4, 8) H^-1 has the column (-10, 8): over the reversed moduli
-    # (8, 4) the annihilator row (8, -10) has pivot 8 = m_0, a tail, and
-    # carries the element (0, 2)
+    # (8, 4) the annihilator row (8, -10) has pivot 8 = m_0 and a tail.
+    # The closure queues it; its element (0, 2) is that of its tail, which
+    # the rows below it span, so its image must add nothing new
     x = FiniteLattice([4, 8], [[2, 5], [2, 4]])
     assert x.basis == ((2, 5), (0, 1))
     perp = x.annihilator()
