@@ -63,7 +63,7 @@ from .linmap import (
     ExactMatrix, count_subspaces, growth_bound_check, max_inert_codim,
 )
 from .oracle import (
-    enumerate_subgroups, fs_profiles, index_in_sums, inertness_profiles,
+    ProbeRows, enumerate_subgroups, fs_profiles, inertness_profiles,
     truncate_endo, witness_search,
 )
 
@@ -771,8 +771,8 @@ def _run_decompose(config: SessionConfig, parsed: ParsedInput) -> dict:
 def _exhaustive_views(group: GroupDesc, phis: Sequence[Endo]) -> list[dict]:
     """Each map's worst index over every subgroup of the level-2 shadow.
 
-    The subgroups are listed once, and each is presented and reduced
-    once for all of the maps.
+    The subgroups are listed once, and each map is applied once per unit
+    of the shadow; every subgroup is measured on those probe rows.
     """
     shadow = truncate(group, 2)
     order = shadow.group.order()
@@ -782,8 +782,8 @@ def _exhaustive_views(group: GroupDesc, phis: Sequence[Endo]) -> list[dict]:
         subs = enumerate_subgroups(shadow.group, limit=4096)
     except UsageError as exc:
         return [{"skipped": str(exc)} for _ in phis]
-    psis = [truncate_endo(phi, shadow) for phi in phis]
-    worst = [max(col) for col in zip(*(index_in_sums(s, psis) for s in subs))]
+    flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
+    worst = [max(col) for col in zip(*(flat.indices(s) for s in subs))]
     return [{"level": 2, "subgroups": len(subs), "max_index": _jv(w)} for w in worst]
 
 

@@ -21,11 +21,12 @@ matrix keyed by (source, target) pairs: pairs of divisible coordinates
 for ``div``, pairs of indices into the block for ``cyc``.  ``div``
 scalars and entries are p-integral rationals, ``cyc`` ones residues.
 A matrix needs finitely many coordinates; on an OMEGA block only the
-scalar form is valid.  Three helpers carry every slot operation:
+scalar form is valid.  Four helpers carry every slot operation:
 ``_fold`` turns c times the identity into the scalar c and zero into
-no slot, ``_expand`` turns a scalar back into its matrix, and
+no slot, ``_expand`` turns a scalar back into its matrix,
 ``_diagonal`` reads the scalar of a scalar-shaped matrix, which also
-serves the ``tf`` diagonal.
+serves the ``tf`` diagonal, and ``_line`` lists one row or column of a
+slot, as ``apply`` and ``compose`` read it.
 
 The constructor canonicalizes: zero entries vanish, slots fold,
 in-block corrections on finite cyclic blocks are absorbed into the
@@ -137,6 +138,14 @@ def _fold(g: GroupDesc, field: str, key, val):
         scalar = None if keys is None else _diagonal(val, keys, 0)
         val = val if scalar is None else scalar
     return val or None
+
+
+def _line(val, key, col: bool = False) -> list:
+    """The entries of a slot along row key, or along column key when col
+    is set, as pairs (the other coordinate, entry); [] for no slot."""
+    if isinstance(val, dict):
+        return [(pair[not col], c) for pair, c in val.items() if pair[col] == key]
+    return [(key, val)] if val else []
 
 
 def _expand(val, keys, label: str) -> dict:
@@ -351,8 +360,11 @@ class Endo:
                 and self.tau == other.tau and self.fin == other.fin)
 
     def __hash__(self) -> int:
-        return hash((self.group, self.free_scalar, len(self.tf),
-                     len(self.cyc), len(self.fin)))
+        # the canonical contents; nothing writes the fields after __init__
+        return hash((self.group, self.free_scalar) + tuple(
+            frozenset((k, frozenset(v.items()) if isinstance(v, dict) else v)
+                      for k, v in getattr(self, label).items())
+            for label in ("tf", "div", "cyc", "tau", "fin")))
 
     def __bool__(self) -> bool:
         return bool(self.tf or self.free_scalar or self.div or self.cyc
@@ -461,21 +473,11 @@ def apply(phi: Endo, x: Element) -> Element:
                 put(coord, phi.free_scalar * v)
             # matrix action handled below over all tf entries
         elif isinstance(b, Cyclic):
-            val = phi.cyc.get(name)
-            if isinstance(val, int):
-                put(coord, v * val)
-            elif isinstance(val, dict):
-                for (i, j), c in val.items():
-                    if i == coord[1]:
-                        put((name, j), v * c)
+            for j, c in _line(phi.cyc.get(name), coord[1]):
+                put((name, j), v * c)
         else:  # Prufer
-            val = phi.div.get(b.prime)
-            if isinstance(val, Fraction):
-                put(coord, _prufer_scale(val, v, b.prime))
-            elif isinstance(val, dict):
-                for (s, d), c in val.items():
-                    if s == coord:
-                        put(d, _prufer_scale(c, v, b.prime))
+            for d, c in _line(phi.div.get(b.prime), coord):
+                put(d, _prufer_scale(c, v, b.prime))
     for (s, d), c in phi.tf.items():
         v = x.coeffs.get(s)
         if v:
@@ -583,13 +585,8 @@ def compose(a: Endo, b: Endo) -> Endo:
     for key, img in a.fin.items():
         if key[0] == "c":
             _, name, idx = key
-            val = b.cyc.get(name)
-            if isinstance(val, int):
-                fin.append((key, img.scale(val)))
-            elif isinstance(val, dict):
-                for (i, j), c in val.items():
-                    if j == idx:
-                        fin.append((("c", name, i), img.scale(c)))
+            for i, c in _line(b.cyc.get(name), idx, col=True):
+                fin.append((("c", name, i), img.scale(c)))
         else:
             _, copy, w = key
             if copy[0] == free:

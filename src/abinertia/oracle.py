@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -35,7 +35,7 @@ from .inertia import (
 
 __all__ = [
     "FGSubgroup", "InertnessEvidence", "WitnessFamily", "FiniteLattice",
-    "index_in_sum", "index_in_sums", "naive_index_in_sum",
+    "index_in_sum", "ProbeRows", "naive_index_in_sum",
     "enumerate_subgroups", "sample_subgroups", "truncate_endo",
     "inertness_profile", "inertness_profiles", "fs_profile", "fs_profiles",
     "witness_search",
@@ -82,69 +82,61 @@ class WitnessFamily:
 # ---------------------------------------------------------------------------
 # exact index of H in H + phi(H)
 
-def _presentation(group: GroupDesc,
-                  gens: Sequence[Element]) -> tuple[list[list[int]], list[int]]:
-    """Integer vectors for the generators, plus one modulus per column.
+def _columns(group: GroupDesc,
+             elements: Iterable[Element]) -> tuple[list[Coord], list[int], list[int]]:
+    """The coordinates the elements reach, with one scale and one modulus each.
 
-    Every column is scaled to an integer coordinate: torsion-free values
-    are multiplied through by the common denominator and get modulus 0
-    (a free column), divisible values a/p^j become a * p^(J-j) modulo
-    the deepest layer p^J in play, and cyclic values stay as they are,
-    modulo the block's order.  Python ints have a numerator and a
-    denominator too, so one scaling covers all three kinds of block.
+    The coordinates come in block order.  Every column is scaled to an
+    integer coordinate: torsion-free values are multiplied through by
+    the common denominator and get modulus 0 (a free column), divisible
+    values a/p^j become a * p^(J-j) modulo the deepest layer p^J in
+    play, and cyclic values stay as they are, modulo the block's order.
+    Python ints have a numerator and a denominator too, so one scaling,
+    _scaled, covers all three kinds of block.
     """
-    cols = sorted({c for g in gens for c in g.coeffs})
-    table = [[g.coeffs.get(c, 0) for c in cols] for g in gens]
+    dens: dict[Coord, list[int]] = {}
+    for x in elements:
+        for c, v in x.coeffs.items():
+            dens.setdefault(c, []).append(v.denominator)
+    place = {name: k for k, (name, _) in enumerate(group.blocks)}
+    cols = sorted(dens, key=lambda c: (place[c[0]], c[1]))
     scales, moduli = [], []
-    for c, vals in zip(cols, zip(*table)):
+    for c in cols:
         b = group.block(c[0])
         if isinstance(b, Cyclic):
             scale, m = 1, b.prime ** b.exp
         elif isinstance(b, Prufer):
-            scale = m = max(v.denominator for v in vals)
+            scale = m = max(dens[c])
         else:
-            scale, m = lcm(*(v.denominator for v in vals)), 0
+            scale, m = lcm(*dens[c]), 0
         scales.append(scale)
         moduli.append(m)
-    rows = [[v.numerator * (k // v.denominator) for v, k in zip(row, scales)]
-            for row in table]
-    return rows, moduli
+    return cols, scales, moduli
+
+
+def _scaled(v: int | Fraction, scale: int) -> int:
+    return v.numerator * (scale // v.denominator)
 
 
 def _leads(basis: Sequence[Sequence[int]]) -> list[int]:
     return [next(j for j, x in enumerate(row) if x) for row in basis]
 
 
-def index_in_sums(sub: FGSubgroup, phis: Sequence[Endo]) -> list[Nat]:
-    """index_in_sum of sub under each map in phis, presenting H once.
+def _indices(rows_h: Sequence[Sequence[int]], images: Sequence[Sequence[Sequence[int]]],
+             moduli: Sequence[int]) -> list[Nat]:
+    """|H + K : H| for the lattice H of rows_h and each K of images.
 
-    One presentation covers the generators of H and the nonzero images
-    under every map, and H is reduced once; each map then inserts only
-    its own images into H's Hermite basis.  Each index equals what a
-    presentation over H and that map's images alone gives:
-
-    * a column that only other maps reach holds m e_c in both bases, or
-      no pivot if it is free, so it adds a factor of 1;
-    * a divisible column's modulus is the largest denominator over all
-      the rows, and embedding (1/p^j)Z/Z into Z/p^J is injective;
-    * a free column's scale is the lcm of all its denominators, and
-      scaling by a positive integer is injective.
+    H is reduced once and each list of image rows is inserted into its
+    Hermite basis.  An index is INF exactly when the torsion-free rank
+    jumps; otherwise H and H + K span one rational space, their Hermite
+    bases share pivot columns, and the index is the product of the
+    pivots of H over the product of the pivots of H + K.
     """
-    if any(phi.group != sub.group for phi in phis):
-        raise UsageError("the endomorphism acts on a different group")
-    hs = [g for g in sub.generators if g]
-    images = [[im for im in (apply(phi, g) for g in hs) if im] for phi in phis]
-    ks = hs + [im for ims in images for im in ims]
-    if not ks:
-        return [1] * len(phis)
-    rows, moduli = _presentation(sub.group, ks)
-    basis_h = hnf(rows[:len(hs)], moduli)
+    basis_h = hnf(rows_h, moduli)
     lead = _leads(basis_h)
     out: list[Nat] = []
-    start = len(hs)
     for ims in images:
-        basis_k = hnf(rows[start:start + len(ims)], moduli, basis_h)
-        start += len(ims)
+        basis_k = hnf(ims, moduli, basis_h)
         if len(basis_h) < len(basis_k):
             out.append(INF)
             continue
@@ -162,15 +154,124 @@ def index_in_sums(sub: FGSubgroup, phis: Sequence[Endo]) -> list[Nat]:
 def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
     """Exact index |H + phi(H) : H| for a finitely generated H.
 
-    Both subgroups are presented as integer lattices over the involved
-    coordinates, torsion columns kept modulo their orders.  H is reduced
-    once and the images are inserted into its Hermite basis.  The index
-    is INF exactly when the torsion-free rank jumps; otherwise H and
-    H + phi(H) span one rational space, their Hermite bases share pivot
-    columns, and the index is the product of the pivots of H over the
-    product of the pivots of H + phi(H).
+    phi is applied to each generator, and both subgroups are presented
+    as integer lattices over the coordinates they reach (_columns),
+    torsion columns kept modulo their orders.  This is the reference for
+    ProbeRows, which the profiles and the CLI measure with, and the
+    measure of witness_search.
     """
-    return index_in_sums(sub, [phi])[0]
+    if phi.group != sub.group:
+        raise UsageError("the endomorphism acts on a different group")
+    hs = [g for g in sub.generators if g]
+    ims = [im for im in (apply(phi, g) for g in hs) if im]
+    cols, scales, moduli = _columns(sub.group, hs + ims)
+    rows = [[_scaled(x.coeffs.get(c, 0), k) for c, k in zip(cols, scales)] for x in hs + ims]
+    return _indices(rows[:len(hs)], [rows[len(hs):]], moduli)[0]
+
+
+class ProbeRows:
+    """Each map's image of one probe per coordinate, as scaled integer rows.
+
+    A probe is the unit e_c on a cyclic coordinate, (1/p^J) e_c on a
+    divisible one and (1/prod q^2) e_c on a torsion-free one, q running
+    over the primes of its block.  With a depth J the probes are taken
+    over the coordinates below _width(b, J); with none the group must be
+    finite, and every unit of its flat space is a probe.  Each map is
+    applied to each probe once, here, and nowhere else in the profiles.
+
+    The presentation is fixed here for all measurements: the columns are
+    the coordinates that the probes and their images reach, in block
+    order, scaled and reduced as _columns says over all those entries.
+    indices() writes each generator as sum n_c probe_c, each n_c an
+    exact integer quotient, and its image as sum n_c phi(probe_c).  phi
+    is additive, so that is phi of the generator, and no more than that
+    is assumed: the map stays an opaque function.  Each index equals
+    index_in_sum's, whose presentation covers only one subgroup and its
+    images under one map:
+
+    * a column that only other maps' images reach holds m e_c in both
+      bases, or no pivot if it is free, so it adds a factor of 1;
+    * a divisible column's modulus is the largest denominator over all
+      the probe rows, and embedding (1/p^j)Z/Z into Z/p^J is injective;
+    * a free column's scale is the lcm of all its denominators, and
+      scaling by a positive integer is injective.
+    """
+
+    __slots__ = ("group", "columns", "moduli", "images", "_probes")
+
+    def __init__(self, group: GroupDesc, phis: Sequence[Endo], depth: int | None = None):
+        if any(phi.group != group for phi in phis):
+            raise UsageError("the endomorphism acts on a different group")
+        if depth is None:
+            coords, _ = _flat_space(group)
+        else:
+            coords = [(name, i) for name, b in group.blocks for i in range(_width(b, depth))]
+        units = []
+        for name, i in coords:
+            b = group.block(name)
+            units.append(Element.unit(
+                group, name, i,
+                Fraction(1, b.prime ** depth) if isinstance(b, Prufer)
+                else Fraction(1, prod(q * q for q in b.primes)) if isinstance(b, TorsionFree)
+                else 1))
+        images = [[apply(phi, u) for u in units] for phi in phis]
+        cols, scales, self.moduli = _columns(group, units + [im for ims in images for im in ims])
+        index = {c: j for j, c in enumerate(cols)}
+
+        def pairs(x: Element) -> list[tuple[int, int]]:
+            return [(index[c], _scaled(v, scales[index[c]])) for c, v in x.coeffs.items()]
+
+        self.group = group
+        self.columns = cols
+        # images[k][i]: the row of map k's image of probe i, as (column, entry) pairs
+        self.images = [[pairs(im) for im in ims] for ims in images]
+        self._probes = {
+            c: (index[c], _scaled(u.coeffs[c], scales[index[c]]), u.coeffs[c].denominator,
+                [rows[i] for rows in self.images])
+            for i, (c, u) in enumerate(zip(coords, units))}
+
+    def indices(self, sub: FGSubgroup) -> list[Nat]:
+        """|H + phi(H) : H| of sub under each map, from the probe rows.
+
+        Each generator's multiplier n_c on a probe must be an integer,
+        else this raises.  The Hermite step runs over the columns that H
+        and the images touch, not over all of the columns.
+        """
+        if sub.group != self.group:
+            raise UsageError("the subgroup lives in a different group")
+        moduli = self.moduli
+        rows: list[dict[int, int]] = []
+        images: list[list[dict[int, int]]] = [[] for _ in self.images]
+        for g in sub.generators:
+            row: dict[int, int] = {}
+            sums: list[dict[int, int]] = [{} for _ in self.images]
+            for c, v in g.coeffs.items():
+                probe = self._probes.get(c)
+                if probe is None:
+                    raise UsageError(f"coordinate {c[0]}.{c[1]} has no probe")
+                col, unit, den, per_map = probe
+                n, rest = divmod(v.numerator * den, v.denominator)
+                if rest:
+                    raise UsageError(f"{v} at {c[0]}.{c[1]} is not a multiple of its probe")
+                row[col] = n * unit
+                for acc, probe_image in zip(sums, per_map):
+                    for j, a in probe_image:
+                        acc[j] = acc.get(j, 0) + n * a
+            if row:
+                rows.append(row)
+            for out, acc in zip(images, sums):
+                im = {}
+                for j, x in acc.items():
+                    if moduli[j]:
+                        x %= moduli[j]
+                    if x:
+                        im[j] = x
+                if im:
+                    out.append(im)
+        cols = sorted({j for r in chain(rows, *images) for j in r})
+        return _indices([[r.get(j, 0) for j in cols] for r in rows],
+                        [[[r.get(j, 0) for j in cols] for r in ims] for ims in images],
+                        [moduli[j] for j in cols])
 
 
 def _span(group: GroupDesc, gens: Sequence[Element]) -> set[Element]:
@@ -490,13 +591,16 @@ def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
 
     The levels are the outer loop and the maps the inner one.  Each level
     truncates the group, lists the shadow prelude and draws the samples
-    once for all maps, from one stream of random draws per call.  Each
-    subgroup is presented and reduced once for all maps (index_in_sums).
-    Each distinct untruncated sample is looked up once per level and
-    measured once per map per call.  The memo holds one index per map for
-    each distinct sample and lives only as long as the call.  A map's
-    evidence is what the singular call gives, whichever maps share the
-    call.
+    once for all maps, from one stream of random draws per call.  Every
+    subgroup is measured on probe rows (ProbeRows): each map is applied
+    once per probe of each level's shadow and once per probe of the
+    untruncated group, at depth max(top level, _TAIL_WINDOW), and never
+    to a generator, so the number of applications does not grow with
+    samples.  Each distinct untruncated sample is looked up once per
+    level and measured once per call.  The memo holds one index per map
+    for each distinct sample and lives only as long as the call.  A
+    map's evidence is what the singular call gives, whichever maps share
+    the call.
     """
     if any(phi.group != group for phi in phis):
         raise UsageError("the endomorphism acts on a different group")
@@ -508,18 +612,19 @@ def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
     families: set[str] = set()  # the labels depend on the group alone
     draws = _Draws(group, seed)
     measured: dict[tuple[Element, ...], list[Nat]] = {}
+    probes = ProbeRows(group, phis, max(lv[-1], _TAIL_WINDOW))
     for level in lv:
         worst: list[Nat] = [1] * len(phis)
         if has_torsion:
             shadow = truncate(group, level)
-            psis = [truncate_endo(phi, shadow) for phi in phis]
+            flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
             for s in _prelude(shadow.group, level):
-                worst = [_nat_max(w, v) for w, v in zip(worst, index_in_sums(s, psis))]
+                worst = [_nat_max(w, v) for w, v in zip(worst, flat.indices(s))]
                 families.add(s.label.split()[0])
         for s in sample_subgroups(group, samples, seed, level, _draws=draws):
             found = measured.get(s.generators)
             if found is None:
-                found = measured[s.generators] = index_in_sums(s, phis)
+                found = measured[s.generators] = probes.indices(s)
             worst = [_nat_max(w, v) for w, v in zip(worst, found)]
             families.add(s.label.split()[0])
         for row, w in zip(per, worst):
@@ -636,25 +741,28 @@ def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
     return coords, [b.prime ** b.exp for _, b in group.blocks for _ in range(b.mult)]
 
 
-def _shadow_action(psi: Endo, coords: Sequence[Coord],
-                   moduli: Sequence[int]) -> tuple[list, list]:
-    """The flat action of a shadow map and its dual, as pair lists.
+def _shadow_action(flat: ProbeRows) -> list[tuple[list, list]]:
+    """Each shadow map's flat action and its dual, as pair lists.
 
-    The dual acts on annihilators, which live over the reversed
+    flat holds the probe rows of every unit of a finite shadow, so its
+    columns are the flat coordinates and each map's probe rows are its
+    action: images[k][i] lists the pairs (j, a) of map k's image of
+    e_i.  The dual acts on annihilators, which live over the reversed
     coordinates (see FiniteLattice.annihilator), so it is written there:
     e_j of the original coordinates is e_(n-1-j) of the reversed ones.
     """
-    index = {c: i for i, c in enumerate(coords)}
-    action = [[(index[d], a) for d, a in apply(psi, Element.unit(psi.group, *c)).coeffs.items()]
-              for c in coords]
-    n = len(coords)
-    dual: list[list[tuple[int, int]]] = [[] for _ in coords]
-    for i, images in enumerate(action):
-        for j, a in images:
-            if a * moduli[i] % moduli[j]:
-                raise AssertionError("the shadow map is not a homomorphism")
-            dual[n - 1 - j].append((n - 1 - i, a * moduli[i] // moduli[j]))
-    return action, dual
+    moduli = flat.moduli
+    n = len(moduli)
+    out = []
+    for action in flat.images:
+        dual: list[list[tuple[int, int]]] = [[] for _ in moduli]
+        for i, images in enumerate(action):
+            for j, a in images:
+                if a * moduli[i] % moduli[j]:
+                    raise AssertionError("the shadow map is not a homomorphism")
+                dual[n - 1 - j].append((n - 1 - i, a * moduli[i] // moduli[j]))
+        out.append((action, dual))
+    return out
 
 
 def fs_profiles(group: GroupDesc, phis: Sequence[Endo],
@@ -680,8 +788,9 @@ def fs_profiles(group: GroupDesc, phis: Sequence[Endo],
     reports: list[dict[int, int]] = [{} for _ in phis]
     for level in lv:
         shadow = truncate(group, level)
-        coords, moduli = _flat_space(shadow.group)
-        maps = [_shadow_action(truncate_endo(phi, shadow), coords, moduli) for phi in phis]
+        flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
+        coords, moduli = flat.columns, flat.moduli
+        maps = _shadow_action(flat)
         worst = [1] * len(phis)
         total = prod(moduli)
         for s in _prelude(shadow.group, level):

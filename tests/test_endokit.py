@@ -307,6 +307,30 @@ def test_ring_laws_in_normal_form(a, b, c):
     assert compose(a, one) == a == compose(one, a)
 
 
+def test_hash_reads_the_canonical_contents():
+    v0, c01 = (("V", 0), ("V", 0)), (0, 1)
+    rng = random.Random(16)
+    for _ in range(40):
+        a, b, k = rng.randint(1, 7), rng.randint(1, 2), rng.randint(0, 1)
+        base = Endo(RICH, tf={v0: F(a, 2)}, cyc={"C": {c01: b}},
+                    fin=[(("c", "B", 0), {("D", 0): F(1, 2), ("B", 1 + k): 1})])
+        assert validate(base) == []
+        # the same map through other input: scalar sugar, a correction in
+        # two parts, and the ring operations
+        same = Endo(RICH, tf=F(a, 2), cyc={"C": {c01: b + 4, (1, 1): 0}},
+                    fin=[(("c", "B", 0), {("B", 1 + k): 1}),
+                         (("c", "B", 0), {("D", 0): F(1, 2)})])
+        assert same == base and hash(same) == hash(base)
+        again = compose(add(base, zero_endo(RICH)), identity_endo(RICH))
+        assert again == base and hash(again) == hash(base)
+        # one entry changed: a tf, a cyc and a fin value
+        for other in (Endo(RICH, tf={v0: F(a + 1, 2)}, cyc=base.cyc, fin=base.fin),
+                      Endo(RICH, tf=base.tf, cyc={"C": {c01: 3 - b}}, fin=base.fin),
+                      Endo(RICH, tf=base.tf, cyc=base.cyc,
+                           fin=[(("c", "B", 0), {("D", 0): F(1, 2), ("B", 2 + k): 1})])):
+            assert other != base and hash(other) != hash(base)
+
+
 # ---------------------------------------------------------------------------
 # predicates and receipts
 

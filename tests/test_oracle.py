@@ -1,5 +1,8 @@
 """Exact subgroup indices, profiles, and witness families."""
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -22,12 +25,13 @@ from abinertia.inertia import (
     Violation, is_inertial,
 )
 from abinertia.oracle import (
-    FGSubgroup, FiniteLattice, enumerate_subgroups, fs_profile, index_in_sum,
+    FGSubgroup, FiniteLattice, ProbeRows, enumerate_subgroups, fs_profile, index_in_sum,
     inertness_profile, naive_index_in_sum, sample_subgroups, truncate_endo,
     witness_search,
 )
 from abinertia.oracle import _TAIL_WINDOW, _nat_max, _prelude, _span, _width
 from conftest import GROUPS, INERTIAL, ORACLE_CASES
+from test_endokit import rich_endos
 
 F = Fraction
 
@@ -130,25 +134,119 @@ def _map_sets():
     return out
 
 
-def _shared(sub, phis):
-    """index_in_sums over all of phis, checked against one call per map."""
-    out = oracle.index_in_sums(sub, phis)
-    assert out == [oracle.index_in_sums(sub, [phi])[0] for phi in phis], sub
+def _shared(sub, phis, depth=None):
+    """ProbeRows' indices under all of phis, checked against index_in_sum per map."""
+    out = ProbeRows(sub.group, phis, depth).indices(sub)
+    assert out == [index_in_sum(sub, phi) for phi in phis], sub
     return out
 
 
 def test_shared_indices_equal_the_singleton_indices():
     mixed = 0
     for group, phis in _map_sets():
-        cases = [(s, phis) for s in sample_subgroups(group, 16, seed=3, depth=3)]
+        cases = [(s, phis, 3) for s in sample_subgroups(group, 16, seed=3, depth=3)]
         if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
             shadow = truncate(group, 3)
             psis = [truncate_endo(phi, shadow) for phi in phis]
-            cases += [(s, psis) for s in _prelude(shadow.group, 3)]
-        for s, maps in cases:
-            found = {is_finite(v) for v in _shared(s, maps)}
+            cases += [(s, psis, None) for s in _prelude(shadow.group, 3)]
+        for s, maps, depth in cases:
+            found = {is_finite(v) for v in _shared(s, maps, depth)}
             mixed += found == {True, False}
     assert mixed  # one call where one map gives INF and another does not
+
+
+def _assert_probe_rows_match(group, phis, levels, samples, seed):
+    """Probe-row indices against index_in_sum on every shadow prelude
+    subgroup and every sample (prelude and random) at each level; returns
+    the number of subgroups compared."""
+    probes = ProbeRows(group, phis, max(levels[-1], _TAIL_WINDOW))
+    seen, compared = set(), 0
+    for level in levels:
+        if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
+            shadow = truncate(group, level)
+            psis = [truncate_endo(phi, shadow) for phi in phis]
+            flat = ProbeRows(shadow.group, psis)
+            for s in _prelude(shadow.group, level):
+                assert flat.indices(s) == [index_in_sum(s, psi) for psi in psis], (level, s)
+                compared += 1
+        for s in sample_subgroups(group, samples, seed, depth=level):
+            if s.generators not in seen:  # the random tail repeats across levels
+                seen.add(s.generators)
+                assert probes.indices(s) == [index_in_sum(s, phi) for phi in phis], (level, s)
+                compared += 1
+    return compared
+
+
+def test_probe_rows_match_the_reference_on_the_corpus_and_the_families():
+    compared = 0
+    for parsed in CORPUS:
+        compared += _assert_probe_rows_match(parsed.group, list(parsed.endos.values()),
+                                             (1, 2, 4, 8), 16, 5)
+    for key, fam in sorted(INERTIAL.items()):
+        compared += _assert_probe_rows_match(GROUPS[key], [phi for _, phi in sorted(fam.items())],
+                                             (1, 2, 4, 8), 16, 5)
+    assert compared > 1000
+
+
+# Z^(omega) + two Prufer 2-copies + Z[1/2] + (Z/2)^(omega): a free omega
+# block, a divisible matrix, tau into either copy and a correction on the
+# free block, next to the parts that rich_endos covers
+WIDE = GroupDesc([("L", TorsionFree(frozenset(), OMEGA)), ("D", Prufer(2, 2)),
+                  ("V", TorsionFree(frozenset({2}), 1)), ("B", Cyclic(2, 1, OMEGA))])
+
+
+@st.composite
+def wide_endos(draw):
+    small = st.integers(-3, 3)
+    div = {2: {(("D", s), ("D", d)): F(draw(small), draw(st.sampled_from([1, 3, 5])))
+               for s in range(2) for d in range(2)}}
+    tau = {(("V", 0), ("D", draw(st.integers(0, 1)))): F(draw(small), draw(st.integers(1, 4)))}
+    fin = [(("t", ("L", 0), 2), {("B", 0): draw(st.integers(0, 1))}),
+           (("c", "B", 0), {("D", 1): F(draw(st.integers(0, 1)), 2)})]
+    return Endo(WIDE, tf=F(draw(small), 2 ** draw(st.integers(0, 2))), free_scalar=draw(small),
+                div=div, cyc={"B": draw(st.integers(0, 1))}, tau=tau, fin=fin)
+
+
+@given(st.one_of(st.lists(rich_endos(), min_size=1, max_size=3),
+                 st.lists(wide_endos(), min_size=1, max_size=3)),
+       st.integers(0, 99))
+@settings(max_examples=25, deadline=None)
+def test_probe_rows_match_the_reference_on_generated_maps(phis, seed):
+    assert all(not validate(phi) for phi in phis)
+    _assert_probe_rows_match(phis[0].group, phis, (1, 2, 4), 12, seed)
+
+
+_OFF_THE_PROBES = """
+from fractions import Fraction as F
+from abinertia.endokit import identity_endo
+from abinertia.exactnum import OMEGA, UsageError
+from abinertia.groupkit import Cyclic, Element, GroupDesc, Prufer, TorsionFree
+from abinertia.oracle import FGSubgroup, ProbeRows
+
+group = GroupDesc([("B", Cyclic(2, 2, OMEGA)), ("D", Prufer(2, 1)),
+                   ("V", TorsionFree(frozenset({3}), 1))])
+rows = ProbeRows(group, [identity_endo(group)], 2)
+assert rows.indices(FGSubgroup(group, (Element.unit(group, "D", 0, F(1, 4)),))) == [1]
+for c, value in ((("D", 0), F(1, 8)), (("V", 0), F(1, 27)), (("B", 2), 1)):
+    try:
+        rows.indices(FGSubgroup(group, (Element.unit(group, *c, value),)))
+    except UsageError:
+        continue
+    raise SystemExit(f"{c} = {value} was measured off the probe lattice")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_probe_rows_refuse_coefficients_off_the_probe_lattice(flags):
+    # the probes at depth 2 are B.0, B.1, (1/4)D.0 and (1/9)V.0: 1/8 and
+    # 1/27 are no integer multiples of theirs, and B.2 has no probe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(oracle.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, *flags, "-c", _OFF_THE_PROBES],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_shared_indices_reach_past_the_subgroup():
@@ -164,8 +262,8 @@ def test_shared_indices_reach_past_the_subgroup():
         Endo(group, tf=1, div={2: 1}, cyc={"B": {(0, 1): 1}}),
     ]
     assert all(not validate(phi) for phi in phis)
-    assert _shared(h, phis) == [8, 9, INF, 3]
-    assert _shared(h, phis[::-1]) == [3, INF, 9, 8]
+    assert _shared(h, phis, 3) == [8, 9, INF, 3]
+    assert _shared(h, phis[::-1], 3) == [3, INF, 9, 8]
 
 
 def test_shared_indices_agree_with_naive_enumeration():
@@ -413,20 +511,49 @@ def test_profile_measures_each_sample_once(monkeypatch):
             for _, phi in sorted(fam.items())]
     maps += [(parsed.group, phi) for parsed in CORPUS for phi in parsed.endos.values()]
     measured = Counter()
-    shared = oracle.index_in_sums
+    shared = ProbeRows.indices
 
-    def counting(sub, endos):
-        measured[sub.generators] += sum(endo is phi for endo in endos)
-        return shared(sub, endos)
+    def counting(rows, sub):
+        # the samples live in the group itself; each shadow is a new object
+        if sub.group is group:
+            measured[sub.generators] += 1
+        return shared(rows, sub)
 
     for group, phi in maps:
         want = _reference_profile(group, phi, (1, 2, 4), samples=24, seed=5)
         measured.clear()
         with monkeypatch.context() as m:
-            m.setattr(oracle, "index_in_sums", counting)
+            m.setattr(ProbeRows, "indices", counting)
             ev = inertness_profile(group, phi, (1, 2, 4), samples=24, seed=5)
         assert (list(ev.per_level), list(ev.sampled_families), ev.verdict_hint) == want
         assert measured and max(measured.values()) == 1, (group, phi)
+
+
+def test_profile_applies_each_map_to_probes_only(monkeypatch):
+    # each map meets only the probes of each level's shadow and of the
+    # call, never a generator, so the count does not grow with samples
+    calls = Counter()
+    applied = oracle.apply
+
+    def counting(phi, x):
+        calls["apply"] += 1
+        return applied(phi, x)
+
+    monkeypatch.setattr(oracle, "apply", counting)
+    levels = (2, 4, 6)
+    for parsed in CORPUS:
+        group, phis = parsed.group, list(parsed.endos.values())
+        per_level = 0  # a shadow's probes are all of its units
+        if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
+            per_level = sum(sum(b.mult for _, b in truncate(group, level).group.blocks)
+                            for level in levels)
+        per_call = sum(_width(b, max(levels[-1], _TAIL_WINDOW)) for _, b in group.blocks)
+        counts = []
+        for samples in (8, 80):
+            calls.clear()
+            oracle.inertness_profiles(group, phis, levels, samples=samples, seed=2)
+            counts.append(calls["apply"])
+        assert counts[0] == counts[1] <= (per_level + per_call) * len(phis), parsed.group_name
 
 
 def test_plural_profiles_do_not_depend_on_the_other_maps():
