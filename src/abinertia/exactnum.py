@@ -17,8 +17,8 @@ __all__ = [
     "UsageError", "ExtendedNat", "OMEGA", "INF", "is_finite",
     "is_prime", "factor", "prime_divisors", "valuation", "frac_valuation",
     "inv_mod", "Residue", "JElement",
-    "crt_solve", "crt_lift", "frac_residue",
-    "identity_matrix", "snf", "hnf", "hnf_insert", "solve_in_rowspace", "kernel_left",
+    "crt_solve", "crt_lift", "frac_residue", "identity_matrix",
+    "snf", "hnf", "diagonal_slots", "hnf_insert", "solve_in_rowspace", "kernel_left",
 ]
 
 
@@ -440,6 +440,12 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     return d, u, v
 
 
+def diagonal_slots(moduli: Sequence[int]) -> list[Sequence[int] | None]:
+    """Echelon slots holding m e_i on each column of modulus m, none on a free one."""
+    n = len(moduli)
+    return [[0] * i + [m] + [0] * (n - i - 1) if m else None for i, m in enumerate(moduli)]
+
+
 def hnf_insert(slots: list[Sequence[int] | None], row: Sequence[int],
                moduli: Sequence[int]) -> bool:
     """Insert one row into echelon slots; return whether the lattice grew.
@@ -511,13 +517,9 @@ def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
         first = rows[0] if rows else basis[0] if basis else ()
         moduli = (0,) * len(first)
     mods = tuple(moduli)
-    n = len(mods)
-    work: list[list[int] | None] = [None] * n
+    work = diagonal_slots(mods)
     for row in basis:
         work[next(j for j, x in enumerate(row) if x)] = list(row)
-    for i, m in enumerate(mods):
-        if m and work[i] is None:
-            work[i] = [0] * i + [m] + [0] * (n - i - 1)
     for r in rows:
         hnf_insert(work, r, mods)
     pivots = [i for i, row in enumerate(work) if row is not None]

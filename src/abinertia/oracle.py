@@ -19,8 +19,8 @@ from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
-    INF, OMEGA, UsageError, frac_residue, frac_valuation, hnf, hnf_insert, is_finite,
-    solve_in_rowspace,
+    INF, OMEGA, UsageError, diagonal_slots, frac_residue, frac_valuation, hnf_insert,
+    is_finite, solve_in_rowspace,
 )
 from .groupkit import (
     Coord, Cyclic, Element, GroupDesc, Nat, Prufer, TorsionFree, Truncation,
@@ -118,35 +118,35 @@ def _scaled(v: int | Fraction, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
-def _leads(basis: Sequence[Sequence[int]]) -> list[int]:
-    return [next(j for j, x in enumerate(row) if x) for row in basis]
-
-
 def _indices(rows_h: Sequence[Sequence[int]], images: Sequence[Sequence[Sequence[int]]],
              moduli: Sequence[int]) -> list[Nat]:
     """|H + K : H| for the lattice H of rows_h and each K of images.
 
-    H is reduced once and each list of image rows is inserted into its
-    Hermite basis.  An index is INF exactly when the torsion-free rank
-    jumps; otherwise H and H + K span one rational space, their Hermite
-    bases share pivot columns, and the index is the product of the
-    pivots of H over the product of the pivots of H + K.
+    H is written once as echelon slots over diag(moduli), and each list
+    of image rows is inserted into a shallow copy of them; hnf_insert
+    replaces slot rows rather than changing them, so H's slots stay as
+    they were.  A modular column always holds a pivot, so the index is
+    INF exactly when a free column gains one.  Otherwise H and H + K
+    have pivots in the same columns, each pivot of H + K divides that of
+    H, and the index is the product of the ratios.
     """
-    basis_h = hnf(rows_h, moduli)
-    lead = _leads(basis_h)
+    base = diagonal_slots(moduli)
+    for r in rows_h:
+        hnf_insert(base, r, moduli)
     out: list[Nat] = []
     for ims in images:
-        basis_k = hnf(ims, moduli, basis_h)
-        if len(basis_h) < len(basis_k):
+        slots = list(base)
+        for r in ims:
+            hnf_insert(slots, r, moduli)
+        if any(h is None and k is not None for h, k in zip(base, slots)):
             out.append(INF)
             continue
-        if lead != _leads(basis_k):
-            raise AssertionError("H escaped H + phi(H)")
         index = 1
-        for col, row_h, row_k in zip(lead, basis_h, basis_k):
-            if row_h[col] % row_k[col]:
-                raise AssertionError("H escaped H + phi(H)")
-            index *= row_h[col] // row_k[col]
+        for i, (h, k) in enumerate(zip(base, slots)):
+            if h is not None:
+                if h[i] % k[i]:
+                    raise AssertionError("H escaped H + phi(H)")
+                index *= h[i] // k[i]
         out.append(index)
     return out
 
@@ -189,8 +189,8 @@ class ProbeRows:
     index_in_sum's, whose presentation covers only one subgroup and its
     images under one map:
 
-    * a column that only other maps' images reach holds m e_c in both
-      bases, or no pivot if it is free, so it adds a factor of 1;
+    * a column that only other maps' images reach holds m e_c, or no
+      pivot if it is free, in the slots of H and of H + K: a factor 1;
     * a divisible column's modulus is the largest denominator over all
       the probe rows, and embedding (1/p^j)Z/Z into Z/p^J is injective;
     * a free column's scale is the lcm of all its denominators, and
@@ -234,8 +234,8 @@ class ProbeRows:
         """|H + phi(H) : H| of sub under each map, from the probe rows.
 
         Each generator's multiplier n_c on a probe must be an integer,
-        else this raises.  The Hermite step runs over the columns that H
-        and the images touch, not over all of the columns.
+        else this raises.  The echelon slots of _indices cover the columns
+        that H and the images touch, not all of the columns.
         """
         if sub.group != self.group:
             raise UsageError("the subgroup lives in a different group")
@@ -671,13 +671,10 @@ class FiniteLattice:
     def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int]],
                  basis: Sequence[Sequence[int]] = ()):
         self.moduli = tuple(moduli)
-        n = len(self.moduli)
         for i, m in enumerate(self.moduli):
             if m < 1:
                 raise UsageError(f"lattice modulus {m} at column {i} is not positive")
-        slots: list[Sequence[int] | None] = (
-            list(basis) if basis else
-            [[0] * i + [m] + [0] * (n - i - 1) for i, m in enumerate(self.moduli)])
+        slots = list(basis) if basis else diagonal_slots(self.moduli)
         for r in rows:
             hnf_insert(slots, r, self.moduli)
         self.basis = tuple(map(tuple, slots))

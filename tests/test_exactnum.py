@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from abinertia.exactnum import (
     INF, OMEGA, JElement, Residue, UsageError,
-    crt_lift, crt_solve, factor, frac_residue, frac_valuation, hnf,
-    identity_matrix, inv_mod, is_prime, kernel_left, prime_divisors,
+    crt_lift, crt_solve, factor, diagonal_slots, frac_residue, frac_valuation, hnf,
+    hnf_insert, identity_matrix, inv_mod, is_prime, kernel_left, prime_divisors,
     snf, solve_in_rowspace, valuation,
 )
 
@@ -242,6 +242,39 @@ def test_hnf_solve_and_kernel(mat):
         assert not any(prod)
     # rank-nullity over Q
     assert len(kernel_left(mat)) == len(mat) - len(basis)
+
+
+_slot_cases = st.lists(st.sampled_from([0, 2, 3, 4, 8, 9, 27]), min_size=1, max_size=4).flatmap(
+    lambda mods: st.tuples(st.just(mods), st.lists(
+        st.lists(st.integers(-40, 40), min_size=len(mods), max_size=len(mods)), max_size=5)))
+
+
+@given(_slot_cases)
+@settings(max_examples=200, deadline=None)
+def test_hnf_insert_reports_growth_and_replaces_slot_rows(case):
+    moduli, rows = case
+    slots = diagonal_slots(moduli)
+
+    def canon():
+        return hnf((), moduli, [s for s in slots if s is not None])
+
+    for row in rows:
+        before, held = canon(), list(slots)
+        copies = [None if s is None else list(s) for s in held]
+        row_before = list(row)
+        grew = hnf_insert(slots, row, moduli)
+        # True exactly when the lattice changed; the row itself is untouched
+        assert grew == (canon() != before)
+        assert row == row_before
+        # slot rows are replaced, never changed in place, so a shallow copy
+        # of the slots keeps the lattice it was taken of
+        assert [None if s is None else list(s) for s in held] == copies
+        # a row already in the lattice adds nothing and replaces no slot
+        kept = list(slots)
+        member = [sum(s[j] for s in slots if s is not None) for j in range(len(moduli))]
+        for again in (row, member):
+            assert not hnf_insert(slots, again, moduli)
+            assert all(s is k for s, k in zip(slots, kept))
 
 
 def test_solve_in_rowspace_rejects_outsiders():

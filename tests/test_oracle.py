@@ -812,6 +812,46 @@ def test_hnf_with_moduli_is_the_hermite_form_of_the_rows_and_diagonal(case):
     assert hnf(more, moduli, basis) == _reference_hnf(rows + more + _diag(moduli))
 
 
+def _hermite_indices(rows_h, images, moduli):
+    """|H + K : H| from the reduced Hermite bases of H and of each H + K:
+    a rank jump gives INF, and otherwise the pivot ratios multiply.  Also
+    returns whether some finite index refines a pivot on a free column."""
+    basis_h = hnf(rows_h, moduli)
+    lead = [next(j for j, x in enumerate(r) if x) for r in basis_h]
+    out, refined = [], False
+    for ims in images:
+        basis_k = hnf(ims, moduli, basis_h)
+        if len(basis_h) < len(basis_k):
+            out.append(INF)
+            continue
+        assert lead == [next(j for j, x in enumerate(r) if x) for r in basis_k]
+        pivots = [(h[c], k[c], moduli[c]) for c, h, k in zip(lead, basis_h, basis_k)]
+        assert all(h % k == 0 for h, k, _ in pivots)
+        out.append(prod(h // k for h, k, _ in pivots))
+        refined |= any(not m and h != k for h, k, m in pivots)
+    return out, refined
+
+
+def test_indices_match_the_hermite_bases():
+    # the echelon-slot indices against the reduced Hermite form, several
+    # maps per call, with free columns among the moduli
+    seen = set()
+
+    @given(_moduli_and_rows([0, 2, 3, 4, 8, 9, 27], 4))
+    @settings(max_examples=300, deadline=None)
+    def check(case):
+        moduli, rows_h, *images = case
+        expected, refined = _hermite_indices(rows_h, images, moduli)
+        assert oracle._indices(rows_h, images, moduli) == expected
+        if INF in expected:
+            seen.add("inf")
+        if refined:
+            seen.add("refined free pivot")
+
+    check()
+    assert seen == {"inf", "refined free pivot"}
+
+
 def _images(rows, action, moduli):
     out = []
     for r in rows:
