@@ -17,7 +17,16 @@ max_inert_codim visits the dimensions d in decreasing order of that
 cap and stops once no remaining cap exceeds the best growth found, or
 leaves a dimension once its cap is reached.  Only the dimension cap
 prunes, never the scalar defect, so the result is the exact maximum
-over all subspaces.  Both oracles measure growth with one kernel.
+over all subspaces.  Within a dimension it sweeps Schubert cells: the
+subspaces whose reduced-echelon bases V share one set P of pivot
+columns.  In the coordinates (P, Q), Q the other columns, V = [I | X],
+and the growth of H = rowspace(V) is the rank of the d x (n - d)
+residue matrix R = (VM)_Q - (VM)_P X: what is left of each image v*M
+once the basis has cleared its pivot entries.  Row i of VM depends
+only on row i of V, so each row's images are tabulated once per cell
+and a subspace costs d short row updates and one small rank.
+growth_bound_check measures its sampled subspaces through the same
+residue matrix, so both oracles measure growth with one kernel.
 
 Vectors are rows and M sends v to v*M, matching the convention used
 for matrix parts of endomorphisms elsewhere in the package.
@@ -53,36 +62,45 @@ def _reduce(field: Field, rows) -> tuple[tuple, ...]:
     mat = [list(r) for r in rows]
     if not mat:
         return ()
-    cols = len(mat[0])
+    height = len(mat)
     r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        if field == "Q":
-            inv = 1 / Fraction(mat[r][c])
-            mat[r] = [v * inv for v in mat[r]]
+    for c in range(len(mat[0])):
+        for piv in range(r, height):
+            if mat[piv][c]:
+                break
         else:
-            inv = inv_mod(mat[r][c], field)
-            mat[r] = [v * inv % field for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
+            continue
+        row = mat[piv]
+        mat[piv] = mat[r]
+        if field == "Q":
+            inv = 1 / Fraction(row[c])
+            row = [v * inv for v in row]
+        elif row[c] != 1:
+            inv = inv_mod(row[c], field)
+            row = [v * inv % field for v in row]
+        for i in range(height):
+            f = mat[i][c]
+            if f and i != r:
                 if field == "Q":
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                    mat[i] = [a - f * b for a, b in zip(mat[i], row)]
                 else:
-                    mat[i] = [(a - f * b) % field
-                              for a, b in zip(mat[i], mat[r])]
+                    mat[i] = [(a - f * b) % field for a, b in zip(mat[i], row)]
+        mat[r] = row
         r += 1
-        if r == len(mat):
+        if r == height:
             break
     return tuple(tuple(row) for row in mat[:r])
 
 
 class ExactMatrix:
     """A square matrix with exact entries over F_p (field = p) or the
-    rationals (field = "Q")."""
+    rationals (field = "Q").
+
+    An entry over F_p is an integer, or a Fraction with denominator 1,
+    read mod p; over Q it is an integer or a Fraction.  Anything else is
+    refused with the row and column, since a float would be read as its
+    binary rounding and a string would pass through unchecked.
+    """
 
     __slots__ = ("field", "n", "rows")
 
@@ -92,6 +110,14 @@ class ExactMatrix:
         n = len(grid)
         if any(len(r) != n for r in grid):
             raise UsageError("the matrix must be square")
+        for i, r in enumerate(grid):
+            for j, v in enumerate(r):
+                if not (isinstance(v, int) or isinstance(v, Fraction)
+                        and (field == "Q" or v.denominator == 1)):
+                    want = "an integer or a Fraction" if field == "Q" \
+                        else "an integer"
+                    raise UsageError(f"row {i}, column {j}: expected {want}, "
+                                     f"not {type(v).__name__} {v!r}")
         self.field = field
         self.n = n
         if field == "Q":
@@ -251,18 +277,31 @@ def _check_budget(p: int, n: int, budget: int) -> None:
         raise UsageError(f"{p}**{n} exceeds the enumeration budget {budget}")
 
 
+def _free_rows(p: int, pivots, rest, i: int):
+    """Yield, in lexicographic order, the part x on the columns of rest of
+    every basis row i in the Schubert cell of the pivots: the reduced row
+    is e_{pivots[i]} plus x, and x is free on the columns right of the
+    pivot and zero left of it."""
+    free = [k for k, q in enumerate(rest) if q > pivots[i]]
+    for vals in product(range(p), repeat=len(free)):
+        x = [0] * len(rest)
+        for k, v in zip(free, vals):
+            x[k] = v
+        yield x
+
+
 def _stratum(p: int, n: int, d: int):
     """Yield the reduced-echelon basis of every d-dimensional subspace of
     F_p^n, grouped by pivot columns (not sorted)."""
     for pivots in combinations(range(n), d):
-        free = [(i, j) for i in range(d) for j in range(n)
-                if j > pivots[i] and j not in pivots]
-        for vals in product(range(p), repeat=len(free)):
+        rest = [c for c in range(n) if c not in pivots]
+        for xs in product(*(list(_free_rows(p, pivots, rest, i))
+                            for i in range(d))):
             rows = [[0] * n for _ in range(d)]
-            for i in range(d):
-                rows[i][pivots[i]] = 1
-            for (i, j), v in zip(free, vals):
-                rows[i][j] = v
+            for row, c, x in zip(rows, pivots, xs):
+                row[c] = 1
+                for q, v in zip(rest, x):
+                    row[q] = v
             yield tuple(tuple(r) for r in rows)
 
 
@@ -278,26 +317,68 @@ def enumerate_subspaces(p: int, n: int,
     return [basis for d in range(n + 1) for basis in sorted(_stratum(p, n, d))]
 
 
-def _growth(M: ExactMatrix, basis) -> int:
-    """dim(H + HM) - dim H for H spanned by a reduced-echelon basis: the
-    rank of the images v*M once each is reduced against the basis rows.
+def _residue_rank(field: Field, cells) -> int:
+    """The rank of the residue matrix R = U - C X of one subspace H.
 
-    A basis row is zero at every other row's pivot, so each subtraction
-    clears one pivot entry of the image and leaves the others as they
-    were; over F_p the residues are taken mod p once, at the end.
+    cells holds a triple (x_i, u_i, c_i) per reduced-echelon basis row
+    v_i of H.  With P the pivot columns and Q the others, x_i = (v_i)_Q,
+    u_i = (v_i M)_Q and c_i = (v_i M)_P.  As v_k is 1 at its own pivot
+    and 0 at the other pivots, v_i M - sum_k c_i[k] v_k is zero on P and
+    is the row u_i - c_i X on Q.  H meets the coordinate space on Q only
+    in 0, so H + HM = H + rowspace(R) is a direct sum and rank(R) is
+    dim(H + HM) - dim H.  Over F_p the residues are taken mod p once.
     """
-    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    xs = [x for x, _, _ in cells]
     residues = []
+    for _, u, c in cells:
+        w = u
+        for f, x in zip(c, xs):
+            if f:
+                w = [a - f * b for a, b in zip(w, x)]
+        if field != "Q":
+            w = [a % field for a in w]
+        if any(w):
+            residues.append(w)
+    if len(residues) < 2:
+        return len(residues)
+    return len(_reduce(field, residues))
+
+
+def _growth(M: ExactMatrix, basis) -> int:
+    """dim(H + HM) - dim H for H spanned by a reduced-echelon basis."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    rest = [c for c in range(M.n) if c not in pivots]
+    cells = []
     for v in basis:
         w = M.apply_row(v)
-        for row, c in zip(basis, pivots):
-            f = w[c]
-            if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        residues.append(w)
-    if M.field != "Q":
-        residues = [[a % M.field for a in w] for w in residues]
-    return len(_reduce(M.field, residues))
+        cells.append(([v[q] for q in rest], [w[q] for q in rest],
+                      [w[c] for c in pivots]))
+    return _residue_rank(M.field, cells)
+
+
+def _cell(M: ExactMatrix, pivots, rest, i: int):
+    """The triple (x, u, c) of _residue_rank for every basis row i of the
+    Schubert cell of the pivots, in the order of _free_rows: the image
+    of e_{pivots[i]} + x is M's pivot row plus x times M's rows of rest."""
+    p = M.field
+    for x in _free_rows(p, pivots, rest, i):
+        w = M.rows[pivots[i]]
+        for q, v in zip(rest, x):
+            if v:
+                w = [a + v * b for a, b in zip(w, M.rows[q])]
+        yield x, [w[q] % p for q in rest], [w[c] % p for c in pivots]
+
+
+def _stratum_growths(M: ExactMatrix, d: int):
+    """Yield the growth of every d-dimensional subspace, in the order of
+    _stratum, sweeping one Schubert cell per set of pivots."""
+    n = M.n
+    for pivots in combinations(range(n), d):
+        rest = [c for c in range(n) if c not in pivots]
+        later = [list(_cell(M, pivots, rest, i)) for i in range(1, d)]
+        for first in _cell(M, pivots, rest, 0):
+            for cells in product(*later):
+                yield _residue_rank(M.field, (first, *cells))
 
 
 def max_inert_codim(M: ExactMatrix, budget: int = DEFAULT_BUDGET) -> int:
@@ -310,6 +391,13 @@ def max_inert_codim(M: ExactMatrix, budget: int = DEFAULT_BUDGET) -> int:
     reaches its cap.  Only this dimension cap prunes, never the scalar
     defect, so every subspace that could still raise the maximum is
     measured and the result is exact.
+
+    A dimension is swept one Schubert cell at a time, in the order of
+    _stratum, and each subspace's growth is the rank of its residue
+    matrix R = (VM)_Q - (VM)_P X (see _residue_rank).  The images of
+    basis rows 1..d-1 are tabulated once per cell; those of row 0, the
+    row with the most free entries, are made as the sweep reaches them,
+    so a dimension left at its cap stops without paying for its cell.
 
     The result is at most min(scalar_defect(M).defect, M.n // 2): the
     defect bounds it because H + HM = H + H(M - lambda*I).  Equality
@@ -325,8 +413,8 @@ def max_inert_codim(M: ExactMatrix, budget: int = DEFAULT_BUDGET) -> int:
         cap = min(d, n - d)
         if cap <= best:
             break
-        for basis in _stratum(M.field, n, d):
-            best = max(best, _growth(M, basis))
+        for growth in _stratum_growths(M, d):
+            best = max(best, growth)
             if best == cap:
                 break
     return best

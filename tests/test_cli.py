@@ -446,6 +446,21 @@ def test_defect_measures_every_space_its_gate_admits(tmp_path, capsys):
         assert view["max_inert_codim"] == 1 == min(view["defect"], n // 2)
 
 
+def test_defect_at_its_subspace_gate(tmp_path, capsys):
+    # (Z/7)^4 has 3652 subspaces, just under the MAX_SUBSPACES gate of
+    # 4000, and a scalar map grows none of them, so the search scans
+    # them all; (Z/2)^7 has 29212 and is past the gate
+    for p, n, expected in ((7, 4, 0), (2, 7, None)):
+        path = tmp_path / f"scale{p}.txt"
+        path.write_text(
+            f"group V {{\n  block A = cyclic(p={p}, k=1, mult={n})\n}}\n\n"
+            "endo scale on V {\n  cyc[A] = 3;\n}\n", encoding="utf-8")
+        assert main(["defect", str(path)]) == 0, (p, n)
+        view = json.loads(capsys.readouterr().out)["results"][str(path)]["scale"]
+        assert (view["field"], view["dimension"], view["defect"]) == (p, n, 0)
+        assert view["max_inert_codim"] == expected
+
+
 def test_defect_needs_an_elementary_group():
     with pytest.raises(UsageError, match="elementary abelian"):
         run(config("defect", "critical"))

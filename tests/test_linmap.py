@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abinertia import linmap
 from abinertia.exactnum import UsageError
 from abinertia.linmap import (
-    ExactMatrix, count_subspaces, enumerate_subspaces, growth_bound_check,
-    max_inert_codim, scalar_defect,
+    DEFAULT_BUDGET, ExactMatrix, count_subspaces, enumerate_subspaces,
+    growth_bound_check, max_inert_codim, scalar_defect,
 )
 
 F = Fraction
@@ -35,6 +36,20 @@ def test_constructor_rejects_bad_input():
         ExactMatrix(4, [[1]])
     with pytest.raises(UsageError, match="field"):
         ExactMatrix("R", [[1]])
+
+
+def test_constructor_refuses_inexact_entries():
+    # a non-integral residue, a float, a string and a float rational are
+    # refused at their row and column instead of being silently changed
+    for field, rows, at in (
+            (3, [[F(1, 2), 1], [0, 2]], "row 0, column 0"),
+            (3, [[1, 1], [0, 2.9]], "row 1, column 1"),
+            (5, [["3", 1], [0, 1]], "row 0, column 0"),
+            ("Q", [[1, 0], [0.1, 1]], "row 1, column 0")):
+        with pytest.raises(UsageError, match=at):
+            ExactMatrix(field, rows)
+    assert ExactMatrix(3, [[F(4, 1), -1], [0, 2]]).rows == ((1, 2), (0, 2))
+    assert ExactMatrix("Q", [[F(1, 2), 3]] * 2).rows == ((F(1, 2), F(3)),) * 2
 
 
 def test_scalar_matrix_has_zero_defect():
@@ -182,6 +197,20 @@ def _block_diag(p, *blocks):
     return ExactMatrix(p, rows)
 
 
+def _structured():
+    """Matrices whose maximum stays below n // 2, so that no stratum is
+    cut short at its cap of n // 2 and the scan has to exhaust it."""
+    rank_one = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    rank_one[1] = [1, 0, 0, 2]
+    return [
+        ExactMatrix.identity(2, 5), diag(3, 2, 2, 2, 2), ExactMatrix(3, rank_one),
+        _block_diag(2, [[1, 1], [0, 1]], [[1]], [[1]], [[1]]),
+        _block_diag(3, [[2, 1], [0, 2]], [[2]], [[2]]),
+        _block_diag(2, [[0, 1], [1, 1]], [[1]], [[1]], [[1]], [[1]]),
+        _block_diag(3, [[0, 1], [2, 2]], [[1]], [[1]]),
+    ]
+
+
 def test_pruned_search_matches_unpruned_scan():
     rng = random.Random(20261018)
     for p, n, count in ((2, 4, 12), (2, 5, 6), (2, 6, 2), (3, 4, 6),
@@ -191,21 +220,79 @@ def test_pruned_search_matches_unpruned_scan():
                                 for _ in range(n)])
             assert max_inert_codim(M, budget=p ** n) == \
                 _reference_max_growth(M), M
-    # maxima below n // 2, where no stratum is cut short at its cap of
-    # n // 2 and the scan has to exhaust it
-    rank_one = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
-    rank_one[1] = [1, 0, 0, 2]
-    structured = [
-        ExactMatrix.identity(2, 5), diag(3, 2, 2, 2, 2), ExactMatrix(3, rank_one),
-        _block_diag(2, [[1, 1], [0, 1]], [[1]], [[1]], [[1]]),
-        _block_diag(3, [[2, 1], [0, 2]], [[2]], [[2]]),
-        _block_diag(2, [[0, 1], [1, 1]], [[1]], [[1]], [[1]], [[1]]),
-        _block_diag(3, [[0, 1], [2, 2]], [[1]], [[1]]),
-    ]
-    for M in structured:
+    for M in _structured():
         ref = _reference_max_growth(M)
         assert ref < M.n // 2, M
         assert max_inert_codim(M, budget=M.field ** M.n) == ref, M
+
+
+def test_the_search_never_reads_the_scalar_defect(monkeypatch):
+    # the oracle stays independent of the defect route it cross-checks
+    expected = [(M, _reference_max_growth(M)) for M in _structured()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_inert_codim reached the scalar defect")
+
+    monkeypatch.setattr(linmap, "scalar_defect", refuse)
+    monkeypatch.setattr(linmap, "_rational_eigenvalues", refuse)
+    monkeypatch.setattr(ExactMatrix, "sub_scalar", refuse)
+    for M, ref in expected:
+        assert max_inert_codim(M, budget=M.field ** M.n) == ref, M
+
+
+# F_2^7 and F_2^8 fit p**n <= 256 too, but their unpruned reference
+# scans (29212 and 417199 subspaces) take seconds to minutes
+_SMALL_SHAPES = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(9)
+                 if p ** n <= 256 and count_subspaces(p, n) <= 3000]
+
+
+@st.composite
+def _small_matrices(draw):
+    """A uniform matrix, or a scalar plus a rank-one map, whose maximum
+    growth is at most 1 and so below n // 2 once n >= 4."""
+    p, n = draw(st.sampled_from(_SMALL_SHAPES))
+    entry = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        return ExactMatrix(p, draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                            min_size=n, max_size=n)))
+    lam = draw(entry)
+    u, v = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    return ExactMatrix(p, [[u[i] * v[j] + (lam if i == j else 0)
+                            for j in range(n)] for i in range(n)])
+
+
+def test_cell_sweep_matches_the_unpruned_scan_on_random_matrices():
+    exhausted = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_small_matrices())
+    def check(M):
+        ref = _reference_max_growth(M)
+        assert max_inert_codim(M, budget=M.field ** M.n) == ref, M
+        if 0 < ref < M.n // 2:
+            exhausted.append(M)
+
+    check()
+    # the draws include a matrix that grows some subspace but reaches no
+    # cap of n // 2, so its scan goes on past the growth it found and
+    # exhausts whole strata
+    assert exhausted
+
+
+def test_search_at_the_edges_of_its_budget():
+    for p in (2, 13):
+        for n in (0, 1):
+            M = ExactMatrix.identity(p, n)
+            assert max_inert_codim(M, budget=p ** n) == \
+                _reference_max_growth(M) == 0
+    # p**n exactly at the budget is admitted, one past it is not
+    assert 2 ** 8 == DEFAULT_BUDGET
+    assert max_inert_codim(jordan(2, 8)) == 4
+    M = ExactMatrix(3, [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                        [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    assert max_inert_codim(M, budget=3 ** 5) == _reference_max_growth(M) == 1
+    with pytest.raises(UsageError, match="budget"):
+        max_inert_codim(M, budget=3 ** 5 - 1)
 
 
 def test_growth_bound_check_scalar():
