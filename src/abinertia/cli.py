@@ -620,7 +620,7 @@ MAX_COUNT = 1024         # finite mult, copies or rank of one block
 MAX_LEVEL = 64           # truncation level of a shadow
 MAX_SAMPLES = 10000      # sampled subgroups per level, or defect trials
 MAX_BUDGET = 32          # depths explored per witness family
-MAX_SHADOW_COORDS = 512  # coordinates oracle flattens on a periodic group
+MAX_SHADOW_COORDS = 512  # coordinates of the shadow that oracle flattens
 MAX_DIMENSION = 64       # dimension of the F_p-space defect reads
 MAX_DEFECT_WORK = 10**6  # (p + samples) * max(n, 8)^2 for defect on F_p^n
 # past this one defect still runs, and reports max_inert_codim as null
@@ -669,7 +669,7 @@ def _check_work(config: SessionConfig, path: str, parsed: ParsedInput) -> None:
         top = config.levels[-1]
         shadow = truncate(group, top)
         width = sum(b.mult for _, b in shadow.group.blocks)
-        if group.is_periodic and width > MAX_SHADOW_COORDS:
+        if width > MAX_SHADOW_COORDS:
             raise UsageError(f"{path}: the level-{top} shadow has {width} coordinates; "
                              f"oracle flattens at most {MAX_SHADOW_COORDS}")
         for name, phi in parsed.endos.items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactnum import (
     INF, OMEGA, ExtendedNat, JElement, UsageError,
@@ -99,55 +99,109 @@ def free_omega() -> TorsionFree:
     return TorsionFree(frozenset(), OMEGA)
 
 
-class GroupDesc:
-    """An abelian group as an ordered list of uniquely named blocks."""
+class _Views(NamedTuple):
+    """The per-kind views of a group's blocks, derived together once."""
 
-    __slots__ = ("blocks",)
+    cyclic: tuple[tuple[str, Cyclic], ...]
+    prufer: tuple[tuple[str, Prufer], ...]
+    tf: tuple[tuple[str, TorsionFree], ...]
+    cyclic_at: dict[int, tuple[tuple[str, Cyclic], ...]]
+    primes: tuple[int, ...]
+    free_omega_name: str | None
+
+
+class GroupDesc:
+    """An abelian group as an ordered list of uniquely named blocks.
+
+    Instances are read-only.  Every view derived from the blocks (the
+    block lookup, the per-kind items, the active primes and the
+    invariants) is computed once per instance, on first use, and kept
+    for its life.  Views come back as tuples, so no caller can change
+    what the next call returns.
+    """
+
+    __slots__ = ("blocks", "_by_name", "_views", "_invariants")
 
     def __init__(self, blocks: Sequence[tuple[str, Block]] | Mapping[str, Block]) -> None:
         items = tuple(blocks.items()) if isinstance(blocks, Mapping) else tuple(blocks)
-        seen: set[str] = set()
+        by_name: dict[str, Block] = {}
         omega_free = 0
         for name, block in items:
             if not isinstance(name, str) or not name.isidentifier():
                 raise UsageError(f"bad block name {name!r}")
-            if name in seen:
+            if name in by_name:
                 raise UsageError(f"duplicate block name {name!r}")
-            seen.add(name)
             if not isinstance(block, (Cyclic, Prufer, TorsionFree)):
                 raise UsageError(f"{name} is not a block")
+            by_name[name] = block
             if isinstance(block, TorsionFree) and block.rank is OMEGA:
                 omega_free += 1
         if omega_free > 1:
             raise UsageError("at most one infinite-rank free block is supported")
-        self.blocks = items
+        init = object.__setattr__
+        init(self, "blocks", items)
+        init(self, "_by_name", by_name)
+        init(self, "_views", None)
+        init(self, "_invariants", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GroupDesc is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GroupDesc is read-only: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles rebuild the instance; the derived views are not carried
+        return GroupDesc, (self.blocks,)
+
+    def _derived(self) -> _Views:
+        views = self._views
+        if views is None:
+            cyclic = tuple((n, b) for n, b in self.blocks if isinstance(b, Cyclic))
+            tf = tuple((n, b) for n, b in self.blocks if isinstance(b, TorsionFree))
+            at: dict[int, tuple[tuple[str, Cyclic], ...]] = {}
+            for n, b in cyclic:
+                at[b.prime] = at.get(b.prime, ()) + ((n, b),)
+            primes: set[int] = set()
+            for _, b in self.blocks:
+                if isinstance(b, TorsionFree):
+                    primes.update(b.primes)
+                else:
+                    primes.add(b.prime)
+            views = _Views(
+                cyclic=cyclic,
+                prufer=tuple((n, b) for n, b in self.blocks if isinstance(b, Prufer)),
+                tf=tf,
+                cyclic_at=at,
+                primes=tuple(sorted(primes)),
+                free_omega_name=next((n for n, b in tf if b.rank is OMEGA), None),
+            )
+            object.__setattr__(self, "_views", views)
+        return views
 
     # -- lookups ----------------------------------------------------------
 
     def block(self, name: str) -> Block:
-        for n, b in self.blocks:
-            if n == name:
-                return b
-        raise UsageError(f"unknown block {name!r}")
+        b = self._by_name.get(name)
+        if b is None:
+            raise UsageError(f"unknown block {name!r}")
+        return b
 
     def has_block(self, name: str) -> bool:
-        return any(n == name for n, _ in self.blocks)
+        return name in self._by_name
 
-    def cyclic_items(self) -> list[tuple[str, Cyclic]]:
-        return [(n, b) for n, b in self.blocks if isinstance(b, Cyclic)]
+    def cyclic_items(self) -> tuple[tuple[str, Cyclic], ...]:
+        return self._derived().cyclic
 
-    def prufer_items(self) -> list[tuple[str, Prufer]]:
-        return [(n, b) for n, b in self.blocks if isinstance(b, Prufer)]
+    def prufer_items(self) -> tuple[tuple[str, Prufer], ...]:
+        return self._derived().prufer
 
-    def tf_items(self) -> list[tuple[str, TorsionFree]]:
-        return [(n, b) for n, b in self.blocks if isinstance(b, TorsionFree)]
+    def tf_items(self) -> tuple[tuple[str, TorsionFree], ...]:
+        return self._derived().tf
 
     @property
     def free_omega_name(self) -> str | None:
-        for n, b in self.tf_items():
-            if b.rank is OMEGA:
-                return n
-        return None
+        return self._derived().free_omega_name
 
     def tf_copies(self) -> list[tuple[str, int]]:
         """Finite-rank torsion-free coordinates, in declaration order."""
@@ -170,8 +224,8 @@ class GroupDesc:
                 copies.extend((n, i) for i in range(b.copies))
         return copies, has_omega
 
-    def cyclic_at(self, p: int) -> list[tuple[str, Cyclic]]:
-        return [(n, b) for n, b in self.cyclic_items() if b.prime == p]
+    def cyclic_at(self, p: int) -> tuple[tuple[str, Cyclic], ...]:
+        return self._derived().cyclic_at.get(p, ())
 
     def pi_of(self, name: str) -> frozenset[int]:
         b = self.block(name)
@@ -196,14 +250,8 @@ class GroupDesc:
             return OMEGA
         return sum(b.rank for _, b in self.tf_items())
 
-    def active_primes(self) -> list[int]:
-        ps: set[int] = set()
-        for _, b in self.blocks:
-            if isinstance(b, (Cyclic, Prufer)):
-                ps.add(b.prime)
-            else:
-                ps.update(b.primes)
-        return sorted(ps)
+    def active_primes(self) -> tuple[int, ...]:
+        return self._derived().primes
 
     def order(self) -> Nat:
         if not self.is_finite:
@@ -214,6 +262,8 @@ class GroupDesc:
         return n
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GroupDesc):
             return NotImplemented
         return self.blocks == other.blocks
@@ -424,7 +474,19 @@ class Invariants:
 
 
 def invariants(group: GroupDesc) -> Invariants:
-    """Compute the per-prime profile table and the three prime selectors."""
+    """The per-prime profile table and the three prime selectors.
+
+    They are computed on the first call for a group and kept in it, so
+    every later call returns the same frozen record.
+    """
+    inv = group._invariants
+    if inv is None:
+        inv = _invariants(group)
+        object.__setattr__(group, "_invariants", inv)
+    return inv
+
+
+def _invariants(group: GroupDesc) -> Invariants:
     profiles = []
     critical = set()
     for p in group.active_primes():

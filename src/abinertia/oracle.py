@@ -274,14 +274,15 @@ class ProbeRows:
                         [moduli[j] for j in cols])
 
 
-def _span(group: GroupDesc, gens: Sequence[Element]) -> set[Element]:
-    zero = Element(group, {})
+def _span(moduli: Sequence[int], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Every sum of the vectors gens, each entry reduced modulo its modulus."""
+    zero = (0,) * len(moduli)
     seen = {zero}
     frontier = [zero]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = x + g
+            y = tuple([(a + b) % m for a, b, m in zip(x, g, moduli)])
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -289,17 +290,23 @@ def _span(group: GroupDesc, gens: Sequence[Element]) -> set[Element]:
 
 
 def naive_index_in_sum(sub: FGSubgroup, phi: Endo, limit: int = 4096) -> int:
-    """Coset count by exhaustive closure; the slow cross-check."""
+    """Coset count by exhaustive closure; the slow cross-check.
+
+    H and H + phi(H) are closed as sets of integer vectors over the flat
+    coordinates of the finite group, and every element of both is
+    counted.
+    """
     group = sub.group
     if phi.group != group:
         raise UsageError("the endomorphism acts on a different group")
     order = group.order()
     if not is_finite(order) or order > limit:
         raise UsageError("naive enumeration needs a finite group of modest order")
+    coords, moduli = _flat_space(group)
     gens = [g for g in sub.generators if g]
-    inside = _span(group, gens)
-    total = _span(group, gens + [apply(phi, g) for g in gens])
-    return len(total) // len(inside)
+    hs = [[g.coeffs.get(c, 0) for c in coords] for g in gens]
+    ims = [[im.coeffs.get(c, 0) for c in coords] for im in (apply(phi, g) for g in gens)]
+    return len(_span(moduli, hs + ims)) // len(_span(moduli, hs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +317,15 @@ def _ambient(target: GroupDesc | Truncation) -> GroupDesc:
 
 
 def _width(b, depth: int) -> int:
-    n = b.mult if isinstance(b, Cyclic) else b.copies if isinstance(b, Prufer) else b.rank
+    """How many coordinates of block b the families at this depth span.
+
+    A cyclic block of finite multiplicity is spanned whole at every
+    depth: it is already its own shadow, so its families must not widen
+    with the level.  Any other block is spanned to the depth.
+    """
+    if isinstance(b, Cyclic):
+        return depth if b.mult is OMEGA else b.mult
+    n = b.copies if isinstance(b, Prufer) else b.rank
     return depth if n is OMEGA else min(n, depth)
 
 
@@ -374,7 +389,7 @@ def _random_draws(group: GroupDesc, seed: int) -> Iterator[tuple[Element, ...]]:
     """
     rng = random.Random(seed)
     pool = [(name, i) for name, b in group.blocks
-            for i in range(max(1, _width(b, _TAIL_WINDOW)))]
+            for i in range(max(1, min(_width(b, _TAIL_WINDOW), _TAIL_WINDOW)))]
     while True:
         gens = []
         for _ in range(rng.randint(1, 4)):

@@ -632,6 +632,21 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
     assert "the level-64 shadow has 513 coordinates" in capsys.readouterr().err
     with pytest.raises(AssertionError, match="started work"):  # 8 * 63 + 1 passes
         main(["oracle", str(path), "--levels", "63"])
+    # a mixed group's shadow drops its torsion-free block, and its finite
+    # blocks count whole at every level: 2 * 256 passes, 2 * 256 + 1 fails
+    mixed = tmp_path / "mixed.txt"
+    for extra, bad in ((0, False), (1, True)):
+        mixed.write_text("group M {\n  block V = torsionfree(pi={}, rank=1)\n"
+                         "  block A = cyclic(p=2, k=1, mult=256)\n"
+                         f"  block B = cyclic(p=3, k=1, mult={256 + extra})\n}}\n"
+                         "endo e on M {\n  tf[V.0 -> V.0] = 1;\n}\n", encoding="utf-8")
+        if bad:
+            assert main(["oracle", str(mixed), "--levels", "2"]) == 1
+            err = capsys.readouterr().err
+            assert "the level-2 shadow has 513 coordinates" in err, err
+        else:
+            with pytest.raises(AssertionError, match="started work"):
+                main(["oracle", str(mixed), "--levels", "2"])
 
 
 def test_an_untruncatable_map_fails_the_oracle_file(tmp_path, capsys):

@@ -27,6 +27,11 @@ GOLDEN = ROOT / "tests" / "golden"
 CORPUS = sorted(p.relative_to(ROOT).as_posix()
                 for p in (ROOT / "tests" / "corpus").glob("*.txt"))
 DEMOS = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "demos").glob("*.py"))
+# the one --enumerate-all report reads these files together, so a corpus
+# file added later gets its own per-command goldens but leaves that
+# report as it was recorded
+ENUMERATED = [f"tests/corpus/{stem}.txt" for stem in
+              ("critical", "mixed", "periodic", "prufer_pair", "quasi", "vector")]
 
 
 def _cases() -> dict[str, list[str] | str]:
@@ -35,7 +40,7 @@ def _cases() -> dict[str, list[str] | str]:
     for command in ("analyze", "check", "decompose", "defect", "oracle"):
         for path in CORPUS:
             cases[f"{command}-{Path(path).stem}"] = [command, path]
-    cases["oracle-enumerate-all"] = ["oracle", *CORPUS, "--levels", "2,3",
+    cases["oracle-enumerate-all"] = ["oracle", *ENUMERATED, "--levels", "2,3",
                                      "--samples", "12", "--seed", "9",
                                      "--budget", "4", "--enumerate-all"]
     for path in DEMOS:

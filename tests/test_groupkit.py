@@ -1,14 +1,23 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abinertia
+from abinertia.cli import parse
 from abinertia.exactnum import INF, OMEGA, JElement, UsageError
 from abinertia.groupkit import (
     Cyclic, Element, GroupDesc, HElement, Prufer, TorsionFree, free_omega,
     h_add, h_descriptor, h_equal, h_mul, h_zero, invariants, nm_type,
     truncate,
 )
+from conftest import GROUPS
 
 
 def G(*pairs):
@@ -234,3 +243,124 @@ def test_invariants_stable_under_block_permutation():
     assert ia.bounded_primes == ib.bounded_primes
     for p in (2, 3):
         assert ia.profile(p) == ib.profile(p)
+
+
+# -- derived views, computed once per instance ---------------------------------
+
+def _groups_under_test() -> list[GroupDesc]:
+    corpus = sorted((Path(__file__).parent / "corpus").glob("*.txt"))
+    groups = list(GROUPS.values())
+    groups += [parse(p.read_text(encoding="utf-8")).group for p in corpus]
+    groups += [truncate(g, 3).group for g in GROUPS.values()]
+    return groups
+
+
+def _views(g: GroupDesc) -> dict:
+    """Every derived view of g, read through the public API."""
+    primes = list(g.active_primes())
+    out = {
+        "cyclic_items": g.cyclic_items(), "prufer_items": g.prufer_items(),
+        "tf_items": g.tf_items(), "active_primes": g.active_primes(),
+        "free_omega_name": g.free_omega_name, "tf_copies": g.tf_copies(),
+        "is_periodic": g.is_periodic, "is_finite": g.is_finite,
+        "torsion_free_rank": g.torsion_free_rank, "order": g.order(),
+        "invariants": invariants(g),
+    }
+    # a prime with no blocks gives empty answers
+    for p in primes + [max(primes, default=2) * 2 + 1]:
+        out[f"cyclic_at {p}"] = g.cyclic_at(p)
+        out[f"prufer_copies {p}"] = g.prufer_copies(p)
+    for name, b in g.blocks:
+        out[f"block {name}"] = (g.block(name), g.has_block(name))
+    return out
+
+
+def test_cached_views_match_a_fresh_computation():
+    groups = _groups_under_test()
+    assert len(groups) >= 40
+    for g in groups:
+        first = _views(g)   # fills the cache
+        cached = _views(g)  # reads it
+        fresh = _views(GroupDesc(g.blocks))
+        assert cached == first == fresh, g
+        assert invariants(g) is invariants(g)
+        # the item views, against their definition
+        for kind, view in ((Cyclic, "cyclic_items"), (Prufer, "prufer_items"),
+                           (TorsionFree, "tf_items")):
+            assert cached[view] == tuple((n, b) for n, b in g.blocks if isinstance(b, kind))
+        primes = set()
+        for _, b in g.blocks:
+            primes |= set(b.primes) if isinstance(b, TorsionFree) else {b.prime}
+        assert cached["active_primes"] == tuple(sorted(primes))
+        for p in primes:
+            assert cached[f"cyclic_at {p}"] == tuple(
+                (n, b) for n, b in g.blocks if isinstance(b, Cyclic) and b.prime == p)
+
+
+def test_group_desc_is_read_only():
+    g = G(("B", Cyclic(2, 1, 2)), ("D", Prufer(3, 1)))
+    invariants(g)
+    for attr in ("blocks", "_views", "_invariants", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, ())
+    with pytest.raises(AttributeError):
+        del g.blocks
+    assert g.blocks == (("B", Cyclic(2, 1, 2)), ("D", Prufer(3, 1)))
+    assert g.block("B") == Cyclic(2, 1, 2) and g.active_primes() == (2, 3)
+    # copies and pickles are rebuilt from the blocks and compute their own views
+    for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert other == g and other is not g and other.active_primes() == (2, 3)
+
+
+def test_a_returned_view_cannot_change_the_next_call():
+    g = G(("B", Cyclic(2, 1, 2)), ("D", Prufer(2, 2)), ("V", TorsionFree({3}, 2)))
+    for view in (g.cyclic_items, g.prufer_items, g.tf_items, g.active_primes,
+                 lambda: g.cyclic_at(2)):
+        first = view()
+        with pytest.raises(TypeError):
+            first[0] = first[-1]
+        with pytest.raises(AttributeError):
+            first.append(first[0])
+        assert view() == first
+    copies = g.tf_copies()
+    copies.append(("X", 0))
+    assert g.tf_copies() == [("V", 0), ("V", 1)]
+    divisible, _ = g.prufer_copies(2)
+    divisible.clear()
+    assert g.prufer_copies(2) == ([("D", 0), ("D", 1)], False)
+
+
+_GROUP_CHECKS = """
+from abinertia.exactnum import UsageError
+from abinertia.groupkit import Cyclic, Element, GroupDesc
+a = GroupDesc([("B", Cyclic(2, 1, 2))])
+b = GroupDesc([("B", Cyclic(3, 1, 2))])
+x = Element.unit(a, "B")
+if x + Element.unit(GroupDesc(a.blocks), "B") != x.scale(2):
+    raise SystemExit("elements of equal groups did not add")
+try:
+    x + Element.unit(b, "B")
+except UsageError:
+    pass
+else:
+    raise SystemExit("elements of two groups were added")
+for lookup in (lambda: a.block("X"), lambda: Element.unit(a, "X")):
+    try:
+        lookup()
+    except UsageError as exc:
+        if "'X'" not in str(exc):
+            raise SystemExit(f"the error does not name the block: {exc}")
+    else:
+        raise SystemExit("an unknown block was looked up")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_group_mismatch_and_unknown_blocks_are_refused(flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(abinertia.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, *flags, "-c", _GROUP_CHECKS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -29,7 +29,7 @@ from abinertia.oracle import (
     inertness_profile, naive_index_in_sum, sample_subgroups, truncate_endo,
     witness_search,
 )
-from abinertia.oracle import _TAIL_WINDOW, _nat_max, _prelude, _span, _width
+from abinertia.oracle import _TAIL_WINDOW, _flat_space, _nat_max, _prelude, _span, _width
 from conftest import GROUPS, INERTIAL, ORACLE_CASES
 from test_endokit import rich_endos
 
@@ -313,8 +313,12 @@ def _reference_samples(group, count, seed, depth):
     out = list(_prelude(group, depth))
     seen = {s.generators for s in out}
     rng = random.Random(seed)
-    pool = [(name, i) for name, b in group.blocks
-            for i in range(max(1, _width(b, _TAIL_WINDOW)))]
+    # the draws reach at most _TAIL_WINDOW coordinates of any block,
+    # finite ones included, whatever the width of its structured families
+    sizes = [(name, b.mult if isinstance(b, Cyclic) else b.copies if isinstance(b, Prufer)
+              else b.rank) for name, b in group.blocks]
+    pool = [(name, i) for name, n in sizes
+            for i in range(max(1, _TAIL_WINDOW if n is OMEGA else min(n, _TAIL_WINDOW)))]
     attempts = 0
     while len(out) < count and attempts < 4 * count + 32:
         attempts += 1
@@ -381,9 +385,15 @@ def test_enumerate_counts_known_lattices():
     assert len(enumerate_subgroups(truncate(periodic, 2), limit=4096)) == 2225
 
 
+def _vector(coords, x):
+    return tuple(x.coeffs.get(c, 0) for c in coords)
+
+
 def test_enumerate_spans_match_their_subgroups():
-    spans = [frozenset(_span(s.group, list(s.generators)))
-             for s in enumerate_subgroups(GroupDesc([("A", Cyclic(3, 1, 2))]))]
+    group = GroupDesc([("A", Cyclic(3, 1, 2))])
+    coords, moduli = _flat_space(group)
+    spans = [frozenset(_span(moduli, [_vector(coords, g) for g in s.generators]))
+             for s in enumerate_subgroups(group)]
     assert [len(span) for span in spans] == [1, 3, 3, 3, 3, 9]
     assert len(set(spans)) == len(spans) == 6
 
@@ -955,21 +965,22 @@ def test_closure_of_an_annihilator_row_with_a_full_pivot_and_a_tail():
 
 
 def _reference_fs(group, phi, levels):
-    """fs_profile by closures over sets of elements of each shadow."""
+    """fs_profile by closures over sets of element vectors of each shadow."""
     report = {}
     for level in levels:
         shadow = truncate(group, level)
         psi = truncate_endo(phi, shadow)
-        units = [Element.unit(shadow.group, n, i)
-                 for n, b in shadow.group.blocks for i in range(b.mult)]
-        image = {x: apply(psi, x) for x in _span(shadow.group, units)}
+        coords, moduli = _flat_space(shadow.group)
+        units = [_vector(coords, Element.unit(shadow.group, *c)) for c in coords]
+        image = {x: _vector(coords, apply(psi, Element(shadow.group, dict(zip(coords, x)))))
+                 for x in _span(moduli, units)}
         worst = 1
         for s in _prelude(shadow.group, level):
-            gens = list(s.generators)
-            lower = upper = _span(shadow.group, gens)
+            gens = [_vector(coords, g) for g in s.generators]
+            lower = upper = _span(moduli, gens)
             while any(image[x] not in upper for x in upper):
                 gens.append(next(image[x] for x in upper if image[x] not in upper))
-                upper = _span(shadow.group, gens)
+                upper = _span(moduli, gens)
             while True:
                 shrunk = {x for x in lower if image[x] in lower}
                 if shrunk == lower:
@@ -1033,3 +1044,23 @@ def test_scalar_lattice_action_fixes_subgroups(scalar):
     phi = Endo(group, cyc={"A": scalar})
     for s in enumerate_subgroups(group):
         assert index_in_sum(s, phi) == 1
+
+
+def test_every_map_on_a_finite_group_has_a_stable_profile():
+    # a finite group is its own shadow at every level, so its families
+    # must not widen with the level, whether its blocks are wider or
+    # narrower than the levels
+    rng = random.Random(20261020)
+    corpus = [parse(p.read_text(encoding="utf-8"))
+              for p in sorted((Path(__file__).parent / "corpus").glob("*.txt"))]
+    cases = [(g, list(INERTIAL.get(name, {}).values()))
+             for name, g in GROUPS.items() if g.is_finite]
+    cases += [(p.group, list(p.endos.values())) for p in corpus if p.group.is_finite]
+    cases.append((GroupDesc([("A", Cyclic(2, 1, 9)), ("K", Cyclic(3, 2, 5)),
+                             ("E", Cyclic(2, 2, 1))]), []))
+    assert len(cases) >= 4 and any(p.group.is_finite for p in corpus)
+    for group, maps in cases:
+        for phi in maps + _random_shadow_maps(group, rng, 3):
+            ev = inertness_profile(group, phi, (2, 4, 6, 8), samples=12, seed=3)
+            assert ev.verdict_hint == "stable", (group, ev.per_level)
+            assert len({w for _, w in ev.per_level}) == 1, (group, ev.per_level)
