@@ -63,8 +63,7 @@ from .linmap import (
     ExactMatrix, count_subspaces, growth_bound_check, max_inert_codim,
 )
 from .oracle import (
-    ProbeRows, enumerate_subgroups, fs_profiles, inertness_profiles,
-    truncate_endo, witness_search,
+    ProbeRows, _profiles, enumerate_subgroups, truncate_endo, witness_search,
 )
 
 __all__ = [
@@ -793,11 +792,10 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:
     views = [None] * len(phis)
     if config.enumerate_all:
         views = _exhaustive_views(parsed.group, phis)
-    evidence = inertness_profiles(parsed.group, phis, config.levels,
-                                  samples=config.samples, seed=config.seed)
-    fs_reports = [None] * len(phis)
-    if parsed.group.is_periodic:
-        fs_reports = [_jv(r) for r in fs_profiles(parsed.group, phis, config.levels)]
+    # one pass per level gives both profiles; the FS one needs a periodic group
+    periodic = parsed.group.is_periodic
+    evidence, fs_reports = _profiles(parsed.group, phis, config.levels, config.samples,
+                                     config.seed, fs=periodic)
     for (name, phi), ev, fs, exhaustive in zip(parsed.endos.items(), evidence,
                                                fs_reports, views):
         cert, viols = is_inertial(phi)
@@ -828,7 +826,7 @@ def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:
             "profile": {"per_level": _jv(ev.per_level),
                         "families": _jv(ev.sampled_families),
                         "hint": ev.verdict_hint},
-            "fs_profile": fs,
+            "fs_profile": _jv(fs) if periodic else None,
             "witnesses": witnesses,
             "consistent": consistent,
         }
@@ -892,7 +890,12 @@ def run(config: SessionConfig) -> tuple[int, str]:
     for path, parsed in files.items():
         _check_work(config, path, parsed)
     runner = _RUNNERS[config.command]
-    results = {path: runner(config, parsed) for path, parsed in files.items()}
+    results = {}
+    for path, parsed in files.items():
+        try:
+            results[path] = runner(config, parsed)
+        except UsageError as exc:
+            raise UsageError(f"{path}: {exc}") from None
     # an oracle view whose two routes disagree exits 2
     contradiction = any(isinstance(view, dict) and view.get("consistent") is False
                         for views in results.values() for view in views.values())

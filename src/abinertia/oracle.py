@@ -174,20 +174,20 @@ class ProbeRows:
 
     A probe is the unit e_c on a cyclic coordinate, (1/p^J) e_c on a
     divisible one and (1/prod q^2) e_c on a torsion-free one, q running
-    over the primes of its block.  With a depth J the probes are taken
-    over the coordinates below _width(b, J); with none the group must be
-    finite, and every unit of its flat space is a probe.  Each map is
-    applied to each probe once, here, and nowhere else in the profiles.
+    over the primes of its block (_probe_value).  With a depth J the
+    probes are taken over the coordinates below _width(b, J); with none
+    the group must be finite, and every unit of its flat space is a
+    probe.  Each map is applied to each probe once, here, and nowhere
+    else in the profiles.
 
     The presentation is fixed here for all measurements: the columns are
     the coordinates that the probes and their images reach, in block
     order, scaled and reduced as _columns says over all those entries.
-    indices() writes each generator as sum n_c probe_c, each n_c an
-    exact integer quotient, and its image as sum n_c phi(probe_c).  phi
-    is additive, so that is phi of the generator, and no more than that
-    is assumed: the map stays an opaque function.  Each index equals
-    index_in_sum's, whose presentation covers only one subgroup and its
-    images under one map:
+    measure() takes each generator as its multipliers n_c on the probes
+    and its image as sum n_c phi(probe_c).  phi is additive, so that is
+    phi of the generator, and no more than that is assumed: the map
+    stays an opaque function.  Each index equals index_in_sum's, whose
+    presentation covers only one subgroup and its images under one map:
 
     * a column that only other maps' images reach holds m e_c, or no
       pivot if it is free, in the slots of H and of H + K: a factor 1;
@@ -206,14 +206,8 @@ class ProbeRows:
             coords, _ = _flat_space(group)
         else:
             coords = [(name, i) for name, b in group.blocks for i in range(_width(b, depth))]
-        units = []
-        for name, i in coords:
-            b = group.block(name)
-            units.append(Element.unit(
-                group, name, i,
-                Fraction(1, b.prime ** depth) if isinstance(b, Prufer)
-                else Fraction(1, prod(q * q for q in b.primes)) if isinstance(b, TorsionFree)
-                else 1))
+        units = [Element.unit(group, name, i, _probe_value(group.block(name), depth))
+                 for name, i in coords]
         images = [[apply(phi, u) for u in units] for phi in phis]
         cols, scales, self.moduli = _columns(group, units + [im for ims in images for im in ims])
         index = {c: j for j, c in enumerate(cols)}
@@ -230,29 +224,21 @@ class ProbeRows:
                 [rows[i] for rows in self.images])
             for i, (c, u) in enumerate(zip(coords, units))}
 
-    def indices(self, sub: FGSubgroup) -> list[Nat]:
-        """|H + phi(H) : H| of sub under each map, from the probe rows.
+    def measure(self, gens: Sequence[Row]) -> list[Nat]:
+        """|H + phi(H) : H| under each map, for H generated by rows of multipliers.
 
-        Each generator's multiplier n_c on a probe must be an integer,
-        else this raises.  The echelon slots of _indices cover the columns
-        that H and the images touch, not all of the columns.
+        Each generator lists (coordinate, n_c) pairs: it is sum n_c probe_c.
+        The echelon slots of _indices cover the columns that H and the
+        images touch, not all of the columns.
         """
-        if sub.group != self.group:
-            raise UsageError("the subgroup lives in a different group")
         moduli = self.moduli
         rows: list[dict[int, int]] = []
         images: list[list[dict[int, int]]] = [[] for _ in self.images]
-        for g in sub.generators:
+        for g in gens:
             row: dict[int, int] = {}
             sums: list[dict[int, int]] = [{} for _ in self.images]
-            for c, v in g.coeffs.items():
-                probe = self._probes.get(c)
-                if probe is None:
-                    raise UsageError(f"coordinate {c[0]}.{c[1]} has no probe")
-                col, unit, den, per_map = probe
-                n, rest = divmod(v.numerator * den, v.denominator)
-                if rest:
-                    raise UsageError(f"{v} at {c[0]}.{c[1]} is not a multiple of its probe")
+            for c, n in g:
+                col, unit, _, per_map = self._probes[c]
                 row[col] = n * unit
                 for acc, probe_image in zip(sums, per_map):
                     for j, a in probe_image:
@@ -272,6 +258,28 @@ class ProbeRows:
         return _indices([[r.get(j, 0) for j in cols] for r in rows],
                         [[[r.get(j, 0) for j in cols] for r in ims] for ims in images],
                         [moduli[j] for j in cols])
+
+    def indices(self, sub: FGSubgroup) -> list[Nat]:
+        """measure() of sub's generators, each written over the probes.
+
+        Each generator's multiplier n_c on a probe must be an integer,
+        else this raises, as it does on a coordinate with no probe.
+        """
+        if sub.group != self.group:
+            raise UsageError("the subgroup lives in a different group")
+        gens = []
+        for g in sub.generators:
+            pairs = []
+            for c, v in g.coeffs.items():
+                probe = self._probes.get(c)
+                if probe is None:
+                    raise UsageError(f"coordinate {c[0]}.{c[1]} has no probe")
+                n, rest = divmod(v.numerator * probe[2], v.denominator)
+                if rest:
+                    raise UsageError(f"{v} at {c[0]}.{c[1]} is not a multiple of its probe")
+                pairs.append((c, n))
+            gens.append(pairs)
+        return self.measure(gens)
 
 
 def _span(moduli: Sequence[int], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
@@ -329,63 +337,88 @@ def _width(b, depth: int) -> int:
     return depth if n is OMEGA else min(n, depth)
 
 
-def _probe(group: GroupDesc, name: str, i: int, depth: int) -> Element:
-    b = group.block(name)
+_TAIL_WINDOW = 3  # random tails stay level-independent on purpose
+
+# A generator written over the probes of ProbeRows: its nonzero
+# (coordinate, multiplier) pairs, sorted by coordinate.  The multiplier of
+# a value v is v over the probe's value, an integer for every value the
+# families and draws make (a divisible a/p^j with j at most the probes'
+# depth J, a torsion-free num/q or num/q^2), and v determines it, so two
+# generators are the same element exactly when their rows are equal.
+Row = tuple[tuple[Coord, int], ...]
+
+
+def _probe_value(b, depth: int | None) -> int | Fraction:
+    """The probe of a coordinate of block b: its unit, 1/p^depth on a
+    divisible block, 1/prod q^2 on a torsion-free one."""
     if isinstance(b, Prufer):
-        return Element.unit(group, name, i, Fraction(1, b.prime ** depth))
-    return Element.unit(group, name, i)
+        return Fraction(1, b.prime ** depth)
+    if isinstance(b, TorsionFree):
+        return Fraction(1, prod(q * q for q in b.primes))
+    return 1
 
 
-def _prelude(group: GroupDesc, depth: int) -> list[FGSubgroup]:
-    """Structured deterministic families: socles, slabs, graphs."""
-    out: list[FGSubgroup] = []
-    seen: set[tuple[Element, ...]] = set()
+def _element(group: GroupDesc, row: Row, probe_depth: int) -> Element:
+    return Element(group, {c: n * _probe_value(group.block(c[0]), probe_depth)
+                           for c, n in row})
 
-    def push(label: str, gens: Iterable[Element]) -> None:
-        key = tuple(g for g in gens if g)
-        if key and key not in seen:
+
+def _prelude_rows(group: GroupDesc, depth: int,
+                  probe_depth: int | None = None) -> list[tuple[str, tuple[Row, ...]]]:
+    """Structured deterministic families: socles, slabs, graphs.
+
+    Each family is its label and its generators as Rows over the probes
+    at probe_depth, which only divisible and torsion-free blocks read, so
+    a finite shadow needs none.  A divisible layer is 1/p^depth, the
+    multiplier p^(probe_depth - depth); a torsion-free unit is prod q^2
+    times its probe.
+    """
+    out: list[tuple[str, tuple[Row, ...]]] = []
+    seen: set[tuple[Row, ...]] = set()
+
+    def push(label: str, gens: Iterable[Row]) -> None:
+        key = tuple(gens)
+        if key not in seen:
             seen.add(key)
-            out.append(FGSubgroup(group, key, label))
+            out.append((label, key))
 
+    # the multiplier of a family's probe on each block: a layer 1/p^depth
+    # of a divisible block, else a unit
+    at = {name: b.prime ** (probe_depth - depth) if isinstance(b, Prufer)
+          else prod(q * q for q in b.primes) if isinstance(b, TorsionFree) else 1
+          for name, b in group.blocks}
     for name, b in group.blocks:
         w = max(1, _width(b, depth))
         if isinstance(b, Cyclic):
-            e0 = Element.unit(group, name, 0)
-            push(f"socle {name}", [e0.scale(b.prime ** (b.exp - 1))])
-            push(f"coordinate {name}", [e0])
+            push(f"socle {name}", [(((name, 0), b.prime ** (b.exp - 1)),)])
+            push(f"coordinate {name}", [(((name, 0), 1),)])
             if w >= 2:
-                push(f"slab {name}",
-                     [Element.unit(group, name, i) for i in range(w)])
+                push(f"slab {name}", [(((name, i), 1),) for i in range(w)])
         elif isinstance(b, Prufer):
-            push(f"socle {name}",
-                 [Element.unit(group, name, 0, Fraction(1, b.prime))])
-            push(f"layer {name}", [_probe(group, name, 0, depth)])
+            push(f"socle {name}", [(((name, 0), b.prime ** (probe_depth - 1)),)])
+            push(f"layer {name}", [(((name, 0), at[name]),)])
             if w >= 2:
-                push(f"slab {name}",
-                     [_probe(group, name, i, depth) for i in range(w)])
+                push(f"slab {name}", [(((name, i), at[name]),) for i in range(w)])
         else:
-            lattice = [Element.unit(group, name, i) for i in range(w)]
-            push(f"lattice {name}", lattice)
-            push(f"lattice {name} scaled", [u.scale(2) for u in lattice])
+            push(f"lattice {name}", [(((name, i), at[name]),) for i in range(w)])
+            push(f"lattice {name} scaled", [(((name, i), 2 * at[name]),) for i in range(w)])
         if w >= 2:  # one in-block pair graph catches diagonal deviations
-            push(f"graph {name}/{name}",
-                 [_probe(group, name, 0, depth) + _probe(group, name, 1, depth)])
+            push(f"graph {name}/{name}", [(((name, 0), at[name]), ((name, 1), at[name]))])
     for (n1, b1), (n2, b2) in combinations(group.blocks, 2):
         w = max(1, min(_width(b1, depth), _width(b2, depth)))
         push(f"graph {n1}/{n2}",
-             [_probe(group, n1, i, depth) + _probe(group, n2, i, depth)
-              for i in range(w)])
+             [tuple(sorted((((n1, i), at[n1]), ((n2, i), at[n2])))) for i in range(w)])
     return out
 
 
-_TAIL_WINDOW = 3  # random tails stay level-independent on purpose
-
-
-def _random_draws(group: GroupDesc, seed: int) -> Iterator[tuple[Element, ...]]:
+def _draw_rows(group: GroupDesc, seed: int, probe_depth: int) -> Iterator[tuple[Row, ...]]:
     """The random generator tuples of sample_subgroups, in draw order.
 
     The draws depend on the group and the seed alone, never on the depth
     or on which earlier draws were kept, so one stream serves every depth.
+    A divisible value a/p^j, j <= _TAIL_WINDOW <= probe_depth, is the
+    multiplier a p^(probe_depth - j), and a torsion-free num/den is
+    num (prod q^2 / den).
     """
     rng = random.Random(seed)
     pool = [(name, i) for name, b in group.blocks
@@ -393,15 +426,15 @@ def _random_draws(group: GroupDesc, seed: int) -> Iterator[tuple[Element, ...]]:
     while True:
         gens = []
         for _ in range(rng.randint(1, 4)):
-            coeffs: dict[Coord, int | Fraction] = {}
+            pairs = []
             for name, i in rng.sample(pool, rng.randint(1, min(3, len(pool)))):
                 b = group.block(name)
                 if isinstance(b, Cyclic):
-                    coeffs[(name, i)] = rng.randrange(1, b.prime ** b.exp)
+                    pairs.append(((name, i), rng.randrange(1, b.prime ** b.exp)))
                 elif isinstance(b, Prufer):
                     j = rng.randint(1, _TAIL_WINDOW)
-                    coeffs[(name, i)] = Fraction(rng.randrange(1, b.prime ** j),
-                                                 b.prime ** j)
+                    pairs.append(((name, i), rng.randrange(1, b.prime ** j)
+                                  * b.prime ** (probe_depth - j)))
                 else:
                     num = rng.randint(-3, 3)
                     den = 1
@@ -409,34 +442,39 @@ def _random_draws(group: GroupDesc, seed: int) -> Iterator[tuple[Element, ...]]:
                     if ps and rng.random() < 0.5:
                         den = rng.choice(ps) ** rng.randint(1, 2)
                     if num:
-                        coeffs[(name, i)] = Fraction(num, den)
-            g = Element(group, coeffs)
-            if g:
-                gens.append(g)
+                        pairs.append(((name, i), num * (prod(q * q for q in ps) // den)))
+            if pairs:
+                gens.append(tuple(sorted(pairs)))
         yield tuple(gens)
 
 
-class _Draws:
-    """The random draws of one (group, seed), made on demand and kept.
+def _replay(kept: list, fresh: Iterator) -> Iterator:
+    """The draws kept so far, then fresh ones, each kept as it is made."""
+    yield from kept
+    for key in fresh:
+        kept.append(key)
+        yield key
 
-    Each pass replays the kept draws, then extends them, so passes must
-    not interleave.
-    """
 
-    def __init__(self, group: GroupDesc, seed: int) -> None:
-        self._fresh = _random_draws(group, seed)
-        self._kept: list[tuple[Element, ...]] = []
-
-    def __iter__(self) -> Iterator[tuple[Element, ...]]:
-        yield from self._kept
-        for key in self._fresh:
-            self._kept.append(key)
-            yield key
+def _sample_rows(group: GroupDesc, count: int, depth: int, probe_depth: int,
+                 draws: Iterator[tuple[Row, ...]]) -> list[tuple[str, tuple[Row, ...]]]:
+    """The prelude at depth, then the first new draws up to count."""
+    if not isinstance(count, int) or count < 1:
+        raise UsageError("count must be a positive integer")
+    out = _prelude_rows(group, depth, probe_depth)
+    seen = {gens for _, gens in out}
+    for _ in range(4 * count + 32):
+        if len(out) >= count:
+            break
+        key = next(draws)
+        if key and key not in seen:
+            seen.add(key)
+            out.append((f"random {len(out)}", key))
+    return out
 
 
 def sample_subgroups(target: GroupDesc | Truncation, count: int, seed: int,
-                     depth: int | None = None, *,
-                     _draws: _Draws | None = None) -> list[FGSubgroup]:
+                     depth: int | None = None) -> list[FGSubgroup]:
     """Deterministic mixed family of finitely generated subgroups.
 
     The structured prelude (socles, slabs, scaled lattices, one graph
@@ -444,30 +482,20 @@ def sample_subgroups(target: GroupDesc | Truncation, count: int, seed: int,
     generator sets with small coefficients fill the list up to count,
     from at most 4 * count + 32 draws.  The random tail draws from a
     fixed shallow window regardless of depth, so profiles over growing
-    depths only move through the structured families.  The draws depend
-    on the group and the seed alone, so inertness_profile makes them once
-    per call, passes them to every level as ``_draws``, and measures each
-    distinct subgroup once.
+    depths only move through the structured families.  The subgroups are
+    made as Rows over the probes at depth max(depth, _TAIL_WINDOW), as
+    the profiles measure them, and only then written as elements.
     """
     group = _ambient(target)
-    if not isinstance(count, int) or count < 1:
-        raise UsageError("count must be a positive integer")
     if depth is None:
         depth = target.level if isinstance(target, Truncation) else _TAIL_WINDOW
     if not isinstance(depth, int) or depth < 1:
         raise UsageError("depth must be a positive integer")
-
-    out = list(_prelude(group, depth))
-    seen = {s.generators for s in out}
-    draws = iter(_Draws(group, seed) if _draws is None else _draws)
-    for _ in range(4 * count + 32):
-        if len(out) >= count:
-            break
-        key = next(draws)
-        if key and key not in seen:
-            seen.add(key)
-            out.append(FGSubgroup(group, key, f"random {len(out)}"))
-    return out
+    probe_depth = max(depth, _TAIL_WINDOW)
+    samples = _sample_rows(group, count, depth, probe_depth,
+                           _draw_rows(group, seed, probe_depth))
+    return [FGSubgroup(group, tuple(_element(group, g, probe_depth) for g in gens), label)
+            for label, gens in samples]
 
 
 def enumerate_subgroups(target: GroupDesc | Truncation,
@@ -599,75 +627,6 @@ def _nat_max(a: Nat, b: Nat) -> Nat:
     return a if a >= b else b
 
 
-def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
-                       levels: Sequence[int], samples: int = 40,
-                       seed: int = 0) -> list[InertnessEvidence]:
-    """inertness_profile of each map in phis, sharing the group-only work.
-
-    The levels are the outer loop and the maps the inner one.  Each level
-    truncates the group, lists the shadow prelude and draws the samples
-    once for all maps, from one stream of random draws per call.  Every
-    subgroup is measured on probe rows (ProbeRows): each map is applied
-    once per probe of each level's shadow and once per probe of the
-    untruncated group, at depth max(top level, _TAIL_WINDOW), and never
-    to a generator, so the number of applications does not grow with
-    samples.  Each distinct untruncated sample is looked up once per
-    level and measured once per call.  The memo holds one index per map
-    for each distinct sample and lives only as long as the call.  A
-    map's evidence is what the singular call gives, whichever maps share
-    the call.
-    """
-    if any(phi.group != group for phi in phis):
-        raise UsageError("the endomorphism acts on a different group")
-    lv = _check_levels(levels)
-    if not phis:
-        return []
-    has_torsion = any(not isinstance(b, TorsionFree) for _, b in group.blocks)
-    per: list[list[tuple[int, Nat]]] = [[] for _ in phis]
-    families: set[str] = set()  # the labels depend on the group alone
-    draws = _Draws(group, seed)
-    measured: dict[tuple[Element, ...], list[Nat]] = {}
-    probes = ProbeRows(group, phis, max(lv[-1], _TAIL_WINDOW))
-    for level in lv:
-        worst: list[Nat] = [1] * len(phis)
-        if has_torsion:
-            shadow = truncate(group, level)
-            flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
-            for s in _prelude(shadow.group, level):
-                worst = [_nat_max(w, v) for w, v in zip(worst, flat.indices(s))]
-                families.add(s.label.split()[0])
-        for s in sample_subgroups(group, samples, seed, level, _draws=draws):
-            found = measured.get(s.generators)
-            if found is None:
-                found = measured[s.generators] = probes.indices(s)
-            worst = [_nat_max(w, v) for w, v in zip(worst, found)]
-            families.add(s.label.split()[0])
-        for row, w in zip(per, worst):
-            row.append((level, w))
-    out = []
-    for row in per:
-        # an infinite observed index is already unbounded growth
-        stable = is_finite(row[-1][1]) and (len(row) < 2
-                                            or row[-1][1] == row[-2][1])
-        out.append(InertnessEvidence(tuple(row), tuple(sorted(families)),
-                                     "stable" if stable else "growing"))
-    return out
-
-
-def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
-                      samples: int = 40, seed: int = 0) -> InertnessEvidence:
-    """Worst observed |H + phi(H) : H| per truncation level.
-
-    Each level measures the truncated action over the structured shadow
-    families plus the untruncated action over samples whose structured
-    depth grows with the level; random tails are level-independent, so
-    the hint is stable exactly when the top two level maxima agree.  The
-    random draws are made once per call and shared by every level, and
-    each distinct untruncated sample is measured once per call.
-    """
-    return inertness_profiles(group, [phi], levels, samples, seed)[0]
-
-
 class FiniteLattice:
     """A subgroup of Z^n / diag(moduli) as the lattice of all its lifts.
 
@@ -695,33 +654,51 @@ class FiniteLattice:
         self.basis = tuple(map(tuple, slots))
 
     def order(self) -> int:
-        return prod(m // row[i] for i, (m, row) in enumerate(zip(self.moduli, self.basis)))
+        return _order(self.moduli, self.basis)
 
     def closure(self, action: Sequence[Sequence[tuple[int, int]]]) -> "FiniteLattice":
         """The smallest lattice over this one that a map carries into itself.
 
         action[i] lists the pairs (j, a) of the image of e_i; the map must
-        be a homomorphism, so it kills every m_i e_i.  A worklist holds
-        the rows whose images are still to be inserted: first every basis
-        row other than m_i e_i, then each image whose insertion grew the
-        lattice.  An image that did not grow it already lies in it, so
-        when the worklist is empty the map carries every generator, and
-        with them the lattice, into the lattice.
+        be a homomorphism, so it kills every m_i e_i.  See _sweep for the
+        worklist.
+        """
+        return FiniteLattice(self.moduli, (), self._sweep(action, True)[1])
+
+    def _sweep(self, action: Sequence[Sequence[tuple[int, int]]],
+               whole: bool) -> tuple[int, list]:
+        """|X + phi X| and the echelon slots where closure's worklist stops.
+
+        The worklist runs in sweeps.  The first inserts the image of every
+        basis row other than m_i e_i, so it ends at X + phi X, whose order
+        is read there.  With whole, each later sweep inserts the images of
+        the rows whose insertion grew the lattice in the sweep before.  An
+        image that did not grow it already lies in it, so when a sweep
+        grows nothing the map carries every generator, and with them the
+        lattice, into the lattice: the slots are then those of X^*.
+        Without whole they are those of X + phi X.
         """
         moduli = self.moduli
         n = len(moduli)
         slots = list(self.basis)
         queue = [r for i, r in enumerate(self.basis) if r[i] != moduli[i] or any(r[i + 1:])]
-        while queue:
-            img = [0] * n
-            for x, pairs in zip(queue.pop(), action):
-                if x:
-                    for j, a in pairs:
-                        img[j] += x * a
-            img = [x % m for x, m in zip(img, moduli)]
-            if hnf_insert(slots, img, moduli):
-                queue.append(img)
-        return FiniteLattice(moduli, (), slots)
+        first = None
+        while True:
+            grown = []
+            for row in queue:
+                img = [0] * n
+                for x, pairs in zip(row, action):
+                    if x:
+                        for j, a in pairs:
+                            img[j] += x * a
+                img = [x % m for x, m in zip(img, moduli)]
+                if hnf_insert(slots, img, moduli):
+                    grown.append(img)
+            if first is None:
+                first = _order(moduli, slots)
+            if not (whole and grown):
+                return first, slots
+            queue = grown
 
     def annihilator(self) -> "FiniteLattice":
         """The subgroup pairing to zero with this one under sum x_i y_i / m_i.
@@ -746,6 +723,10 @@ class FiniteLattice:
         return FiniteLattice(self.moduli[::-1], (), cols)
 
 
+def _order(moduli: Sequence[int], slots: Sequence[Sequence[int]]) -> int:
+    return prod(m // row[i] for i, (m, row) in enumerate(zip(moduli, slots)))
+
+
 def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
     if not group.is_finite:
         raise UsageError("only finite groups flatten to lattices")
@@ -753,66 +734,165 @@ def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
     return coords, [b.prime ** b.exp for _, b in group.blocks for _ in range(b.mult)]
 
 
-def _shadow_action(flat: ProbeRows) -> list[tuple[list, list]]:
-    """Each shadow map's flat action and its dual, as pair lists.
+def _dual(moduli: Sequence[int], action: Sequence[Sequence[tuple[int, int]]]) -> list:
+    """A shadow map's dual action, as pair lists over the reversed coordinates.
 
-    flat holds the probe rows of every unit of a finite shadow, so its
-    columns are the flat coordinates and each map's probe rows are its
-    action: images[k][i] lists the pairs (j, a) of map k's image of
-    e_i.  The dual acts on annihilators, which live over the reversed
-    coordinates (see FiniteLattice.annihilator), so it is written there:
-    e_j of the original coordinates is e_(n-1-j) of the reversed ones.
+    The dual acts on annihilators, which live there (see
+    FiniteLattice.annihilator): e_j of the original coordinates is
+    e_(n-1-j) of the reversed ones, and the entry of phi_ij is
+    phi_ij m_i / m_j.
     """
-    moduli = flat.moduli
     n = len(moduli)
+    dual: list[list[tuple[int, int]]] = [[] for _ in moduli]
+    for i, images in enumerate(action):
+        for j, a in images:
+            if a * moduli[i] % moduli[j]:
+                raise AssertionError("the shadow map is not a homomorphism")
+            dual[n - 1 - j].append((n - 1 - i, a * moduli[i] // moduli[j]))
+    return dual
+
+
+def _shadow_families(group: GroupDesc, phis: Sequence[Endo], level: int,
+                     fs: bool) -> Iterator[tuple[str, list[Nat], list[int]]]:
+    """Each family of the level's shadow, with its index under each map and
+    its FS ratio, the latter only with fs.
+
+    The group is truncated once and each map is applied to each unit of
+    the shadow once, in one ProbeRows, whose probe rows are each map's
+    flat action.  Each family is one FiniteLattice X, built once for all
+    maps, and its X^perp too with fs.  Per map, |X + psi X : X| is read
+    off the first sweep of X's closure worklist; with fs the worklist
+    runs on to X^*, X^perp is closed under the dual map, and the ratio is
+    |X^*| |X_*^perp| / |G|.
+    """
+    shadow = truncate(group, level)
+    flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
+    moduli = flat.moduli
+    place = {c: j for j, c in enumerate(flat.columns)}
+    duals = [_dual(moduli, action) for action in flat.images] if fs else []
+    total = prod(moduli)
+    for label, gens in _prelude_rows(shadow.group, level):
+        rows = []
+        for g in gens:
+            row = [0] * len(moduli)
+            for c, n in g:  # a shadow's probes are its units, unscaled
+                row[place[c]] = n
+            rows.append(row)
+        x = FiniteLattice(moduli, rows)
+        order = x.order()
+        perp = x.annihilator() if fs else None
+        indices, ratios = [], []
+        for k, action in enumerate(flat.images):
+            first, upper = x._sweep(action, fs)
+            indices.append(first // order)
+            if fs:
+                lower = perp._sweep(duals[k], True)[1]
+                ratios.append(_order(moduli, upper) * _order(perp.moduli, lower) // total)
+        yield label, indices, ratios
+
+
+def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
+              samples: int | None = None, seed: int = 0,
+              fs: bool = False) -> tuple[list[InertnessEvidence], list[dict[int, int]]]:
+    """The oracle's one loop over the levels, for all of a file's maps.
+
+    Each level makes one pass over its shadow (_shadow_families), which
+    gives every shadow family's index under each map and, with fs, its
+    FS ratio, so a periodic group is truncated and walked once per level
+    for both profiles.  With samples, the untruncated samples are then
+    measured: the prelude at the level and the first new random draws,
+    all made as Rows over the probes at depth max(top level,
+    _TAIL_WINDOW), where each map is applied once per probe.  The draws
+    are made once per call and replayed at every level, and the memo
+    keyed by the Rows measures each distinct sample once per call; it
+    holds one index per map and lives only as long as the call.
+    Returns each map's evidence and, with fs, its FS report ({} without).
+    """
+    if any(phi.group != group for phi in phis):
+        raise UsageError("the endomorphism acts on a different group")
+    lv = _check_levels(levels)
+    if not phis:
+        return [], []
+    if samples is not None:
+        probe_depth = max(lv[-1], _TAIL_WINDOW)
+        probes = ProbeRows(group, phis, probe_depth)
+        kept: list[tuple[Row, ...]] = []
+        fresh = _draw_rows(group, seed, probe_depth)
+        measured: dict[tuple[Row, ...], list[Nat]] = {}
+    has_torsion = any(not isinstance(b, TorsionFree) for _, b in group.blocks)
+    per: list[list[tuple[int, Nat]]] = [[] for _ in phis]
+    reports: list[dict[int, int]] = [{} for _ in phis]
+    families: set[str] = set()  # the labels depend on the group alone
+    for level in lv:
+        worst: list[Nat] = [1] * len(phis)
+        if has_torsion:
+            for label, indices, ratios in _shadow_families(group, phis, level, fs):
+                worst = [_nat_max(w, v) for w, v in zip(worst, indices)]
+                for report, r in zip(reports, ratios):  # no ratios without fs
+                    report[level] = max(report.get(level, 1), r)
+                families.add(label.split()[0])
+        if samples is not None:
+            for label, gens in _sample_rows(group, samples, level, probe_depth,
+                                            _replay(kept, fresh)):
+                found = measured.get(gens)
+                if found is None:
+                    found = measured[gens] = probes.measure(gens)
+                worst = [_nat_max(w, v) for w, v in zip(worst, found)]
+                families.add(label.split()[0])
+        for row, w in zip(per, worst):
+            row.append((level, w))
     out = []
-    for action in flat.images:
-        dual: list[list[tuple[int, int]]] = [[] for _ in moduli]
-        for i, images in enumerate(action):
-            for j, a in images:
-                if a * moduli[i] % moduli[j]:
-                    raise AssertionError("the shadow map is not a homomorphism")
-                dual[n - 1 - j].append((n - 1 - i, a * moduli[i] // moduli[j]))
-        out.append((action, dual))
-    return out
+    for row in per:
+        # an infinite observed index is already unbounded growth
+        stable = is_finite(row[-1][1]) and (len(row) < 2
+                                            or row[-1][1] == row[-2][1])
+        out.append(InertnessEvidence(tuple(row), tuple(sorted(families)),
+                                     "stable" if stable else "growing"))
+    return out, reports
+
+
+def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
+                       levels: Sequence[int], samples: int = 40,
+                       seed: int = 0) -> list[InertnessEvidence]:
+    """inertness_profile of each map in phis, sharing the group-only work.
+
+    One _profiles loop: each level truncates the group, walks the shadow
+    families and lists the samples once for all maps, and each subgroup
+    is measured on probe rows, never by applying a map to a generator, so
+    the number of applications does not grow with samples.  A map's
+    evidence is what the singular call gives, whichever maps share the
+    call.
+    """
+    return _profiles(group, phis, levels, samples, seed)[0]
+
+
+def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
+                      samples: int = 40, seed: int = 0) -> InertnessEvidence:
+    """Worst observed |H + phi(H) : H| per truncation level.
+
+    Each level measures the truncated action over the structured shadow
+    families plus the untruncated action over samples whose structured
+    depth grows with the level; random tails are level-independent, so
+    the hint is stable exactly when the top two level maxima agree.  The
+    random draws are made once per call and shared by every level, and
+    each distinct untruncated sample is measured once per call.
+    """
+    return inertness_profiles(group, [phi], levels, samples, seed)[0]
 
 
 def fs_profiles(group: GroupDesc, phis: Sequence[Endo],
                 levels: Sequence[int]) -> list[dict[int, int]]:
     """fs_profile of each map in phis, sharing the group-only work.
 
-    The levels are the outer loop, the prelude families the middle one
-    and the maps the inner one.  Each level truncates and flattens the
-    group once and writes each map's flat action, and its dual over the
-    reversed coordinates where annihilators live, once.  Each family
-    builds X and X^perp once, as echelon slots, and only the two
-    worklist closures run per map.  Besides each map's two actions, one
-    family's lattices are alive at a time, so the lattices held do not
-    grow with the number of maps or families.
+    One _profiles loop without samples: each level truncates the group,
+    writes each map's flat action and its dual once, and builds each
+    family's X and X^perp once; only the worklist closures run per map.
+    One family's lattices are alive at a time, so the lattices held do
+    not grow with the number of maps or families.
     """
     if not group.is_periodic:
         raise UsageError("the FS profile needs a periodic group")
-    if any(phi.group != group for phi in phis):
-        raise UsageError("the endomorphism acts on a different group")
-    lv = _check_levels(levels)
-    if not phis:
-        return []
-    reports: list[dict[int, int]] = [{} for _ in phis]
-    for level in lv:
-        shadow = truncate(group, level)
-        flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
-        coords, moduli = flat.columns, flat.moduli
-        maps = _shadow_action(flat)
-        worst = [1] * len(phis)
-        total = prod(moduli)
-        for s in _prelude(shadow.group, level):
-            x = FiniteLattice(moduli, [[g.coeffs.get(c, 0) for c in coords] for g in s.generators])
-            perp = x.annihilator()
-            worst = [max(w, x.closure(action).order() * perp.closure(dual).order() // total)
-                     for w, (action, dual) in zip(worst, maps)]
-        for report, w in zip(reports, worst):
-            report[level] = w
-    return reports
+    return _profiles(group, phis, levels, fs=True)[1]
 
 
 def fs_profile(group: GroupDesc, phi: Endo,

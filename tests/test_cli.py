@@ -466,6 +466,24 @@ def test_defect_needs_an_elementary_group():
         run(config("defect", "critical"))
 
 
+def test_refusals_name_the_file_that_failed(tmp_path, capsys):
+    # the first file is fine, so only the path tells which input failed
+    two = tmp_path / "two_primes.txt"
+    two.write_text("group V {\n  block A = cyclic(p=2, k=1, mult=2)\n"
+                   "  block B = cyclic(p=3, k=1, mult=1)\n}\n\n"
+                   "endo bridge on V {\n  cyc[A] = 1;\n}\n", encoding="utf-8")
+    cases = (
+        ("defect", corpus("vector"), two, "endo 'bridge': defect needs a single prime"),
+        ("decompose", corpus("critical"), Path(corpus("prufer_pair")),
+         "endo 'skew': not inertial: DIV_NOT_SCALAR"),
+    )
+    for command, first, second, message in cases:
+        assert main([command, first, str(second)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {second}: {message}\n", captured.err
+
+
 def test_oracle_exhaustive_shadow_check():
     _, text = run(config("oracle", "critical", levels=(2, 3), samples=8,
                          enumerate_all=True))
@@ -600,7 +618,7 @@ def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a capped run started work")
 
-    monkeypatch.setattr(cli, "inertness_profiles", no_work)
+    monkeypatch.setattr(cli, "_profiles", no_work)
     monkeypatch.setattr(cli, "growth_bound_check", no_work)
     cases = (
         ("oracle", "cyclic(p=2, k=1, mult=513)", (), "oracle flattens at most 512"),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, islice
 from math import gcd, prod
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abinertia import oracle
-from abinertia.cli import parse
+from abinertia.cli import SessionConfig, parse, run
 from abinertia.endokit import (
     Endo, apply, mini_endo, multiplication_endo, semi_multiplication, validate,
 )
@@ -29,7 +30,10 @@ from abinertia.oracle import (
     inertness_profile, naive_index_in_sum, sample_subgroups, truncate_endo,
     witness_search,
 )
-from abinertia.oracle import _TAIL_WINDOW, _flat_space, _nat_max, _prelude, _span, _width
+from abinertia.oracle import (
+    _TAIL_WINDOW, _draw_rows, _element, _flat_space, _nat_max, _prelude_rows, _sample_rows,
+    _shadow_families, _span, _width,
+)
 from conftest import GROUPS, INERTIAL, ORACLE_CASES
 from test_endokit import rich_endos
 
@@ -156,23 +160,31 @@ def test_shared_indices_equal_the_singleton_indices():
 
 
 def _assert_probe_rows_match(group, phis, levels, samples, seed):
-    """Probe-row indices against index_in_sum on every shadow prelude
-    subgroup and every sample (prelude and random) at each level; returns
-    the number of subgroups compared."""
-    probes = ProbeRows(group, phis, max(levels[-1], _TAIL_WINDOW))
+    """The profiles' indices against index_in_sum at each level: every
+    shadow family, from the one-pass walk of the shadow (without the FS
+    closures and, on a periodic group, with them), and every sample
+    (prelude and random), from its rows of probe multipliers; returns the
+    number of subgroups compared."""
+    depth = max(levels[-1], _TAIL_WINDOW)
+    probes = ProbeRows(group, phis, depth)
     seen, compared = set(), 0
     for level in levels:
         if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
             shadow = truncate(group, level)
             psis = [truncate_endo(phi, shadow) for phi in phis]
-            flat = ProbeRows(shadow.group, psis)
-            for s in _prelude(shadow.group, level):
-                assert flat.indices(s) == [index_in_sum(s, psi) for psi in psis], (level, s)
-                compared += 1
-        for s in sample_subgroups(group, samples, seed, depth=level):
-            if s.generators not in seen:  # the random tail repeats across levels
-                seen.add(s.generators)
-                assert probes.indices(s) == [index_in_sum(s, phi) for phi in phis], (level, s)
+            want = [(s.label, [index_in_sum(s, psi) for psi in psis])
+                    for s in _prelude(shadow.group, level)]
+            for fs in {False, group.is_periodic}:
+                got = [(label, indices)
+                       for label, indices, _ in _shadow_families(group, phis, level, fs)]
+                assert got == want, (level, fs)
+            compared += len(want)
+        for label, gens in _sample_rows(group, samples, level, depth,
+                                        _draw_rows(group, seed, depth)):
+            if gens not in seen:  # the random tail repeats across levels
+                seen.add(gens)
+                s = FGSubgroup(group, tuple(_element(group, g, depth) for g in gens), label)
+                assert probes.measure(gens) == [index_in_sum(s, phi) for phi in phis], (level, s)
                 compared += 1
     return compared
 
@@ -308,10 +320,57 @@ def test_sampling_accepts_truncations():
     assert all(s.group == shadow.group for s in subs)
 
 
-def _reference_samples(group, count, seed, depth):
-    """sample_subgroups as one loop that draws afresh for every depth."""
-    out = list(_prelude(group, depth))
-    seen = {s.generators for s in out}
+# -- the element-built reference samplers --------------------------------
+# The oracle makes its subgroups as rows of probe multipliers; these
+# build the same families and draws as elements, as the oracle once did.
+
+def _probe(group, name, i, depth):
+    b = group.block(name)
+    if isinstance(b, Prufer):
+        return Element.unit(group, name, i, F(1, b.prime ** depth))
+    return Element.unit(group, name, i)
+
+
+def _prelude(group, depth):
+    """Structured deterministic families: socles, slabs, graphs."""
+    out = []
+    seen = set()
+
+    def push(label, gens):
+        key = tuple(g for g in gens if g)
+        if key and key not in seen:
+            seen.add(key)
+            out.append(FGSubgroup(group, key, label))
+
+    for name, b in group.blocks:
+        w = max(1, _width(b, depth))
+        if isinstance(b, Cyclic):
+            e0 = Element.unit(group, name, 0)
+            push(f"socle {name}", [e0.scale(b.prime ** (b.exp - 1))])
+            push(f"coordinate {name}", [e0])
+            if w >= 2:
+                push(f"slab {name}", [Element.unit(group, name, i) for i in range(w)])
+        elif isinstance(b, Prufer):
+            push(f"socle {name}", [Element.unit(group, name, 0, F(1, b.prime))])
+            push(f"layer {name}", [_probe(group, name, 0, depth)])
+            if w >= 2:
+                push(f"slab {name}", [_probe(group, name, i, depth) for i in range(w)])
+        else:
+            lattice = [Element.unit(group, name, i) for i in range(w)]
+            push(f"lattice {name}", lattice)
+            push(f"lattice {name} scaled", [u.scale(2) for u in lattice])
+        if w >= 2:
+            push(f"graph {name}/{name}",
+                 [_probe(group, name, 0, depth) + _probe(group, name, 1, depth)])
+    for (n1, b1), (n2, b2) in combinations(group.blocks, 2):
+        w = max(1, min(_width(b1, depth), _width(b2, depth)))
+        push(f"graph {n1}/{n2}",
+             [_probe(group, n1, i, depth) + _probe(group, n2, i, depth) for i in range(w)])
+    return out
+
+
+def _random_draws(group, seed):
+    """The random generator tuples, in draw order, as elements."""
     rng = random.Random(seed)
     # the draws reach at most _TAIL_WINDOW coordinates of any block,
     # finite ones included, whatever the width of its structured families
@@ -319,9 +378,7 @@ def _reference_samples(group, count, seed, depth):
               else b.rank) for name, b in group.blocks]
     pool = [(name, i) for name, n in sizes
             for i in range(max(1, _TAIL_WINDOW if n is OMEGA else min(n, _TAIL_WINDOW)))]
-    attempts = 0
-    while len(out) < count and attempts < 4 * count + 32:
-        attempts += 1
+    while True:
         gens = []
         for _ in range(rng.randint(1, 4)):
             coeffs = {}
@@ -343,23 +400,110 @@ def _reference_samples(group, count, seed, depth):
             g = Element(group, coeffs)
             if g:
                 gens.append(g)
-        key = tuple(gens)
+        yield tuple(gens)
+
+
+def _reference_samples(prelude, count, draws):
+    """sample_subgroups' element-built body: the prelude, then the first new
+    draws up to count, from at most 4 * count + 32 of them."""
+    out = list(prelude)
+    group = out[0].group
+    seen = {s.generators for s in out}
+    draws = iter(draws)
+    for _ in range(4 * count + 32):
+        if len(out) >= count:
+            break
+        key = next(draws)
         if key and key not in seen:
             seen.add(key)
             out.append(FGSubgroup(group, key, f"random {len(out)}"))
-    return out
+    return [(s.label, s.generators) for s in out]
+
+
+def _assert_rows_reproduce_the_reference(group, counts, seeds, depths):
+    """The oracle's rows of probe multipliers, written as elements, give the
+    reference's labels and generators in the same order: over the probes
+    of a profile whose top level is the deepest depth, and through
+    sample_subgroups (probes at max(depth, _TAIL_WINDOW)) at the first
+    seed and the largest count.  A finite group is also its own shadow,
+    whose families need no probe depth."""
+    top = max(max(depths), _TAIL_WINDOW)
+    preludes = {depth: _prelude(group, depth) for depth in depths}
+    written = {}  # each row written once as an element
+
+    def as_elements(samples):
+        out = []
+        for label, gens in samples:
+            for g in gens:
+                if g not in written:
+                    written[g] = _element(group, g, top)
+            out.append((label, tuple(written[g] for g in gens)))
+        return out
+
+    budget = 4 * max(counts) + 32
+    for seed in seeds:
+        draws = list(islice(_random_draws(group, seed), budget))
+        rows = list(islice(_draw_rows(group, seed, top), budget))
+        for depth in depths:
+            for count in counts:
+                want = _reference_samples(preludes[depth], count, draws)
+                got = _sample_rows(group, count, depth, top, iter(rows))
+                assert as_elements(got) == want, (group, count, seed, depth)
+            if seed != seeds[0]:
+                continue
+            got = sample_subgroups(group, max(counts), seed, depth)
+            assert [(s.label, s.generators) for s in got] == \
+                _reference_samples(preludes[depth], max(counts), draws), (group, seed, depth)
+    if group.is_finite:
+        for depth in depths:
+            assert [(label, tuple(_element(group, g, None) for g in gens))
+                    for label, gens in _prelude_rows(group, depth)] == \
+                [(s.label, s.generators) for s in preludes[depth]], (group, depth)
 
 
 def test_sampling_keeps_the_draw_order_at_every_depth():
     groups = [OMEGA2, CRIT, MIXP, ZPAIR] + [parsed.group for parsed in CORPUS]
+    groups += [g for _, g in sorted(GROUPS.items())]
     for group in groups:
-        for count in (1, 5, 40, 100):
-            for seed in (0, 1, 7):
-                for depth in range(1, 9):
-                    got = sample_subgroups(group, count, seed, depth)
-                    want = _reference_samples(group, count, seed, depth)
-                    assert [(s.label, s.generators) for s in got] == \
-                        [(s.label, s.generators) for s in want], (group, count, seed, depth)
+        _assert_rows_reproduce_the_reference(group, (1, 5, 40, 100), (0, 1, 7), range(1, 10))
+        for level in (1, 2, 5, 9):
+            if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
+                _assert_rows_reproduce_the_reference(truncate(group, level).group, (8,), (3,),
+                                                     (level,))
+
+
+@st.composite
+def sampled_groups(draw):
+    """Groups with Prufer blocks, torsion-free blocks whose draws take
+    denominators q and q^2, Z^(omega), and finite cyclic blocks wider
+    than any level the differential test reaches."""
+    kinds = draw(st.lists(st.sampled_from(["cyclic", "wide", "prufer", "rational", "free"]),
+                          min_size=1, max_size=4))
+    if kinds.count("free") > 1:
+        kinds = [k for k in kinds if k != "free"] + ["free"]
+    primes = st.sampled_from([2, 3, 5])
+    some = st.sampled_from([1, 2, OMEGA])
+    blocks = []
+    for name, kind in zip("ABCDE", kinds):
+        if kind == "cyclic":
+            block = Cyclic(draw(primes), draw(st.integers(1, 3)), draw(some))
+        elif kind == "wide":
+            block = Cyclic(draw(primes), draw(st.integers(1, 2)), draw(st.integers(10, 12)))
+        elif kind == "prufer":
+            block = Prufer(draw(primes), draw(some))
+        elif kind == "rational":
+            block = TorsionFree(draw(st.sets(primes, min_size=1, max_size=2)),
+                                draw(st.sampled_from([1, 2])))
+        else:
+            block = TorsionFree(frozenset(), OMEGA)
+        blocks.append((name, block))
+    return GroupDesc(blocks)
+
+
+@given(sampled_groups(), st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_sample_rows_reproduce_the_reference_on_generated_groups(group, seed):
+    _assert_rows_reproduce_the_reference(group, (6, 30), (seed,), range(1, 10))
 
 
 def test_generators_must_live_in_the_group():
@@ -521,19 +665,19 @@ def test_profile_measures_each_sample_once(monkeypatch):
             for _, phi in sorted(fam.items())]
     maps += [(parsed.group, phi) for parsed in CORPUS for phi in parsed.endos.values()]
     measured = Counter()
-    shared = ProbeRows.indices
+    shared = ProbeRows.measure
 
-    def counting(rows, sub):
-        # the samples live in the group itself; each shadow is a new object
-        if sub.group is group:
-            measured[sub.generators] += 1
-        return shared(rows, sub)
+    def counting(rows, gens):
+        # the samples are measured on the probes of the group itself
+        if rows.group is group:
+            measured[gens] += 1
+        return shared(rows, gens)
 
     for group, phi in maps:
         want = _reference_profile(group, phi, (1, 2, 4), samples=24, seed=5)
         measured.clear()
         with monkeypatch.context() as m:
-            m.setattr(ProbeRows, "indices", counting)
+            m.setattr(ProbeRows, "measure", counting)
             ev = inertness_profile(group, phi, (1, 2, 4), samples=24, seed=5)
         assert (list(ev.per_level), list(ev.sampled_families), ev.verdict_hint) == want
         assert measured and max(measured.values()) == 1, (group, phi)
@@ -564,6 +708,33 @@ def test_profile_applies_each_map_to_probes_only(monkeypatch):
             oracle.inertness_profiles(group, phis, levels, samples=samples, seed=2)
             counts.append(calls["apply"])
         assert counts[0] == counts[1] <= (per_level + per_call) * len(phis), parsed.group_name
+
+
+def test_oracle_command_applies_each_map_to_each_shadow_unit_once_per_level(monkeypatch):
+    # one pass per level serves both profiles, so on a periodic group the
+    # command meets each unit of each level's shadow once per map; the
+    # shadows are the only finite groups these files' maps act on
+    applied = oracle.apply
+    calls = Counter()
+
+    def counting(phi, x):
+        calls[x.group.is_finite] += 1
+        return applied(phi, x)
+
+    monkeypatch.setattr(oracle, "apply", counting)
+    levels = (2, 4, 6, 8)
+    files = 0
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.txt")):
+        parsed = parse(path.read_text(encoding="utf-8"))
+        group = parsed.group
+        if not group.is_periodic or group.is_finite:
+            continue
+        files += 1
+        calls.clear()
+        run(SessionConfig("oracle", (str(path),), levels=levels))
+        units = sum(b.mult for level in levels for _, b in truncate(group, level).group.blocks)
+        assert calls[True] == units * len(parsed.endos), path.name
+    assert files >= 2
 
 
 def test_plural_profiles_do_not_depend_on_the_other_maps():
@@ -964,31 +1135,29 @@ def test_closure_of_an_annihilator_row_with_a_full_pivot_and_a_tail():
     assert closed.order() == 4
 
 
-def _reference_fs(group, phi, levels):
-    """fs_profile by closures over sets of element vectors of each shadow."""
-    report = {}
-    for level in levels:
-        shadow = truncate(group, level)
-        psi = truncate_endo(phi, shadow)
-        coords, moduli = _flat_space(shadow.group)
-        units = [_vector(coords, Element.unit(shadow.group, *c)) for c in coords]
-        image = {x: _vector(coords, apply(psi, Element(shadow.group, dict(zip(coords, x)))))
-                 for x in _span(moduli, units)}
-        worst = 1
-        for s in _prelude(shadow.group, level):
-            gens = [_vector(coords, g) for g in s.generators]
-            lower = upper = _span(moduli, gens)
-            while any(image[x] not in upper for x in upper):
-                gens.append(next(image[x] for x in upper if image[x] not in upper))
-                upper = _span(moduli, gens)
-            while True:
-                shrunk = {x for x in lower if image[x] in lower}
-                if shrunk == lower:
-                    break
-                lower = shrunk
-            worst = max(worst, len(upper) // len(lower))
-        report[level] = worst
-    return report
+def _reference_fs(group, phi, level):
+    """Each shadow family's label and |X^* / X_*|, by closures over sets of
+    element vectors of the level's shadow."""
+    shadow = truncate(group, level)
+    psi = truncate_endo(phi, shadow)
+    coords, moduli = _flat_space(shadow.group)
+    units = [_vector(coords, Element.unit(shadow.group, *c)) for c in coords]
+    image = {x: _vector(coords, apply(psi, Element(shadow.group, dict(zip(coords, x)))))
+             for x in _span(moduli, units)}
+    out = []
+    for s in _prelude(shadow.group, level):
+        gens = [_vector(coords, g) for g in s.generators]
+        lower = upper = _span(moduli, gens)
+        while any(image[x] not in upper for x in upper):
+            gens.append(next(image[x] for x in upper if image[x] not in upper))
+            upper = _span(moduli, gens)
+        while True:
+            shrunk = {x for x in lower if image[x] in lower}
+            if shrunk == lower:
+                break
+            lower = shrunk
+        out.append((s.label, len(upper) // len(lower)))
+    return out
 
 
 def _random_shadow_maps(group, rng, count):
@@ -1034,7 +1203,13 @@ def test_fs_profile_matches_element_set_closures():
     for group in groups:
         for phi in _random_shadow_maps(group, rng, 5):
             assert truncate(group, 3).group.order() <= 4096
-            assert fs_profile(group, phi, (2, 3)) == _reference_fs(group, phi, (2, 3))
+            want = {level: _reference_fs(group, phi, level) for level in (2, 3)}
+            assert fs_profile(group, phi, (2, 3)) == \
+                {level: max(r for _, r in fams) for level, fams in want.items()}
+            # family by family, from the one pass over each shadow
+            for level, fams in want.items():
+                assert [(label, ratios[0]) for label, _, ratios
+                        in _shadow_families(group, [phi], level, True)] == fams
 
 
 @given(st.integers(min_value=0, max_value=7))
