@@ -63,7 +63,7 @@ from .linmap import (
     ExactMatrix, count_subspaces, growth_bound_check, max_inert_codim,
 )
 from .oracle import (
-    ProbeRows, _profiles, enumerate_subgroups, truncate_endo, witness_search,
+    FiniteLattice, ProbeRows, _echelon_bases, _profiles, truncate_endo, witness_search,
 )
 
 __all__ = [
@@ -770,20 +770,28 @@ def _run_decompose(config: SessionConfig, parsed: ParsedInput) -> dict:
 def _exhaustive_views(group: GroupDesc, phis: Sequence[Endo]) -> list[dict]:
     """Each map's worst index over every subgroup of the level-2 shadow.
 
-    The subgroups are listed once, and each map is applied once per unit
-    of the shadow; every subgroup is measured on those probe rows.
+    Each map is applied once per unit of the shadow (ProbeRows), and the
+    subgroups are listed once, as echelon bases over the shadow's moduli
+    (oracle._echelon_bases).  Each basis is one FiniteLattice X for all
+    maps, and per map |X + psi X : X| is read off the first sweep of X's
+    echelon slots, as for the profiles' shadow families.
     """
     shadow = truncate(group, 2)
     order = shadow.group.order()
     if not is_finite(order) or order > 4096:
         return [{"skipped": "the level-2 shadow is too large"} for _ in phis]
+    flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
     try:
-        subs = enumerate_subgroups(shadow.group, limit=4096)
+        bases = _echelon_bases(flat.moduli)
     except UsageError as exc:
         return [{"skipped": str(exc)} for _ in phis]
-    flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
-    worst = [max(col) for col in zip(*(flat.indices(s) for s in subs))]
-    return [{"level": 2, "subgroups": len(subs), "max_index": _jv(w)} for w in worst]
+    worst = [1] * len(phis)
+    for basis in bases:
+        x = FiniteLattice(flat.moduli, (), basis)
+        size = x.order()
+        worst = [max(w, x._sweep(action, False)[0] // size)
+                 for w, action in zip(worst, flat.images)]
+    return [{"level": 2, "subgroups": len(bases), "max_index": _jv(w)} for w in worst]
 
 
 def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:

@@ -37,8 +37,7 @@ __all__ = [
     "FGSubgroup", "InertnessEvidence", "WitnessFamily", "FiniteLattice",
     "index_in_sum", "ProbeRows", "naive_index_in_sum",
     "enumerate_subgroups", "sample_subgroups", "truncate_endo",
-    "inertness_profile", "inertness_profiles", "fs_profile", "fs_profiles",
-    "witness_search",
+    "inertness_profile", "fs_profile", "witness_search",
 ]
 
 
@@ -178,7 +177,8 @@ class ProbeRows:
     probes are taken over the coordinates below _width(b, J); with none
     the group must be finite, and every unit of its flat space is a
     probe.  Each map is applied to each probe once, here, and nowhere
-    else in the profiles.
+    else in the profiles or in --enumerate-all.  On a finite group
+    images[k] is map k's flat action, which FiniteLattice._sweep reads.
 
     The presentation is fixed here for all measurements: the columns are
     the coordinates that the probes and their images reach, in block
@@ -220,7 +220,7 @@ class ProbeRows:
         # images[k][i]: the row of map k's image of probe i, as (column, entry) pairs
         self.images = [[pairs(im) for im in ims] for ims in images]
         self._probes = {
-            c: (index[c], _scaled(u.coeffs[c], scales[index[c]]), u.coeffs[c].denominator,
+            c: (index[c], _scaled(u.coeffs[c], scales[index[c]]),
                 [rows[i] for rows in self.images])
             for i, (c, u) in enumerate(zip(coords, units))}
 
@@ -238,7 +238,7 @@ class ProbeRows:
             row: dict[int, int] = {}
             sums: list[dict[int, int]] = [{} for _ in self.images]
             for c, n in g:
-                col, unit, _, per_map = self._probes[c]
+                col, unit, per_map = self._probes[c]
                 row[col] = n * unit
                 for acc, probe_image in zip(sums, per_map):
                     for j, a in probe_image:
@@ -258,28 +258,6 @@ class ProbeRows:
         return _indices([[r.get(j, 0) for j in cols] for r in rows],
                         [[[r.get(j, 0) for j in cols] for r in ims] for ims in images],
                         [moduli[j] for j in cols])
-
-    def indices(self, sub: FGSubgroup) -> list[Nat]:
-        """measure() of sub's generators, each written over the probes.
-
-        Each generator's multiplier n_c on a probe must be an integer,
-        else this raises, as it does on a coordinate with no probe.
-        """
-        if sub.group != self.group:
-            raise UsageError("the subgroup lives in a different group")
-        gens = []
-        for g in sub.generators:
-            pairs = []
-            for c, v in g.coeffs.items():
-                probe = self._probes.get(c)
-                if probe is None:
-                    raise UsageError(f"coordinate {c[0]}.{c[1]} has no probe")
-                n, rest = divmod(v.numerator * probe[2], v.denominator)
-                if rest:
-                    raise UsageError(f"{v} at {c[0]}.{c[1]} is not a multiple of its probe")
-                pairs.append((c, n))
-            gens.append(pairs)
-        return self.measure(gens)
 
 
 def _span(moduli: Sequence[int], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
@@ -498,25 +476,18 @@ def sample_subgroups(target: GroupDesc | Truncation, count: int, seed: int,
             for label, gens in samples]
 
 
-def enumerate_subgroups(target: GroupDesc | Truncation,
-                        limit: int = 1024) -> list[FGSubgroup]:
-    """Every subgroup of a small finite group, smallest first.
+def _echelon_bases(moduli: Sequence[int]) -> list[list[list[int]]]:
+    """Every subgroup of Z^n / diag(moduli), as the echelon basis of its lifts.
 
-    The group is Z^n modulo diag(moduli), so its subgroups are exactly
-    the lattices between diag(moduli) and Z^n, each with one Hermite
-    basis.  The bases are listed from the bottom row up: a pivot runs
+    The subgroups are the lattices between diag(moduli) and Z^n, each
+    with one Hermite basis, built from the bottom row up: a pivot runs
     over the divisors of its modulus, each entry right of it over the
     residues modulo the pivot below that entry, and a row is kept when
-    the modulus vector of its coordinate stays in the lattice.  The
-    nonzero rows are the generators.  Refuses groups of order beyond
-    the limit and lattices that grow past twenty thousand subgroups
-    (elementary abelian shapes explode combinatorially).
+    the modulus vector of its coordinate stays in the lattice.  Each
+    basis is a FiniteLattice basis as it stands.  The walk ends before
+    anything is returned, so past twenty thousand subgroups (elementary
+    abelian shapes explode) it refuses before any is measured.
     """
-    group = _ambient(target)
-    order = group.order()
-    if not is_finite(order) or order > limit:
-        raise UsageError("subgroup enumeration needs a finite group within the limit")
-    coords, moduli = _flat_space(group)
     bases: list[list[list[int]]] = [[]]
     for i in reversed(range(len(moduli))):
         m = moduli[i]
@@ -533,8 +504,25 @@ def enumerate_subgroups(target: GroupDesc | Truncation,
                     if len(grown) > 20000:
                         raise UsageError("the subgroup lattice is too large to enumerate")
         bases = grown
-    bases.sort(key=lambda rows: (order // prod(r[j] for j, r in enumerate(rows)),
-                                 rows))
+    return bases
+
+
+def enumerate_subgroups(target: GroupDesc | Truncation,
+                        limit: int = 1024) -> list[FGSubgroup]:
+    """Every subgroup of a small finite group, smallest first, as elements.
+
+    The _echelon_bases over the flat coordinates, sorted by order, then
+    by rows; the nonzero rows are the generators.  Refuses groups of
+    order beyond the limit.  The CLI measures the bases themselves; these
+    elements serve the demos and the cross-checks.
+    """
+    group = _ambient(target)
+    order = group.order()
+    if not is_finite(order) or order > limit:
+        raise UsageError("subgroup enumeration needs a finite group within the limit")
+    coords, moduli = _flat_space(group)
+    bases = sorted(_echelon_bases(moduli),
+                   key=lambda rows: (order // prod(r[j] for j, r in enumerate(rows)), rows))
     out = []
     for rank, rows in enumerate(bases):
         gens = [Element(group, dict(zip(coords, r))) for r in rows]
@@ -617,14 +605,6 @@ def _check_levels(levels: Sequence[int]) -> list[int]:
     if any(b <= a for a, b in zip(out, out[1:])):
         raise UsageError("levels must be strictly ascending")
     return out
-
-
-def _nat_max(a: Nat, b: Nat) -> Nat:
-    if not is_finite(a):
-        return a
-    if not is_finite(b):
-        return b
-    return a if a >= b else b
 
 
 class FiniteLattice:
@@ -805,7 +785,8 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
     _TAIL_WINDOW), where each map is applied once per probe.  The draws
     are made once per call and replayed at every level, and the memo
     keyed by the Rows measures each distinct sample once per call; it
-    holds one index per map and lives only as long as the call.
+    holds one index per map and lives only as long as the call.  No map
+    meets a generator, and each map's entry is the one it gets alone.
     Returns each map's evidence and, with fs, its FS report ({} without).
     """
     if any(phi.group != group for phi in phis):
@@ -827,7 +808,7 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
         worst: list[Nat] = [1] * len(phis)
         if has_torsion:
             for label, indices, ratios in _shadow_families(group, phis, level, fs):
-                worst = [_nat_max(w, v) for w, v in zip(worst, indices)]
+                worst = [max(w, v) for w, v in zip(worst, indices)]
                 for report, r in zip(reports, ratios):  # no ratios without fs
                     report[level] = max(report.get(level, 1), r)
                 families.add(label.split()[0])
@@ -837,7 +818,7 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
                 found = measured.get(gens)
                 if found is None:
                     found = measured[gens] = probes.measure(gens)
-                worst = [_nat_max(w, v) for w, v in zip(worst, found)]
+                worst = [max(w, v) for w, v in zip(worst, found)]
                 families.add(label.split()[0])
         for row, w in zip(per, worst):
             row.append((level, w))
@@ -851,21 +832,6 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
     return out, reports
 
 
-def inertness_profiles(group: GroupDesc, phis: Sequence[Endo],
-                       levels: Sequence[int], samples: int = 40,
-                       seed: int = 0) -> list[InertnessEvidence]:
-    """inertness_profile of each map in phis, sharing the group-only work.
-
-    One _profiles loop: each level truncates the group, walks the shadow
-    families and lists the samples once for all maps, and each subgroup
-    is measured on probe rows, never by applying a map to a generator, so
-    the number of applications does not grow with samples.  A map's
-    evidence is what the singular call gives, whichever maps share the
-    call.
-    """
-    return _profiles(group, phis, levels, samples, seed)[0]
-
-
 def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
                       samples: int = 40, seed: int = 0) -> InertnessEvidence:
     """Worst observed |H + phi(H) : H| per truncation level.
@@ -877,22 +843,7 @@ def inertness_profile(group: GroupDesc, phi: Endo, levels: Sequence[int],
     random draws are made once per call and shared by every level, and
     each distinct untruncated sample is measured once per call.
     """
-    return inertness_profiles(group, [phi], levels, samples, seed)[0]
-
-
-def fs_profiles(group: GroupDesc, phis: Sequence[Endo],
-                levels: Sequence[int]) -> list[dict[int, int]]:
-    """fs_profile of each map in phis, sharing the group-only work.
-
-    One _profiles loop without samples: each level truncates the group,
-    writes each map's flat action and its dual once, and builds each
-    family's X and X^perp once; only the worklist closures run per map.
-    One family's lattices are alive at a time, so the lattices held do
-    not grow with the number of maps or families.
-    """
-    if not group.is_periodic:
-        raise UsageError("the FS profile needs a periodic group")
-    return _profiles(group, phis, levels, fs=True)[1]
+    return _profiles(group, [phi], levels, samples, seed)[0][0]
 
 
 def fs_profile(group: GroupDesc, phi: Endo,
@@ -907,7 +858,9 @@ def fs_profile(group: GroupDesc, phi: Endo,
     reversed coordinates and neither lattice is ever brought to its
     canonical Hermite form.
     """
-    return fs_profiles(group, [phi], levels)[0]
+    if not group.is_periodic:
+        raise UsageError("the FS profile needs a periodic group")
+    return _profiles(group, [phi], levels, fs=True)[1][0]
 
 
 # ---------------------------------------------------------------------------

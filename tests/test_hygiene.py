@@ -1,12 +1,15 @@
 """Source hygiene of the library, read with the standard ``ast`` module:
-no import goes unused, and no private helper outlives its last caller."""
+no import goes unused, no private helper outlives its last caller, and
+every name that the benchmark's tracer wraps still exists."""
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "abinertia"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "abinertia"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SRC.glob("*.py"))}
 
@@ -77,3 +80,18 @@ def test_every_private_helper_has_a_caller():
             if refs[node.name] - _references(node)[node.name] == 0:
                 orphans.append(f"{name}: {qual}")
     assert not orphans, f"private helpers nothing in src/ refers to: {orphans}"
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py wraps each module.function of its LAYERS table and
+    # counts the constructions of two classes; it is read, not imported,
+    # so a deletion fails here on every Python version
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(stmt.value) for stmt in tree.body
+                  if isinstance(stmt, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in stmt.targets))
+    names = [(mod, fn) for mod, fns in layers.items() for fn in fns]
+    names += [("groupkit", "Element"), ("oracle", "FiniteLattice")]
+    missing = [f"{mod}.{fn}" for mod, fn in names
+               if not callable(getattr(importlib.import_module(f"abinertia.{mod}"), fn, None))]
+    assert len(names) > 30 and not missing, f"traced names the library lacks: {missing}"

@@ -1,8 +1,6 @@
 """Exact subgroup indices, profiles, and witness families."""
-import os
+import json
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice
@@ -10,7 +8,7 @@ from math import gcd, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abinertia import oracle
@@ -31,7 +29,7 @@ from abinertia.oracle import (
     witness_search,
 )
 from abinertia.oracle import (
-    _TAIL_WINDOW, _draw_rows, _element, _flat_space, _nat_max, _prelude_rows, _sample_rows,
+    _TAIL_WINDOW, _draw_rows, _element, _flat_space, _prelude_rows, _sample_rows,
     _shadow_families, _span, _width,
 )
 from conftest import GROUPS, INERTIAL, ORACLE_CASES
@@ -138,24 +136,20 @@ def _map_sets():
     return out
 
 
-def _shared(sub, phis, depth=None):
-    """ProbeRows' indices under all of phis, checked against index_in_sum per map."""
-    out = ProbeRows(sub.group, phis, depth).indices(sub)
+def _shared(group, gens, phis, depth=None):
+    """ProbeRows' indices of the subgroup generated by the rows gens under
+    all of phis, checked against index_in_sum per map; without a depth the
+    group is finite and its probes are its units."""
+    out = ProbeRows(group, phis, depth).measure(gens)
+    sub = FGSubgroup(group, tuple(_element(group, g, depth) for g in gens))
     assert out == [index_in_sum(sub, phi) for phi in phis], sub
     return out
 
 
 def test_shared_indices_equal_the_singleton_indices():
-    mixed = 0
-    for group, phis in _map_sets():
-        cases = [(s, phis, 3) for s in sample_subgroups(group, 16, seed=3, depth=3)]
-        if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
-            shadow = truncate(group, 3)
-            psis = [truncate_endo(phi, shadow) for phi in phis]
-            cases += [(s, psis, None) for s in _prelude(shadow.group, 3)]
-        for s, maps, depth in cases:
-            found = {is_finite(v) for v in _shared(s, maps, depth)}
-            mixed += found == {True, False}
+    # each conftest group's certified and violating maps share one call
+    mixed = sum(_assert_probe_rows_match(group, phis, (3,), 16, 3)[1]
+                for group, phis in _map_sets())
     assert mixed  # one call where one map gives INF and another does not
 
 
@@ -164,10 +158,11 @@ def _assert_probe_rows_match(group, phis, levels, samples, seed):
     shadow family, from the one-pass walk of the shadow (without the FS
     closures and, on a periodic group, with them), and every sample
     (prelude and random), from its rows of probe multipliers; returns the
-    number of subgroups compared."""
+    number of subgroups compared and the number of samples on which one
+    map's index is INF and another's finite."""
     depth = max(levels[-1], _TAIL_WINDOW)
     probes = ProbeRows(group, phis, depth)
-    seen, compared = set(), 0
+    seen, compared, mixed = set(), 0, 0
     for level in levels:
         if not all(isinstance(b, TorsionFree) for _, b in group.blocks):
             shadow = truncate(group, level)
@@ -184,19 +179,21 @@ def _assert_probe_rows_match(group, phis, levels, samples, seed):
             if gens not in seen:  # the random tail repeats across levels
                 seen.add(gens)
                 s = FGSubgroup(group, tuple(_element(group, g, depth) for g in gens), label)
-                assert probes.measure(gens) == [index_in_sum(s, phi) for phi in phis], (level, s)
+                found = probes.measure(gens)
+                assert found == [index_in_sum(s, phi) for phi in phis], (level, s)
                 compared += 1
-    return compared
+                mixed += {is_finite(v) for v in found} == {True, False}
+    return compared, mixed
 
 
 def test_probe_rows_match_the_reference_on_the_corpus_and_the_families():
     compared = 0
     for parsed in CORPUS:
         compared += _assert_probe_rows_match(parsed.group, list(parsed.endos.values()),
-                                             (1, 2, 4, 8), 16, 5)
+                                             (1, 2, 4, 8), 16, 5)[0]
     for key, fam in sorted(INERTIAL.items()):
         compared += _assert_probe_rows_match(GROUPS[key], [phi for _, phi in sorted(fam.items())],
-                                             (1, 2, 4, 8), 16, 5)
+                                             (1, 2, 4, 8), 16, 5)[0]
     assert compared > 1000
 
 
@@ -228,45 +225,15 @@ def test_probe_rows_match_the_reference_on_generated_maps(phis, seed):
     _assert_probe_rows_match(phis[0].group, phis, (1, 2, 4), 12, seed)
 
 
-_OFF_THE_PROBES = """
-from fractions import Fraction as F
-from abinertia.endokit import identity_endo
-from abinertia.exactnum import OMEGA, UsageError
-from abinertia.groupkit import Cyclic, Element, GroupDesc, Prufer, TorsionFree
-from abinertia.oracle import FGSubgroup, ProbeRows
-
-group = GroupDesc([("B", Cyclic(2, 2, OMEGA)), ("D", Prufer(2, 1)),
-                   ("V", TorsionFree(frozenset({3}), 1))])
-rows = ProbeRows(group, [identity_endo(group)], 2)
-assert rows.indices(FGSubgroup(group, (Element.unit(group, "D", 0, F(1, 4)),))) == [1]
-for c, value in ((("D", 0), F(1, 8)), (("V", 0), F(1, 27)), (("B", 2), 1)):
-    try:
-        rows.indices(FGSubgroup(group, (Element.unit(group, *c, value),)))
-    except UsageError:
-        continue
-    raise SystemExit(f"{c} = {value} was measured off the probe lattice")
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_probe_rows_refuse_coefficients_off_the_probe_lattice(flags):
-    # the probes at depth 2 are B.0, B.1, (1/4)D.0 and (1/9)V.0: 1/8 and
-    # 1/27 are no integer multiples of theirs, and B.2 has no probe
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(oracle.__file__).resolve().parent.parent)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, *flags, "-c", _OFF_THE_PROBES],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stdout + done.stderr
-
-
 def test_shared_indices_reach_past_the_subgroup():
     # the images reach a cyclic and a free column that H lacks, a deeper
     # divisible layer and a deeper torsion-free denominator than H's
     group = GroupDesc([("D", Prufer(2, 1)), ("V", TorsionFree({2, 3}, 2)),
                        ("B", Cyclic(3, 1, 2))])
-    h = gens(group, Element(group, {("V", 0): 1, ("D", 0): F(1, 2), ("B", 0): 1}))
+    # H's one generator over the depth-3 probes (1/8)D.0 and (1/36)V.0
+    row = ((("B", 0), 1), (("D", 0), 4), (("V", 0), 36))
+    assert _element(group, row, 3) == \
+        Element(group, {("V", 0): 1, ("D", 0): F(1, 2), ("B", 0): 1})
     phis = [
         Endo(group, tf=1, div={2: 1}, cyc={"B": 1}, tau={(("V", 0), ("D", 0)): F(1, 8)}),
         Endo(group, tf=F(1, 3), div={2: 1}, cyc={"B": 1}),
@@ -274,8 +241,8 @@ def test_shared_indices_reach_past_the_subgroup():
         Endo(group, tf=1, div={2: 1}, cyc={"B": {(0, 1): 1}}),
     ]
     assert all(not validate(phi) for phi in phis)
-    assert _shared(h, phis, 3) == [8, 9, INF, 3]
-    assert _shared(h, phis[::-1], 3) == [3, INF, 9, 8]
+    assert _shared(group, [row], phis, 3) == [8, 9, INF, 3]
+    assert _shared(group, [row], phis[::-1], 3) == [3, INF, 9, 8]
 
 
 def test_shared_indices_agree_with_naive_enumeration():
@@ -288,8 +255,11 @@ def test_shared_indices_agree_with_naive_enumeration():
             continue
         shadows += 1
         psis = [truncate_endo(phi, shadow) for phi in phis]
-        for s in sample_subgroups(shadow.group, 6, seed=1, depth=2):
-            assert _shared(s, psis) == [naive_index_in_sum(s, psi) for psi in psis], s
+        # the rows of sample_subgroups(shadow.group, 6, seed=1, depth=2)
+        for label, rows in _sample_rows(shadow.group, 6, 2, 3, _draw_rows(shadow.group, 1, 3)):
+            s = FGSubgroup(shadow.group, tuple(_element(shadow.group, g, 3) for g in rows))
+            assert _shared(shadow.group, rows, psis) == \
+                [naive_index_in_sum(s, psi) for psi in psis], label
     assert shadows >= 4
 
 
@@ -549,6 +519,33 @@ def test_enumerate_refuses_large_orders():
         enumerate_subgroups(OMEGA2)
 
 
+def test_enumerate_all_matches_the_elements_and_the_coset_count():
+    # --enumerate-all measures echelon bases; each map's view must count
+    # the element subgroups and reach their largest coset-counted index.
+    # periodic.txt's 2225 subgroups would take seconds to count naively
+    files = 0
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.txt")):
+        if path.name == "periodic.txt":
+            continue
+        parsed = parse(path.read_text(encoding="utf-8"))
+        _, report = run(SessionConfig("oracle", (str(path),), levels=(2,), samples=1,
+                                      enumerate_all=True))
+        views = json.loads(report)["results"][str(path)]
+        shadow = truncate(parsed.group, 2)
+        try:
+            subs = enumerate_subgroups(shadow.group, limit=4096)
+        except UsageError:
+            assert all("skipped" in views[name]["exhaustive"] for name in parsed.endos)
+            continue
+        files += 1
+        for name, phi in parsed.endos.items():
+            psi = truncate_endo(phi, shadow)
+            worst = max(naive_index_in_sum(s, psi, limit=4096) for s in subs)
+            assert views[name]["exhaustive"] == \
+                {"level": 2, "subgroups": len(subs), "max_index": worst}, (path.name, name)
+    assert files >= 4
+
+
 # -- finite shadows ------------------------------------------------------
 
 def test_shadow_transport_commutes_with_embedding():
@@ -650,10 +647,10 @@ def _reference_profile(group, phi, levels, samples, seed):
             shadow = truncate(group, level)
             psi = truncate_endo(phi, shadow)
             for s in _prelude(shadow.group, level):
-                worst = _nat_max(worst, index_in_sum(s, psi))
+                worst = max(worst, index_in_sum(s, psi))
                 families.add(s.label.split()[0])
         for s in sample_subgroups(group, samples, seed, depth=level):
-            worst = _nat_max(worst, index_in_sum(s, phi))
+            worst = max(worst, index_in_sum(s, phi))
             families.add(s.label.split()[0])
         per.append((level, worst))
     stable = is_finite(per[-1][1]) and per[-1][1] == per[-2][1]
@@ -705,7 +702,7 @@ def test_profile_applies_each_map_to_probes_only(monkeypatch):
         counts = []
         for samples in (8, 80):
             calls.clear()
-            oracle.inertness_profiles(group, phis, levels, samples=samples, seed=2)
+            oracle._profiles(group, phis, levels, samples=samples, seed=2)
             counts.append(calls["apply"])
         assert counts[0] == counts[1] <= (per_level + per_call) * len(phis), parsed.group_name
 
@@ -747,10 +744,9 @@ def test_plural_profiles_do_not_depend_on_the_other_maps():
         free = {isinstance(b, TorsionFree) for _, b in group.blocks}
         shapes.add("periodic" if group.is_periodic
                    else "mixed" if free == {True, False} else "torsion-free")
-        calls = [lambda ps: oracle.inertness_profiles(group, ps, (1, 2, 4),
-                                                      samples=24, seed=5)]
+        calls = [lambda ps: oracle._profiles(group, ps, (1, 2, 4), samples=24, seed=5)[0]]
         if group.is_periodic:
-            calls.append(lambda ps: oracle.fs_profiles(group, ps, (2, 3)))
+            calls.append(lambda ps: oracle._profiles(group, ps, (2, 3), fs=True)[1])
         for call in calls:
             forward = call(phis)
             assert call(phis[::-1])[::-1] == forward, parsed.group_name
@@ -1019,7 +1015,9 @@ def test_indices_match_the_hermite_bases():
     seen = set()
 
     @given(_moduli_and_rows([0, 2, 3, 4, 8, 9, 27], 4))
-    @settings(max_examples=300, deadline=None)
+    @example(([0], [], [[1]], [], []))  # a free column gains a pivot: INF
+    @example(([0], [[2]], [[1]], [], []))  # the free pivot 2 refined to 1
+    @settings(max_examples=300, deadline=None, derandomize=True)
     def check(case):
         moduli, rows_h, *images = case
         expected, refined = _hermite_indices(rows_h, images, moduli)
