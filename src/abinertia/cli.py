@@ -63,7 +63,7 @@ from .linmap import (
     ExactMatrix, count_subspaces, growth_bound_check, max_inert_codim,
 )
 from .oracle import (
-    FiniteLattice, ProbeRows, _echelon_bases, _profiles, truncate_endo, witness_search,
+    _check_levels, _exhaust, _profiles, truncate_endo, witness_search,
 )
 
 __all__ = [
@@ -643,10 +643,7 @@ def _check_config(config: SessionConfig) -> None:
         raise UsageError(f"unknown command {config.command!r}")
     if not config.inputs:
         raise UsageError("at least one input file is required")
-    if not config.levels or any(not isinstance(v, int) or v < 1
-                                for v in config.levels) or \
-            list(config.levels) != sorted(set(config.levels)):
-        raise UsageError("levels must be strictly ascending positive integers")
+    _check_levels(config.levels)
     if config.levels[-1] > MAX_LEVEL:
         raise UsageError(f"levels must be at most {MAX_LEVEL}")
     if config.samples < 1:
@@ -768,30 +765,13 @@ def _run_decompose(config: SessionConfig, parsed: ParsedInput) -> dict:
 
 
 def _exhaustive_views(group: GroupDesc, phis: Sequence[Endo]) -> list[dict]:
-    """Each map's worst index over every subgroup of the level-2 shadow.
-
-    Each map is applied once per unit of the shadow (ProbeRows), and the
-    subgroups are listed once, as echelon bases over the shadow's moduli
-    (oracle._echelon_bases).  Each basis is one FiniteLattice X for all
-    maps, and per map |X + psi X : X| is read off the first sweep of X's
-    echelon slots, as for the profiles' shadow families.
-    """
-    shadow = truncate(group, 2)
-    order = shadow.group.order()
-    if not is_finite(order) or order > 4096:
-        return [{"skipped": "the level-2 shadow is too large"} for _ in phis]
-    flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
+    """Each map's worst index over every subgroup of the level-2 shadow
+    (oracle._exhaust), or the reason the shadow was skipped."""
     try:
-        bases = _echelon_bases(flat.moduli)
+        count, worst = _exhaust(group, phis, 2)
     except UsageError as exc:
         return [{"skipped": str(exc)} for _ in phis]
-    worst = [1] * len(phis)
-    for basis in bases:
-        x = FiniteLattice(flat.moduli, (), basis)
-        size = x.order()
-        worst = [max(w, x._sweep(action, False)[0] // size)
-                 for w, action in zip(worst, flat.images)]
-    return [{"level": 2, "subgroups": len(bases), "max_index": _jv(w)} for w in worst]
+    return [{"level": 2, "subgroups": count, "max_index": _jv(w)} for w in worst]
 
 
 def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:

@@ -173,12 +173,12 @@ class ProbeRows:
 
     A probe is the unit e_c on a cyclic coordinate, (1/p^J) e_c on a
     divisible one and (1/prod q^2) e_c on a torsion-free one, q running
-    over the primes of its block (_probe_value).  With a depth J the
-    probes are taken over the coordinates below _width(b, J); with none
-    the group must be finite, and every unit of its flat space is a
-    probe.  Each map is applied to each probe once, here, and nowhere
-    else in the profiles or in --enumerate-all.  On a finite group
-    images[k] is map k's flat action, which FiniteLattice._sweep reads.
+    over the primes of its block (_probe_value), one per coordinate below
+    _width(b, J) for the depth J.  On a finite shadow every block is
+    spanned whole and every probe is a unit, so images[k] is map k's flat
+    action, which FiniteLattice._sweep reads (_shadow).  Each map is
+    applied to each probe once, here, and nowhere else in the profiles or
+    in --enumerate-all.
 
     The presentation is fixed here for all measurements: the columns are
     the coordinates that the probes and their images reach, in block
@@ -199,13 +199,10 @@ class ProbeRows:
 
     __slots__ = ("group", "columns", "moduli", "images", "_probes")
 
-    def __init__(self, group: GroupDesc, phis: Sequence[Endo], depth: int | None = None):
+    def __init__(self, group: GroupDesc, phis: Sequence[Endo], depth: int):
         if any(phi.group != group for phi in phis):
             raise UsageError("the endomorphism acts on a different group")
-        if depth is None:
-            coords, _ = _flat_space(group)
-        else:
-            coords = [(name, i) for name, b in group.blocks for i in range(_width(b, depth))]
+        coords = [(name, i) for name, b in group.blocks for i in range(_width(b, depth))]
         units = [Element.unit(group, name, i, _probe_value(group.block(name), depth))
                  for name, i in coords]
         images = [[apply(phi, u) for u in units] for phi in phis]
@@ -326,7 +323,7 @@ _TAIL_WINDOW = 3  # random tails stay level-independent on purpose
 Row = tuple[tuple[Coord, int], ...]
 
 
-def _probe_value(b, depth: int | None) -> int | Fraction:
+def _probe_value(b, depth: int) -> int | Fraction:
     """The probe of a coordinate of block b: its unit, 1/p^depth on a
     divisible block, 1/prod q^2 on a torsion-free one."""
     if isinstance(b, Prufer):
@@ -342,14 +339,14 @@ def _element(group: GroupDesc, row: Row, probe_depth: int) -> Element:
 
 
 def _prelude_rows(group: GroupDesc, depth: int,
-                  probe_depth: int | None = None) -> list[tuple[str, tuple[Row, ...]]]:
+                  probe_depth: int) -> list[tuple[str, tuple[Row, ...]]]:
     """Structured deterministic families: socles, slabs, graphs.
 
     Each family is its label and its generators as Rows over the probes
     at probe_depth, which only divisible and torsion-free blocks read, so
-    a finite shadow needs none.  A divisible layer is 1/p^depth, the
-    multiplier p^(probe_depth - depth); a torsion-free unit is prod q^2
-    times its probe.
+    on a finite shadow any probe_depth gives the same Rows.  A divisible
+    layer is 1/p^depth, the multiplier p^(probe_depth - depth); a
+    torsion-free unit is prod q^2 times its probe.
     """
     out: list[tuple[str, tuple[Row, ...]]] = []
     seen: set[tuple[Row, ...]] = set()
@@ -513,8 +510,8 @@ def enumerate_subgroups(target: GroupDesc | Truncation,
 
     The _echelon_bases over the flat coordinates, sorted by order, then
     by rows; the nonzero rows are the generators.  Refuses groups of
-    order beyond the limit.  The CLI measures the bases themselves; these
-    elements serve the demos and the cross-checks.
+    order beyond the limit.  --enumerate-all (_exhaust) measures the bases
+    themselves; these elements serve the demos and the cross-checks.
     """
     group = _ambient(target)
     order = group.order()
@@ -732,33 +729,25 @@ def _dual(moduli: Sequence[int], action: Sequence[Sequence[tuple[int, int]]]) ->
     return dual
 
 
-def _shadow_families(group: GroupDesc, phis: Sequence[Endo], level: int,
-                     fs: bool) -> Iterator[tuple[str, list[Nat], list[int]]]:
-    """Each family of the level's shadow, with its index under each map and
-    its FS ratio, the latter only with fs.
-
-    The group is truncated once and each map is applied to each unit of
-    the shadow once, in one ProbeRows, whose probe rows are each map's
-    flat action.  Each family is one FiniteLattice X, built once for all
-    maps, and its X^perp too with fs.  Per map, |X + psi X : X| is read
-    off the first sweep of X's closure worklist; with fs the worklist
-    runs on to X^*, X^perp is closed under the dual map, and the ratio is
-    |X^*| |X_*^perp| / |G|.
-    """
+def _shadow(group: GroupDesc, phis: Sequence[Endo], level: int) -> ProbeRows:
+    """The one read of the level's shadow: it is truncated once, and each
+    truncated map is applied once to each of its units, the probes at
+    depth level, so images[k] is map k's flat action."""
     shadow = truncate(group, level)
-    flat = ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis])
+    return ProbeRows(shadow.group, [truncate_endo(phi, shadow) for phi in phis], level)
+
+
+def _measure(flat: ProbeRows, lattices: Iterable[FiniteLattice],
+             fs: bool) -> Iterator[tuple[list[Nat], list[int]]]:
+    """Each lattice X's index under each map of the _shadow read flat and,
+    with fs, its FS ratios.  Per map, |X + psi X : X| is read off the first
+    sweep of X's closure worklist; with fs the worklist runs on to X^*,
+    X^perp is closed under the dual map, and the ratio is
+    |X^*| |X_*^perp| / |G|."""
     moduli = flat.moduli
-    place = {c: j for j, c in enumerate(flat.columns)}
     duals = [_dual(moduli, action) for action in flat.images] if fs else []
     total = prod(moduli)
-    for label, gens in _prelude_rows(shadow.group, level):
-        rows = []
-        for g in gens:
-            row = [0] * len(moduli)
-            for c, n in g:  # a shadow's probes are its units, unscaled
-                row[place[c]] = n
-            rows.append(row)
-        x = FiniteLattice(moduli, rows)
+    for x in lattices:
         order = x.order()
         perp = x.annihilator() if fs else None
         indices, ratios = [], []
@@ -768,7 +757,39 @@ def _shadow_families(group: GroupDesc, phis: Sequence[Endo], level: int,
             if fs:
                 lower = perp._sweep(duals[k], True)[1]
                 ratios.append(_order(moduli, upper) * _order(perp.moduli, lower) // total)
+        yield indices, ratios
+
+
+def _shadow_families(flat: ProbeRows, level: int,
+                     fs: bool) -> Iterator[tuple[str, list[Nat], list[int]]]:
+    """Each family of the level's shadow, with its index under each map
+    and, with fs, its FS ratio: one FiniteLattice per family, built once
+    for all maps and measured by _measure on flat, the shadow's _shadow
+    read."""
+    families = _prelude_rows(flat.group, level, level)
+    # a shadow's probes are its units, so a Row's multipliers are its entries
+    lattices = (FiniteLattice(flat.moduli, [[g.get(c, 0) for c in flat.columns]
+                                            for g in map(dict, gens)]) for _, gens in families)
+    for (label, _), (indices, ratios) in zip(families, _measure(flat, lattices, fs)):
         yield label, indices, ratios
+
+
+def _exhaust(group: GroupDesc, phis: Sequence[Endo], level: int) -> tuple[int, list[int]]:
+    """How many subgroups the level's shadow has, and each map's worst
+    index over them all (_measure on the _shadow read).
+
+    A shadow of order beyond 4096 is refused before any map is applied,
+    and a lattice past the bound of _echelon_bases before any subgroup is
+    measured; both refusals are UsageErrors.
+    """
+    if truncate(group, level).group.order() > 4096:
+        raise UsageError(f"the level-{level} shadow is too large")
+    flat = _shadow(group, phis, level)
+    bases = _echelon_bases(flat.moduli)
+    worst = [1] * len(phis)
+    for indices, _ in _measure(flat, (FiniteLattice(flat.moduli, (), b) for b in bases), False):
+        worst = list(map(max, worst, indices))
+    return len(bases), worst
 
 
 def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
@@ -776,7 +797,7 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
               fs: bool = False) -> tuple[list[InertnessEvidence], list[dict[int, int]]]:
     """The oracle's one loop over the levels, for all of a file's maps.
 
-    Each level makes one pass over its shadow (_shadow_families), which
+    Each level makes one pass over its _shadow read (_shadow_families), which
     gives every shadow family's index under each map and, with fs, its
     FS ratio, so a periodic group is truncated and walked once per level
     for both profiles.  With samples, the untruncated samples are then
@@ -807,7 +828,7 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
     for level in lv:
         worst: list[Nat] = [1] * len(phis)
         if has_torsion:
-            for label, indices, ratios in _shadow_families(group, phis, level, fs):
+            for label, indices, ratios in _shadow_families(_shadow(group, phis, level), level, fs):
                 worst = [max(w, v) for w, v in zip(worst, indices)]
                 for report, r in zip(reports, ratios):  # no ratios without fs
                     report[level] = max(report.get(level, 1), r)
@@ -869,6 +890,21 @@ def fs_profile(group: GroupDesc, phi: Endo,
 FamilyFn = Callable[[int], list[Element]]
 
 
+def _layers(group: GroupDesc, coords: Sequence[Coord], p: int,
+            anchor: Element | None = None) -> FamilyFn:
+    """The family whose depth-n subgroup is generated by the one element
+    sum (1/p^n) e_c over coords, plus the anchor; with no coords it is the
+    anchor's line at every depth."""
+    anchor = Element.zero(group) if anchor is None else anchor
+    return lambda n: [Element(group, dict.fromkeys(coords, Fraction(1, p ** n))) + anchor]
+
+
+def _graphs(group: GroupDesc, a: str, b: str, value: int | Fraction = 1) -> FamilyFn:
+    """The family whose depth-n subgroup is generated by the graphs
+    e_(a,i) + value e_(b,i), i < n."""
+    return lambda n: [Element(group, {(a, i): 1, (b, i): value}) for i in range(n)]
+
+
 def _tf_coords(group: GroupDesc, x: Element) -> list[Coord]:
     return [c for c in x.support()
             if isinstance(group.block(c[0]), TorsionFree)]
@@ -900,8 +936,7 @@ def _wit_tf_line(group: GroupDesc, phi: Endo,
         candidates += [u + v, u + v.scale(-1)]
     for v in candidates:
         if not _tf_parallel(group, v, apply(phi, v)):
-            return [("an infinite-order line moved off itself",
-                     lambda n, v=v: [v])]
+            return [("an infinite-order line moved off itself", _layers(group, (), 1, v))]
     return []
 
 
@@ -909,7 +944,6 @@ def _anchored_layer(group: GroupDesc, phi: Endo,
                     viol: Violation) -> list[tuple[str, FamilyFn]]:
     # deep divisible layers tied to an infinite-order anchor
     p = viol.prime
-    dnames = [n for n, b in group.prufer_items() if b.prime == p]
     free = group.free_omega_name
     if free is not None:
         anchor = Element.unit(group, free, 0)
@@ -918,14 +952,9 @@ def _anchored_layer(group: GroupDesc, phi: Endo,
         if not copies:
             return []
         anchor = Element.unit(group, copies[0][0], copies[0][1])
-    out = []
-    for name in dnames:
-        def fam(n: int, name=name) -> list[Element]:
-            layer = Element.unit(group, name, 0, Fraction(1, p ** n))
-            return [layer + anchor]
-        out.append((f"divisible layers under an infinite-order anchor at {p}",
-                    fam))
-    return out
+    return [(f"divisible layers under an infinite-order anchor at {p}",
+             _layers(group, [(name, 0)], p, anchor))
+            for name, b in group.prufer_items() if b.prime == p]
 
 
 def _wit_div_matrix(group: GroupDesc, phi: Endo,
@@ -934,22 +963,14 @@ def _wit_div_matrix(group: GroupDesc, phi: Endo,
     val = phi.div.get(p)
     if not isinstance(val, dict):
         return []
-    out = []
-    off = sorted((s, d) for (s, d), q in val.items() if s != d and q)
-    if off:
-        src = off[0][0]
-        out.append((f"layers of a cross-coordinate divisible source at {p}",
-                    lambda n, src=src: [Element.unit(group, src[0], src[1],
-                                                     Fraction(1, p ** n))]))
+    src = min((s for (s, d), q in val.items() if s != d and q), default=None)
+    out = [] if src is None else [(f"layers of a cross-coordinate divisible source at {p}",
+                                   _layers(group, [src], p))]
     copies, _ = group.prufer_copies(p)
     for c1, c2 in combinations(copies, 2):
         if val.get((c1, c1), Fraction(0)) != val.get((c2, c2), Fraction(0)):
-            def fam(n: int, c1=c1, c2=c2) -> list[Element]:
-                q = Fraction(1, p ** n)
-                return [Element.unit(group, c1[0], c1[1], q)
-                        + Element.unit(group, c2[0], c2[1], q)]
             out.append((f"paired layers of distinct divisible scalars at {p}",
-                        fam))
+                        _layers(group, [c1, c2], p)))
             break
     return out
 
@@ -959,9 +980,7 @@ def _wit_tau(group: GroupDesc, phi: Endo,
     out = []
     for (s, d), _ in sorted(phi.tau.items()):
         p = group.block(d[0]).prime
-        out.append((f"deep {p}-fractions of a twisted source",
-                    lambda n, s=s, p=p: [Element.unit(group, s[0], s[1],
-                                                      Fraction(1, p ** n))]))
+        out.append((f"deep {p}-fractions of a twisted source", _layers(group, [s], p)))
     return out
 
 
@@ -980,23 +999,14 @@ def _wit_crt(group: GroupDesc, phi: Endo,
              viol: Violation) -> list[tuple[str, FamilyFn]]:
     p = viol.prime
     blocks = _omega_residues(group, phi, p)
-    out = []
-    for (n1, k1, a1), (n2, k2, a2) in combinations(blocks, 2):
-        if (a1 - a2) % p ** min(k1, k2):
-            def fam(n: int, n1=n1, n2=n2) -> list[Element]:
-                return [Element.unit(group, n1, i) + Element.unit(group, n2, i)
-                        for i in range(n)]
-            out.append(("graphs of residue blocks with clashing scalars", fam))
+    out = [("graphs of residue blocks with clashing scalars", _graphs(group, n1, n2))
+           for (n1, k1, a1), (n2, k2, a2) in combinations(blocks, 2)
+           if (a1 - a2) % p ** min(k1, k2)]
     free = group.free_omega_name
     if free is not None:
-        m = phi.free_scalar
-        for name, k, a in blocks:
-            if (a - m) % p ** k:
-                def fam(n: int, name=name) -> list[Element]:
-                    return [Element.unit(group, name, i)
-                            + Element.unit(group, free, i) for i in range(n)]
-                out.append(("graphs of a residue block against the free "
-                            "lattice", fam))
+        out += [("graphs of a residue block against the free lattice",
+                 _graphs(group, name, free))
+                for name, k, a in blocks if (a - phi.free_scalar) % p ** k]
     return out
 
 
@@ -1010,18 +1020,12 @@ def _wit_omega_div(group: GroupDesc, phi: Endo,
                   if b.prime == p and b.copies is OMEGA), None)
     if dname is None:
         return []
-    out = []
     for name, k, a in _omega_residues(group, phi, p):
         gap = frac_valuation(val - a, p)
         if is_finite(gap) and gap < k:
-            def fam(n: int, name=name, k=k) -> list[Element]:
-                return [Element.unit(group, name, i)
-                        + Element.unit(group, dname, i, Fraction(1, p ** k))
-                        for i in range(n)]
-            out.append(("graphs pairing residue blocks with fresh divisible "
-                        "coordinates", fam))
-            break
-    return out
+            return [("graphs pairing residue blocks with fresh divisible coordinates",
+                     _graphs(group, name, dname, Fraction(1, p ** k)))]
+    return []
 
 
 _FAMILY_BUILDERS = {

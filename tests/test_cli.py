@@ -503,6 +503,24 @@ def test_oracle_exhausts_the_periodic_shadow():
             "level": 2, "subgroups": 2225, "max_index": worst}
 
 
+def test_exhaustive_views_skip_a_wide_lattice_and_read_a_trivial_shadow(tmp_path):
+    # (Z/2)^7 has order 128 but 29,212 subgroups, past the walk's bound
+    # of 20,000; a torsion-free group's shadow is trivial, one subgroup
+    cases = (
+        ("block A = cyclic(p=2, k=1, mult=7)", "cyc[A] = 1;",
+         {"skipped": "the subgroup lattice is too large to enumerate"}),
+        ("block V = torsionfree(pi={}, rank=1)", "tf[V.0 -> V.0] = 2;",
+         {"level": 2, "subgroups": 1, "max_index": 1}),
+    )
+    path = tmp_path / "shadow.txt"
+    for block, action, want in cases:
+        path.write_text(f"group G {{\n  {block}\n}}\n\nendo e on G {{\n  {action}\n}}\n",
+                        encoding="utf-8")
+        _, text = run(SessionConfig("oracle", (str(path),), levels=(2,), samples=1,
+                                    enumerate_all=True))
+        assert json.loads(text)["results"][str(path)]["e"]["exhaustive"] == want, block
+
+
 def test_exhaustive_views_do_not_depend_on_the_other_maps(tmp_path):
     """Each map's exhaustive view is the same in file order, reversed and alone."""
     path = tmp_path / "maps.txt"
@@ -612,6 +630,16 @@ def test_main_maps_usage_problems_to_exit_one(tmp_path, capsys):
         assert needle in capsys.readouterr().err, argv
     assert main(["check", corpus("quasi"), "--levels", "64", "--samples",
                  "10000", "--budget", "32"]) == 0
+
+
+def test_levels_follow_the_oracle_rule(capsys):
+    # the CLI checks --levels with the oracle's own rule and words
+    for levels, message in (("3,2", "levels must be strictly ascending"),
+                            ("0", "levels must be positive integers")):
+        assert main(["check", corpus("quasi"), "--levels", levels]) == 1, levels
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n", captured.err
 
 
 def test_group_work_caps_fail_before_any_work(tmp_path, capsys, monkeypatch):

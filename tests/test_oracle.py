@@ -30,7 +30,7 @@ from abinertia.oracle import (
 )
 from abinertia.oracle import (
     _TAIL_WINDOW, _draw_rows, _element, _flat_space, _prelude_rows, _sample_rows,
-    _shadow_families, _span, _width,
+    _exhaust, _shadow, _shadow_families, _span, _width,
 )
 from conftest import GROUPS, INERTIAL, ORACLE_CASES
 from test_endokit import rich_endos
@@ -136,10 +136,10 @@ def _map_sets():
     return out
 
 
-def _shared(group, gens, phis, depth=None):
+def _shared(group, gens, phis, depth):
     """ProbeRows' indices of the subgroup generated by the rows gens under
-    all of phis, checked against index_in_sum per map; without a depth the
-    group is finite and its probes are its units."""
+    all of phis, checked against index_in_sum per map; on a finite group
+    the probes are its units at any depth."""
     out = ProbeRows(group, phis, depth).measure(gens)
     sub = FGSubgroup(group, tuple(_element(group, g, depth) for g in gens))
     assert out == [index_in_sum(sub, phi) for phi in phis], sub
@@ -171,7 +171,8 @@ def _assert_probe_rows_match(group, phis, levels, samples, seed):
                     for s in _prelude(shadow.group, level)]
             for fs in {False, group.is_periodic}:
                 got = [(label, indices)
-                       for label, indices, _ in _shadow_families(group, phis, level, fs)]
+                       for label, indices, _
+                       in _shadow_families(_shadow(group, phis, level), level, fs)]
                 assert got == want, (level, fs)
             compared += len(want)
         for label, gens in _sample_rows(group, samples, level, depth,
@@ -258,7 +259,7 @@ def test_shared_indices_agree_with_naive_enumeration():
         # the rows of sample_subgroups(shadow.group, 6, seed=1, depth=2)
         for label, rows in _sample_rows(shadow.group, 6, 2, 3, _draw_rows(shadow.group, 1, 3)):
             s = FGSubgroup(shadow.group, tuple(_element(shadow.group, g, 3) for g in rows))
-            assert _shared(shadow.group, rows, psis) == \
+            assert _shared(shadow.group, rows, psis, 2) == \
                 [naive_index_in_sum(s, psi) for psi in psis], label
     assert shadows >= 4
 
@@ -426,8 +427,8 @@ def _assert_rows_reproduce_the_reference(group, counts, seeds, depths):
                 _reference_samples(preludes[depth], max(counts), draws), (group, seed, depth)
     if group.is_finite:
         for depth in depths:
-            assert [(label, tuple(_element(group, g, None) for g in gens))
-                    for label, gens in _prelude_rows(group, depth)] == \
+            assert [(label, tuple(_element(group, g, depth) for g in gens))
+                    for label, gens in _prelude_rows(group, depth, depth)] == \
                 [(s.label, s.generators) for s in preludes[depth]], (group, depth)
 
 
@@ -546,7 +547,33 @@ def test_enumerate_all_matches_the_elements_and_the_coset_count():
     assert files >= 4
 
 
+def test_exhaust_refuses_a_large_shadow_before_applying_any_map(monkeypatch):
+    def no_read(*args):
+        raise AssertionError("a map met the shadow")
+
+    monkeypatch.setattr(oracle, "_shadow", no_read)
+    group = GroupDesc([("A", Cyclic(2, 1, 13))])  # order 8192
+    with pytest.raises(UsageError, match="the level-2 shadow is too large"):
+        _exhaust(group, [multiplication_endo(group, 1)], 2)
+
+
 # -- finite shadows ------------------------------------------------------
+
+def test_shadow_probes_at_the_level_are_the_flat_units():
+    # ProbeRows needs a depth; on a finite shadow the level's probes are
+    # the units of its flat space, in its column order and moduli
+    shadows = 0
+    for parsed in CORPUS:
+        for level in (1, 2, 3):
+            shadow = truncate(parsed.group, level)
+            psis = [truncate_endo(phi, shadow) for phi in parsed.endos.values()]
+            flat = ProbeRows(shadow.group, psis, level)
+            coords, moduli = _flat_space(shadow.group)
+            assert (flat.columns, flat.moduli) == (coords, moduli), (parsed.group_name, level)
+            assert [flat._probes[c][:2] for c in coords] == [(j, 1) for j in range(len(coords))]
+            shadows += bool(coords)
+    assert shadows >= 3 * 6
+
 
 def test_shadow_transport_commutes_with_embedding():
     bridge = Endo(CRIT, cyc={"B": 3}, div={2: F(1)})
@@ -787,6 +814,9 @@ def test_tf_witness_jumps_to_infinity():
     diag = Endo(ZPAIR, tf={(("V", 0), ("V", 0)): 1, (("V", 1), ("V", 1)): 2})
     fam = witness_search(ZPAIR, diag, pick(violations_of(diag), TF_NOT_SCALAR))
     assert fam.indices == (INF,)
+    # an infinite index ends the search at depth 1, where the line is
+    assert fam.description == "an infinite-order line moved off itself"
+    assert fam.subgroups[0].generators == (Element(ZPAIR, {("V", 0): 1, ("V", 1): 1}),)
 
 
 def test_free_reference_witness_jumps_to_infinity():
@@ -794,7 +824,10 @@ def test_free_reference_witness_jumps_to_infinity():
                        ("V", TorsionFree(frozenset({3}), 1))])
     phi = Endo(group, free_scalar=2, tf={(("V", 0), ("V", 0)): F(1, 3)})
     viol = pick(violations_of(phi), NOT_FTFR_NOT_INTEGER)
-    assert witness_search(group, phi, viol).indices == (INF,)
+    fam = witness_search(group, phi, viol)
+    assert fam.indices == (INF,)
+    assert fam.description == "an infinite-order line moved off itself"
+    assert fam.subgroups[0].generators == (Element(group, {("L", 0): 1, ("V", 0): 1}),)
 
 
 def test_worked_mismatch_family_doubles_forever():
@@ -803,6 +836,8 @@ def test_worked_mismatch_family_doubles_forever():
     fam = witness_search(WORKED, phi, viol, budget=5)
     assert fam.indices == (3, 6, 12, 24, 48)
     assert fam.prime == 2
+    assert fam.description == "divisible layers under an infinite-order anchor at 2"
+    assert fam.subgroups[1].generators == (Element(WORKED, {("D", 0): F(1, 4), ("W", 0): 1}),)
 
 
 def test_fractional_scalar_with_divisible_part_witness():
@@ -811,6 +846,8 @@ def test_fractional_scalar_with_divisible_part_witness():
     viol = pick(violations_of(phi), PI_HAS_DIVISIBLE)
     fam = witness_search(group, phi, viol)
     assert fam.indices == (4, 8, 16, 32, 64, 128)
+    assert fam.description == "divisible layers under an infinite-order anchor at 2"
+    assert fam.subgroups[1].generators == (Element(group, {("D", 0): F(1, 4), ("V", 0): 1}),)
 
 
 def test_divisible_matrix_witnesses():
@@ -818,12 +855,17 @@ def test_divisible_matrix_witnesses():
     diag = Endo(group, div={5: {(("D", 0), ("D", 0)): F(1),
                                 (("D", 1), ("D", 1)): F(3)}})
     viol = pick(violations_of(diag), DIV_NOT_SCALAR)
-    assert witness_search(group, diag, viol).indices == \
-        (5, 25, 125, 625, 3125, 15625)
+    fam = witness_search(group, diag, viol)
+    assert fam.indices == (5, 25, 125, 625, 3125, 15625)
+    assert fam.description == "paired layers of distinct divisible scalars at 5"
+    assert fam.subgroups[1].generators == \
+        (Element(group, {("D", 0): F(1, 25), ("D", 1): F(1, 25)}),)
     off = Endo(group, div={5: {(("D", 0), ("D", 1)): F(1)}})
     viol = pick(violations_of(off), DIV_NOT_SCALAR)
-    assert witness_search(group, off, viol).indices == \
-        (5, 25, 125, 625, 3125, 15625)
+    fam = witness_search(group, off, viol)
+    assert fam.indices == (5, 25, 125, 625, 3125, 15625)
+    assert fam.description == "layers of a cross-coordinate divisible source at 5"
+    assert fam.subgroups[1].generators == (Element(group, {("D", 0): F(1, 25)}),)
 
 
 def test_twisted_projection_witness():
@@ -832,6 +874,8 @@ def test_twisted_projection_witness():
     viol = pick(violations_of(phi), TAU_NONZERO)
     fam = witness_search(group, phi, viol)
     assert fam.indices == (2, 4, 8, 16, 32, 64)
+    assert fam.description == "deep 2-fractions of a twisted source"
+    assert fam.subgroups[1].generators == (Element(group, {("V", 0): F(1, 4)}),)
 
 
 def test_clashing_residue_graphs_witness():
@@ -839,6 +883,9 @@ def test_clashing_residue_graphs_witness():
     viol = pick(violations_of(bad), CRT_INCONSISTENT)
     fam = witness_search(OMEGA2, bad, viol)
     assert fam.indices == (2, 4, 8, 16, 32, 64)
+    assert fam.description == "graphs of residue blocks with clashing scalars"
+    assert fam.subgroups[1].generators == (Element(OMEGA2, {("B", 0): 1, ("C", 0): 1}),
+                                           Element(OMEGA2, {("B", 1): 1, ("C", 1): 1}))
 
 
 def test_residue_against_free_lattice_witness():
@@ -848,6 +895,9 @@ def test_residue_against_free_lattice_witness():
     viol = pick(violations_of(phi), CRT_INCONSISTENT)
     fam = witness_search(group, phi, viol)
     assert fam.indices == (3, 9, 27, 81, 243, 729)
+    assert fam.description == "graphs of a residue block against the free lattice"
+    assert fam.subgroups[1].generators == (Element(group, {("B", 0): 1, ("L", 0): 1}),
+                                           Element(group, {("B", 1): 1, ("L", 1): 1}))
 
 
 def test_unbounded_divisible_rank_witness():
@@ -856,6 +906,10 @@ def test_unbounded_divisible_rank_witness():
     viol = pick(violations_of(phi), OMEGA_DIV_MISMATCH)
     fam = witness_search(group, phi, viol)
     assert fam.indices == (2, 4, 8, 16, 32, 64)
+    # no golden holds this template
+    assert fam.description == "graphs pairing residue blocks with fresh divisible coordinates"
+    assert fam.subgroups[1].generators == (Element(group, {("B", 0): 1, ("D", 0): F(1, 2)}),
+                                           Element(group, {("B", 1): 1, ("D", 1): F(1, 2)}))
 
 
 def test_witness_search_is_sound_on_certificates():
@@ -1207,7 +1261,7 @@ def test_fs_profile_matches_element_set_closures():
             # family by family, from the one pass over each shadow
             for level, fams in want.items():
                 assert [(label, ratios[0]) for label, _, ratios
-                        in _shadow_families(group, [phi], level, True)] == fams
+                        in _shadow_families(_shadow(group, [phi], level), level, True)] == fams
 
 
 @given(st.integers(min_value=0, max_value=7))
