@@ -5,9 +5,13 @@ here instead treats an endomorphism as an opaque function and measures
 it on actual subgroups: |H + phi(H) : H| is computed exactly from an
 integer lattice presentation, profiles watch how the worst index moves
 across finite shadows of the group, and each violation kind has a
-dedicated family template that should exhibit unbounded growth.  The
-two routes share no inference code, so agreement between them is
-evidence rather than circularity.
+dedicated family template that should exhibit unbounded growth.  A
+template offers the families that the group and the violated prime
+allow, and the measured index picks the witness; only _wit_tau and
+_wit_div_matrix still read phi's tau and div to pick a source, as their
+group-only forms would grow on other families first and so change the
+reports.  The two routes share no inference code, so agreement between
+them is evidence rather than circularity.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
-    INF, OMEGA, UsageError, diagonal_slots, frac_residue, frac_valuation, hnf_insert,
+    INF, OMEGA, UsageError, diagonal_slots, frac_residue, hnf_insert,
     is_finite, solve_in_rowspace,
 )
 from .groupkit import (
@@ -483,7 +487,8 @@ def _echelon_bases(moduli: Sequence[int]) -> list[list[list[int]]]:
     the modulus vector of its coordinate stays in the lattice.  Each
     basis is a FiniteLattice basis as it stands.  The walk ends before
     anything is returned, so past twenty thousand subgroups (elementary
-    abelian shapes explode) it refuses before any is measured.
+    abelian shapes explode) it refuses before any is measured.  That bound
+    caps the output, not the work: the caller's order gate bounds the walk.
     """
     bases: list[list[list[int]]] = [[]]
     for i in reversed(range(len(moduli))):
@@ -780,7 +785,7 @@ def _exhaust(group: GroupDesc, phis: Sequence[Endo], level: int) -> tuple[int, l
 
     A shadow of order beyond 4096 is refused before any map is applied,
     and a lattice past the bound of _echelon_bases before any subgroup is
-    measured; both refusals are UsageErrors.
+    measured; both are UsageErrors.  Only the order gate bounds the work.
     """
     if truncate(group, level).group.order() > 4096:
         raise UsageError(f"the level-{level} shadow is too large")
@@ -905,39 +910,16 @@ def _graphs(group: GroupDesc, a: str, b: str, value: int | Fraction = 1) -> Fami
     return lambda n: [Element(group, {(a, i): 1, (b, i): value}) for i in range(n)]
 
 
-def _tf_coords(group: GroupDesc, x: Element) -> list[Coord]:
-    return [c for c in x.support()
-            if isinstance(group.block(c[0]), TorsionFree)]
-
-
-def _tf_parallel(group: GroupDesc, v: Element, w: Element) -> bool:
-    """Is the torsion-free part of w a rational multiple of that of v?"""
-    ratio = None
-    for c in sorted(set(_tf_coords(group, v)) | set(_tf_coords(group, w))):
-        a, b = Fraction(v.get(c)), Fraction(w.get(c))
-        if a == 0:
-            if b != 0:
-                return False
-        elif ratio is None:
-            ratio = b / a
-        elif b != ratio * a:
-            return False
-    return True
-
-
 def _wit_tf_line(group: GroupDesc, phi: Endo,
-                 viol: Violation) -> list[tuple[str, FamilyFn]]:
+                 viol: Violation) -> Iterator[tuple[str, FamilyFn]]:
+    # the lines, made as they are asked for: the units, then u + v and u - v
     units = [Element.unit(group, n, i) for n, i in group.tf_copies()]
     free = group.free_omega_name
     if free is not None:
         units.append(Element.unit(group, free, 0))
-    candidates = list(units)
-    for u, v in combinations(units, 2):
-        candidates += [u + v, u + v.scale(-1)]
-    for v in candidates:
-        if not _tf_parallel(group, v, apply(phi, v)):
-            return [("an infinite-order line moved off itself", _layers(group, (), 1, v))]
-    return []
+    pairs = ((u + v, u + v.scale(-1)) for u, v in combinations(units, 2))
+    for v in chain(units, chain.from_iterable(pairs)):
+        yield "an infinite-order line moved off itself", _layers(group, (), 1, v)
 
 
 def _anchored_layer(group: GroupDesc, phi: Endo,
@@ -984,48 +966,30 @@ def _wit_tau(group: GroupDesc, phi: Endo,
     return out
 
 
-def _omega_residues(group: GroupDesc, phi: Endo,
-                    p: int) -> list[tuple[str, int, int]]:
-    out = []
-    for name, b in group.cyclic_at(p):
-        if b.mult is OMEGA:
-            val = phi.cyc.get(name, 0)
-            if isinstance(val, int):
-                out.append((name, b.exp, val))
-    return out
-
-
 def _wit_crt(group: GroupDesc, phi: Endo,
              viol: Violation) -> list[tuple[str, FamilyFn]]:
-    p = viol.prime
-    blocks = _omega_residues(group, phi, p)
+    # a graph grows exactly when its two scalars clash modulo the smaller order
+    names = [name for name, b in group.cyclic_at(viol.prime) if b.mult is OMEGA]
     out = [("graphs of residue blocks with clashing scalars", _graphs(group, n1, n2))
-           for (n1, k1, a1), (n2, k2, a2) in combinations(blocks, 2)
-           if (a1 - a2) % p ** min(k1, k2)]
+           for n1, n2 in combinations(names, 2)]
     free = group.free_omega_name
     if free is not None:
         out += [("graphs of a residue block against the free lattice",
-                 _graphs(group, name, free))
-                for name, k, a in blocks if (a - phi.free_scalar) % p ** k]
+                 _graphs(group, name, free)) for name in names]
     return out
 
 
 def _wit_omega_div(group: GroupDesc, phi: Endo,
                    viol: Violation) -> list[tuple[str, FamilyFn]]:
+    # a block of order p^k against 1/p^k grows exactly when v_p(div - cyc) < k
     p = viol.prime
-    val = phi.div.get(p, Fraction(0))
-    if not isinstance(val, Fraction):
-        return []
     dname = next((n for n, b in group.prufer_items()
                   if b.prime == p and b.copies is OMEGA), None)
     if dname is None:
         return []
-    for name, k, a in _omega_residues(group, phi, p):
-        gap = frac_valuation(val - a, p)
-        if is_finite(gap) and gap < k:
-            return [("graphs pairing residue blocks with fresh divisible coordinates",
-                     _graphs(group, name, dname, Fraction(1, p ** k)))]
-    return []
+    return [("graphs pairing residue blocks with fresh divisible coordinates",
+             _graphs(group, name, dname, Fraction(1, p ** b.exp)))
+            for name, b in group.cyclic_at(p) if b.mult is OMEGA]
 
 
 _FAMILY_BUILDERS = {
@@ -1051,8 +1015,10 @@ def witness_search(group: GroupDesc, phi: Endo, violation: Violation,
 
     Each violation kind has one dedicated template; a family counts as
     a witness when some index is infinite or the indices multiply by at
-    least the violated prime at every depth step.  Returns None when no
-    template shows growth within the budget.
+    least the violated prime at every depth step.  The template's families
+    are measured in turn at depths 1..budget, so a search costs at most
+    budget index computations per family offered up to the first growing
+    one.  Returns None when no family grows within the budget.
     """
     if phi.group != group:
         raise UsageError("the endomorphism acts on a different group")

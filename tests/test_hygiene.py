@@ -1,6 +1,7 @@
 """Source hygiene of the library, read with the standard ``ast`` module:
-no import goes unused, no private helper outlives its last caller, and
-every name that the benchmark's tracer wraps still exists."""
+no import goes unused, no private helper outlives its last caller, every
+name that the benchmark's tracer wraps still exists, and only the listed
+witness templates read the map they search."""
 from __future__ import annotations
 
 import ast
@@ -95,3 +96,24 @@ def test_every_traced_name_resolves():
     missing = [f"{mod}.{fn}" for mod, fn in names
                if not callable(getattr(importlib.import_module(f"abinertia.{mod}"), fn, None))]
     assert len(names) > 30 and not missing, f"traced names the library lacks: {missing}"
+
+
+def test_witness_builders_read_phi_only_where_listed():
+    # a template offers every family that the group and the violated prime
+    # allow, and the measured index picks the witness; these two still pick
+    # their source from phi's normal form
+    reads_phi = {"_wit_tau", "_wit_div_matrix"}
+    tree = MODULES["oracle.py"]
+    table = next(stmt.value for stmt in tree.body
+                 if isinstance(stmt, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_FAMILY_BUILDERS"
+                         for t in stmt.targets))
+    defs = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    builders = {value.id for value in table.values}
+    readers = set()
+    for name in builders:
+        phi = defs[name].args.args[1].arg
+        if any(isinstance(n, ast.Name) and n.id == phi for n in ast.walk(defs[name])):
+            readers.add(name)
+    assert len(builders) == 6 and readers == reads_phi, \
+        f"builders that read phi: {sorted(readers)}, listed: {sorted(reads_phi)}"

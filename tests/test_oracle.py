@@ -16,7 +16,7 @@ from abinertia.cli import SessionConfig, parse, run
 from abinertia.endokit import (
     Endo, apply, mini_endo, multiplication_endo, semi_multiplication, validate,
 )
-from abinertia.exactnum import INF, OMEGA, UsageError, hnf, is_finite
+from abinertia.exactnum import INF, OMEGA, UsageError, frac_valuation, hnf, is_finite
 from abinertia.groupkit import Cyclic, Element, GroupDesc, Prufer, TorsionFree, truncate
 from abinertia.inertia import (
     CRT_INCONSISTENT, DIV_NOT_SCALAR, DIV_VS_R_MISMATCH, NOT_FTFR_NOT_INTEGER,
@@ -910,6 +910,111 @@ def test_unbounded_divisible_rank_witness():
     assert fam.description == "graphs pairing residue blocks with fresh divisible coordinates"
     assert fam.subgroups[1].generators == (Element(group, {("B", 0): 1, ("D", 0): F(1, 2)}),
                                            Element(group, {("B", 1): 1, ("D", 1): F(1, 2)}))
+
+
+def _measured(group, phi, family):
+    """A family's index under phi at depths 1..6, each measured alone."""
+    return [index_in_sum(gens(group, *family(n)), phi) for n in range(1, 7)]
+
+
+def _powers(c):
+    return [c ** n for n in range(1, 7)]
+
+
+def test_a_residue_graph_grows_exactly_when_its_scalars_clash():
+    # g_i = e_(a,i) + e_(b,i) has phi(g_i) - alpha_a g_i = (alpha_b - alpha_a) e_(b,i),
+    # so depth n reads c^n, and c = 1 exactly when the scalars agree
+    # modulo the smaller order
+    group = GroupDesc([("L", TorsionFree(frozenset(), OMEGA)), ("B", Cyclic(3, 1, OMEGA)),
+                       ("C", Cyclic(3, 2, OMEGA)), ("E", Cyclic(3, 2, OMEGA))])
+    pair, wide = oracle._graphs(group, "B", "C"), oracle._graphs(group, "C", "E")
+    assert _measured(group, Endo(group, cyc={"B": 1, "C": 4}), pair) == [1] * 6
+    assert _measured(group, Endo(group, cyc={"B": 1, "C": 2}), pair) == _powers(3)
+    assert _measured(group, Endo(group, cyc={"C": 1, "E": 4}), wide) == _powers(3)
+    assert _measured(group, Endo(group, cyc={"C": 1, "E": 2}), wide) == _powers(9)
+    free = oracle._graphs(group, "C", "L")
+    assert _measured(group, Endo(group, free_scalar=-5, cyc={"C": 4}), free) == [1] * 6
+    assert _measured(group, Endo(group, free_scalar=7, cyc={"C": 4}), free) == _powers(3)
+    assert _measured(group, Endo(group, free_scalar=5, cyc={"C": 4}), free) == _powers(9)
+
+
+def test_a_divisible_graph_grows_exactly_when_the_gap_is_below_the_order():
+    # the graph of B (order 4) against 1/4 on D; the gap is v_2(val - alpha)
+    group = GroupDesc([("D", Prufer(2, OMEGA)), ("B", Cyclic(2, 2, OMEGA))])
+    graph = oracle._graphs(group, "B", "D", F(1, 4))
+    for val, alpha, want in ((F(1, 3), 3, [1] * 6),   # gap 3: 1/3 - 3 = -8/3
+                             (F(5), 1, [1] * 6),      # gap 2
+                             (F(3), 1, _powers(2)),   # gap 1
+                             (F(0), 1, _powers(4))):  # gap 0
+        assert _measured(group, Endo(group, div={2: val}, cyc={"B": alpha}), graph) == want
+
+
+def test_a_line_has_infinite_index_exactly_when_it_is_moved_off_itself():
+    group = GroupDesc([("V", TorsionFree(frozenset({3}), 2))])
+    phi = Endo(group, tf={(("V", 0), ("V", 0)): F(1, 3), (("V", 1), ("V", 1)): F(2, 3)})
+    e0, e1 = Element.unit(group, "V", 0), Element.unit(group, "V", 1)
+    assert _measured(group, phi, oracle._layers(group, (), 1, e0)) == [3] * 6
+    assert _measured(group, phi, oracle._layers(group, (), 1, e1)) == [3] * 6
+    assert _measured(group, phi, oracle._layers(group, (), 1, e0 + e1)) == [INF] * 6
+
+
+def _congruence_pick(group, phi, kind, p):
+    """The reference: the family the rules' congruences pick first, or None."""
+    blocks = [(name, b.exp, phi.cyc.get(name, 0))
+              for name, b in group.cyclic_at(p) if b.mult is OMEGA]
+    if kind == CRT_INCONSISTENT:
+        for (n1, k1, a1), (n2, k2, a2) in combinations(blocks, 2):
+            if (a1 - a2) % p ** min(k1, k2):
+                return ("graphs of residue blocks with clashing scalars",
+                        oracle._graphs(group, n1, n2))
+        free = group.free_omega_name
+        for name, k, a in blocks:
+            if free is not None and (a - phi.free_scalar) % p ** k:
+                return ("graphs of a residue block against the free lattice",
+                        oracle._graphs(group, name, free))
+    elif "D" in dict(group.blocks):
+        val = phi.div.get(p, F(0))
+        for name, k, a in blocks:
+            gap = frac_valuation(val - a, p)
+            if is_finite(gap) and gap < k:
+                return ("graphs pairing residue blocks with fresh divisible coordinates",
+                        oracle._graphs(group, name, "D", F(1, p ** k)))
+    return None
+
+
+def test_the_measured_witness_is_the_one_the_congruences_pick():
+    rng = random.Random(26)
+    budget = 4
+    outcomes = Counter()
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        base = rng.randrange(p ** 3)
+
+        def near():  # base plus a random multiple of a random power of p
+            return base + p ** rng.randint(0, 3) * rng.randrange(p)
+
+        blocks = [(f"B{i}", Cyclic(p, rng.randint(1, 3), OMEGA)) for i in range(rng.randint(1, 4))]
+        free = rng.random() < 0.5
+        div = rng.random() < 0.5
+        group = GroupDesc(blocks + [("L", TorsionFree(frozenset(), OMEGA))] * free
+                          + [("D", Prufer(p, OMEGA))] * div)
+        den = rng.choice((1, 7, 11))
+        phi = Endo(group, cyc={name: near() % p ** b.exp for name, b in blocks},
+                   free_scalar=near() if free else 0,
+                   div={p: F(near() * den - base * (den - 1), den)} if div else {})
+        for kind in (CRT_INCONSISTENT, OMEGA_DIV_MISMATCH):
+            fam = witness_search(group, phi, Violation(kind, f"cyc p={p}", "", p), budget)
+            want = _congruence_pick(group, phi, kind, p)
+            outcomes[kind, want is None] += 1
+            if want is None:
+                assert fam is None
+                continue
+            desc, family = want
+            assert fam.description == desc
+            assert [s.generators for s in fam.subgroups] == \
+                [tuple(family(n)) for n in range(1, budget + 1)]
+    # both kinds meet both outcomes
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 5, outcomes
 
 
 def test_witness_search_is_sound_on_certificates():
