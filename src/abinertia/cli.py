@@ -764,26 +764,21 @@ def _run_decompose(config: SessionConfig, parsed: ParsedInput) -> dict:
     return out
 
 
-def _exhaustive_views(group: GroupDesc, phis: Sequence[Endo]) -> list[dict]:
-    """Each map's worst index over every subgroup of the level-2 shadow
-    (oracle._exhaust), or the reason the shadow was skipped."""
-    try:
-        count, worst = _exhaust(group, phis, 2)
-    except UsageError as exc:
-        return [{"skipped": str(exc)} for _ in phis]
-    return [{"level": 2, "subgroups": count, "max_index": _jv(w)} for w in worst]
-
-
 def _run_oracle(config: SessionConfig, parsed: ParsedInput) -> dict:
     out = {}
     phis = list(parsed.endos.values())
-    views = [None] * len(phis)
-    if config.enumerate_all:
-        views = _exhaustive_views(parsed.group, phis)
     # one pass per level gives both profiles; the FS one needs a periodic group
     periodic = parsed.group.is_periodic
+    reads: dict | None = {} if config.enumerate_all else None
     evidence, fs_reports = _profiles(parsed.group, phis, config.levels, config.samples,
-                                     config.seed, fs=periodic)
+                                     config.seed, fs=periodic, reads=reads)
+    views = [None] * len(phis)
+    if config.enumerate_all:
+        try:
+            count, worst = _exhaust(parsed.group, phis, 2, reads.get(2))
+            views = [{"level": 2, "subgroups": count, "max_index": _jv(w)} for w in worst]
+        except UsageError as exc:
+            views = [{"skipped": str(exc)} for _ in phis]
     for (name, phi), ev, fs, exhaustive in zip(parsed.endos.items(), evidence,
                                                fs_reports, views):
         cert, viols = is_inertial(phi)

@@ -18,7 +18,7 @@ __all__ = [
     "is_prime", "factor", "prime_divisors", "valuation", "frac_valuation",
     "inv_mod", "Residue", "JElement",
     "crt_solve", "crt_lift", "frac_residue", "identity_matrix",
-    "snf", "hnf", "diagonal_slots", "hnf_insert", "solve_in_rowspace", "kernel_left",
+    "snf", "hnf", "sparse_row", "hnf_insert", "solve_in_rowspace", "kernel_left",
 ]
 
 
@@ -440,58 +440,61 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     return d, u, v
 
 
-def diagonal_slots(moduli: Sequence[int]) -> list[Sequence[int] | None]:
-    """Echelon slots holding m e_i on each column of modulus m, none on a free one."""
-    n = len(moduli)
-    return [[0] * i + [m] + [0] * (n - i - 1) if m else None for i, m in enumerate(moduli)]
+def sparse_row(row: Sequence[int] | dict[int, int]) -> dict[int, int]:
+    """A dense row's nonzero entries as a {column: entry} dict; a dict is kept."""
+    return row if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
 
 
-def hnf_insert(slots: list[Sequence[int] | None], row: Sequence[int],
-               moduli: Sequence[int]) -> bool:
-    """Insert one row into echelon slots; return whether the lattice grew.
+def _combine(a: int, r: Mapping[int, int], b: int, s: Mapping[int, int],
+             moduli: Sequence[int]) -> dict[int, int]:
+    """The sparse row a r + b s, each entry reduced modulo its column's modulus."""
+    out = {}
+    for j in r.keys() | s.keys():
+        x = a * r.get(j, 0) + b * s.get(j, 0)
+        if moduli[j]:
+            x %= moduli[j]
+        if x:
+            out[j] = x
+    return out
 
-    slots[i] is None or the basis row whose pivot, the first nonzero
-    entry, sits in column i and is positive; moduli gives one modulus
-    per column, 0 for a free column, and a column with modulus m > 0
-    must hold a row whose pivot divides m.  The row is swept from the
-    left: a pivot that divides its entry clears it, one that does not is
-    replaced by their gcd through a unimodular 2 x 2 step that carries
-    the second result on to the next column, and an empty slot takes the
-    rest (Cohen, section 2.4).  Each step reduces the entries right of
-    its column modulo the moduli.  The lattice grew exactly when a gcd
-    step or an empty slot was met, since otherwise the row reduced to
-    zero by exact divisions.  Slot rows are replaced, never changed in
+
+def hnf_insert(slots: list[dict[int, int] | None] | dict[int, dict[int, int] | None],
+               row: Mapping[int, int], moduli: Sequence[int]) -> bool:
+    """Insert one sparse row into echelon slots; return whether the lattice grew.
+
+    Rows are {column: entry} dicts.  slots[i] is None or the basis row
+    whose least column, with a positive pivot, is i: slots is a list over
+    all the columns or a dict over those the rows reach.  moduli gives one
+    modulus per column, 0 for a free one, and a column of modulus m > 0
+    must hold a pivot dividing m.  The row is swept from its least column
+    up: a pivot that divides its entry clears it, one that does not is
+    replaced by their gcd through a unimodular 2 x 2 step that carries the
+    second result on, and an empty slot takes the rest (Cohen, section
+    2.4).  A step touches only its two rows' columns and reduces the rows
+    it forms modulo the moduli.  The lattice grew exactly when a gcd step
+    or an empty slot was met.  Slot rows are replaced, never changed in
     place, and the row itself is not changed.
     """
-    n = len(moduli)
-    if len(row) != n:
-        raise UsageError("ragged matrix")
-    v = list(row)
+    v = {j: x for j, x in row.items() if x}
     grew = False
-    for i in range(n):
+    while v:
+        i = min(v)
         x = v[i]
-        if not x:
-            continue
         slot = slots[i]
         if slot is None:
-            sign = 1 if x > 0 else -1
-            slots[i] = [sign * a % m if m else sign * a for a, m in zip(v, moduli)]
+            slots[i] = _combine(1 if x > 0 else -1, v, 0, {}, moduli)
             return True
         p = slot[i]
-        cols = list(zip(slot[i:], v[i:], moduli[i:]))
         if x % p:
             g = math.gcd(p, x)
             xg, pg = x // g, p // g
             t = pow(xg, -1, pg)
             s = (g - t * x) // p
-            slots[i] = [0] * i + [(s * a + t * b) % m if m else s * a + t * b
-                                  for a, b, m in cols]
-            v[i:] = [(xg * a - pg * b) % m if m else xg * a - pg * b
-                     for a, b, m in cols]
+            slots[i] = _combine(s, slot, t, v, moduli)
+            v = _combine(xg, slot, -pg, v, moduli)
             grew = True
         else:
-            q = x // p
-            v[i:] = [(b - q * a) % m if m else b - q * a for a, b, m in cols]
+            v = _combine(1, v, -(x // p), slot, moduli)
     return grew
 
 
@@ -517,13 +520,15 @@ def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
         first = rows[0] if rows else basis[0] if basis else ()
         moduli = (0,) * len(first)
     mods = tuple(moduli)
-    work = diagonal_slots(mods)
-    for row in basis:
-        work[next(j for j, x in enumerate(row) if x)] = list(row)
+    work = [{i: m} if m else None for i, m in enumerate(mods)]
+    for slot in map(sparse_row, basis):
+        work[min(slot)] = slot
     for r in rows:
-        hnf_insert(work, r, mods)
-    pivots = [i for i, row in enumerate(work) if row is not None]
-    result = [work[i] for i in pivots]
+        if len(r) != len(mods):
+            raise UsageError("ragged matrix")
+        hnf_insert(work, sparse_row(r), mods)
+    pivots = [i for i, slot in enumerate(work) if slot is not None]
+    result = [[work[i].get(j, 0) for j in range(len(mods))] for i in pivots]
     # reduce entries above each pivot, leftmost pivot first, so that a
     # later reduction never touches a column already reduced
     for k, col in enumerate(pivots):

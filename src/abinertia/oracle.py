@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm, prod
+from operator import floordiv, getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
-    INF, OMEGA, UsageError, diagonal_slots, frac_residue, hnf_insert,
-    is_finite, solve_in_rowspace,
+    INF, OMEGA, UsageError, frac_residue, hnf_insert, is_finite,
+    solve_in_rowspace, sparse_row,
 )
 from .groupkit import (
     Coord, Cyclic, Element, GroupDesc, Nat, Prufer, TorsionFree, Truncation,
@@ -86,10 +87,10 @@ class WitnessFamily:
 # exact index of H in H + phi(H)
 
 def _columns(group: GroupDesc,
-             elements: Iterable[Element]) -> tuple[list[Coord], list[int], list[int]]:
-    """The coordinates the elements reach, with one scale and one modulus each.
+             elements: Iterable[Element]) -> tuple[dict[Coord, int], list[int], list[int]]:
+    """The coordinates the elements reach, by column, with one scale and one modulus each.
 
-    The coordinates come in block order.  Every column is scaled to an
+    The columns come in block order.  Every column is scaled to an
     integer coordinate: torsion-free values are multiplied through by
     the common denominator and get modulus 0 (a free column), divisible
     values a/p^j become a * p^(J-j) modulo the deepest layer p^J in
@@ -114,43 +115,41 @@ def _columns(group: GroupDesc,
             scale, m = lcm(*dens[c]), 0
         scales.append(scale)
         moduli.append(m)
-    return cols, scales, moduli
+    return {c: j for j, c in enumerate(cols)}, scales, moduli
 
 
 def _scaled(v: int | Fraction, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
-def _indices(rows_h: Sequence[Sequence[int]], images: Sequence[Sequence[Sequence[int]]],
+def _indices(rows_h: Sequence[dict[int, int]], images: Sequence[Sequence[dict[int, int]]],
              moduli: Sequence[int]) -> list[Nat]:
     """|H + K : H| for the lattice H of rows_h and each K of images.
 
-    H is written once as echelon slots over diag(moduli), and each list
-    of image rows is inserted into a shallow copy of them; hnf_insert
-    replaces slot rows rather than changing them, so H's slots stay as
-    they were.  A modular column always holds a pivot, so the index is
-    INF exactly when a free column gains one.  Otherwise H and H + K
-    have pivots in the same columns, each pivot of H + K divides that of
-    H, and the index is the product of the ratios.
+    The rows are {column: entry} dicts.  H is written once as echelon
+    slots over diag(moduli) on the columns the rows reach, and each list
+    of image rows goes into a shallow copy of them: hnf_insert replaces
+    slot rows, so H's stay as they were.  A modular column always holds
+    a pivot, so the index is INF exactly when a free column gains one.
+    Otherwise each pivot of H + K divides that of H, and the index is
+    the product of the ratios.
     """
-    base = diagonal_slots(moduli)
+    cols = set().union(*rows_h, *chain.from_iterable(images))
+    base = {j: {j: moduli[j]} if moduli[j] else None for j in cols}
     for r in rows_h:
         hnf_insert(base, r, moduli)
     out: list[Nat] = []
     for ims in images:
-        slots = list(base)
+        slots = dict(base)
         for r in ims:
             hnf_insert(slots, r, moduli)
-        if any(h is None and k is not None for h, k in zip(base, slots)):
+        if any(base[j] is None and slots[j] is not None for j in cols):
             out.append(INF)
             continue
-        index = 1
-        for i, (h, k) in enumerate(zip(base, slots)):
-            if h is not None:
-                if h[i] % k[i]:
-                    raise AssertionError("H escaped H + phi(H)")
-                index *= h[i] // k[i]
-        out.append(index)
+        ratios = [divmod(base[j][j], slots[j][j]) for j in cols if base[j] is not None]
+        if any(r for _, r in ratios):
+            raise AssertionError("H escaped H + phi(H)")
+        out.append(prod(q for q, _ in ratios))
     return out
 
 
@@ -167,8 +166,8 @@ def index_in_sum(sub: FGSubgroup, phi: Endo) -> Nat:
         raise UsageError("the endomorphism acts on a different group")
     hs = [g for g in sub.generators if g]
     ims = [im for im in (apply(phi, g) for g in hs) if im]
-    cols, scales, moduli = _columns(sub.group, hs + ims)
-    rows = [[_scaled(x.coeffs.get(c, 0), k) for c, k in zip(cols, scales)] for x in hs + ims]
+    index, scales, moduli = _columns(sub.group, hs + ims)
+    rows = [{index[c]: _scaled(v, scales[index[c]]) for c, v in x.coeffs.items()} for x in hs + ims]
     return _indices(rows[:len(hs)], [rows[len(hs):]], moduli)[0]
 
 
@@ -210,14 +209,13 @@ class ProbeRows:
         units = [Element.unit(group, name, i, _probe_value(group.block(name), depth))
                  for name, i in coords]
         images = [[apply(phi, u) for u in units] for phi in phis]
-        cols, scales, self.moduli = _columns(group, units + [im for ims in images for im in ims])
-        index = {c: j for j, c in enumerate(cols)}
+        index, scales, self.moduli = _columns(group, units + [im for ims in images for im in ims])
 
         def pairs(x: Element) -> list[tuple[int, int]]:
             return [(index[c], _scaled(v, scales[index[c]])) for c, v in x.coeffs.items()]
 
         self.group = group
-        self.columns = cols
+        self.columns = list(index)
         # images[k][i]: the row of map k's image of probe i, as (column, entry) pairs
         self.images = [[pairs(im) for im in ims] for ims in images]
         self._probes = {
@@ -229,8 +227,8 @@ class ProbeRows:
         """|H + phi(H) : H| under each map, for H generated by rows of multipliers.
 
         Each generator lists (coordinate, n_c) pairs: it is sum n_c probe_c.
-        The echelon slots of _indices cover the columns that H and the
-        images touch, not all of the columns.
+        The {column: entry} rows go to _indices as they are made, whose
+        slots cover only the columns that H and the images reach.
         """
         moduli = self.moduli
         rows: list[dict[int, int]] = []
@@ -244,21 +242,10 @@ class ProbeRows:
                 for acc, probe_image in zip(sums, per_map):
                     for j, a in probe_image:
                         acc[j] = acc.get(j, 0) + n * a
-            if row:
-                rows.append(row)
+            rows.append(row)
             for out, acc in zip(images, sums):
-                im = {}
-                for j, x in acc.items():
-                    if moduli[j]:
-                        x %= moduli[j]
-                    if x:
-                        im[j] = x
-                if im:
-                    out.append(im)
-        cols = sorted({j for r in chain(rows, *images) for j in r})
-        return _indices([[r.get(j, 0) for j in cols] for r in rows],
-                        [[[r.get(j, 0) for j in cols] for r in ims] for ims in images],
-                        [moduli[j] for j in cols])
+                out.append({j: x % moduli[j] if moduli[j] else x for j, x in acc.items()})
+        return _indices(rows, images, moduli)
 
 
 def _span(moduli: Sequence[int], gens: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
@@ -613,30 +600,35 @@ class FiniteLattice:
     """A subgroup of Z^n / diag(moduli) as the lattice of all its lifts.
 
     That lattice contains diag(moduli), so it has an echelon basis with
-    one row per column: basis[i] starts at column i with a positive
-    pivot dividing m_i.  The basis is kept in that echelon form, not
-    reduced above the pivots, so it is not canonical; compare lattices
-    through hnf((), moduli, basis).  The rows are inserted with
-    hnf_insert into a given echelon basis over the same moduli, by
-    default diag(moduli).  The order is the modulus product over the
-    pivot product.  Every modulus must be positive.
+    one row per column: slots[i] is the {column: entry} row that starts
+    at column i with a positive pivot dividing m_i, and basis is their
+    read-only dense view.  The basis is not reduced above the pivots, so
+    it is not canonical; compare lattices through hnf((), moduli, basis).
+    The rows, dense or {column: entry}, are inserted with hnf_insert into
+    a given echelon basis over the same moduli, by default diag(moduli).
+    The order is the modulus product over the pivot product.  Every
+    modulus must be positive.
     """
 
-    __slots__ = ("moduli", "basis")
+    __slots__ = ("moduli", "slots")
 
-    def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int]],
-                 basis: Sequence[Sequence[int]] = ()):
+    def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int] | dict[int, int]],
+                 basis: Sequence[Sequence[int] | dict[int, int]] = ()):
         self.moduli = tuple(moduli)
         for i, m in enumerate(self.moduli):
             if m < 1:
                 raise UsageError(f"lattice modulus {m} at column {i} is not positive")
-        slots = list(basis) if basis else diagonal_slots(self.moduli)
+        slots = list(map(sparse_row, basis)) or [{i: m} for i, m in enumerate(self.moduli)]
         for r in rows:
-            hnf_insert(slots, r, self.moduli)
-        self.basis = tuple(map(tuple, slots))
+            hnf_insert(slots, sparse_row(r), self.moduli)
+        self.slots = slots
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(r.get(j, 0) for j in range(len(self.moduli))) for r in self.slots)
 
     def order(self) -> int:
-        return _order(self.moduli, self.basis)
+        return _order(self.moduli, self.slots)
 
     def closure(self, action: Sequence[Sequence[tuple[int, int]]]) -> "FiniteLattice":
         """The smallest lattice over this one that a map carries into itself.
@@ -661,19 +653,17 @@ class FiniteLattice:
         Without whole they are those of X + phi X.
         """
         moduli = self.moduli
-        n = len(moduli)
-        slots = list(self.basis)
-        queue = [r for i, r in enumerate(self.basis) if r[i] != moduli[i] or any(r[i + 1:])]
+        slots = list(self.slots)
+        queue = [r for i, r in enumerate(slots) if r[i] != moduli[i] or len(r) > 1]
         first = None
         while True:
             grown = []
             for row in queue:
-                img = [0] * n
-                for x, pairs in zip(row, action):
-                    if x:
-                        for j, a in pairs:
-                            img[j] += x * a
-                img = [x % m for x, m in zip(img, moduli)]
+                img: dict[int, int] = {}
+                for i, x in row.items():
+                    for j, a in action[i]:
+                        img[j] = img.get(j, 0) + x * a
+                img = {j: y for j, x in img.items() if (y := x % moduli[j])}
                 if hnf_insert(slots, img, moduli):
                     grown.append(img)
             if first is None:
@@ -687,26 +677,31 @@ class FiniteLattice:
 
         Its lattice is spanned by the columns of diag(moduli) H^-1 for the
         echelon basis H; row i of that matrix writes m_i e_i over H and is
-        found by integer back-substitution.  H is upper triangular, so
-        column j of that matrix ends at row j with m_j / H_jj: over the
+        found by sparse integer back-substitution.  H is upper triangular,
+        so column j of that matrix ends at row j with m_j / H_jj: over the
         reversed coordinates the columns are already an echelon basis.
         The result lives there, over the reversed moduli, so a map acts on
         it through its coordinates reversed, and its annihilator is back
         in this lattice's coordinates.
         """
         n = len(self.moduli)
-        cols = [[0] * n for _ in range(n)]
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
         for i, m in enumerate(self.moduli):
-            rest = [0] * i + [m] + [0] * (n - i - 1)
-            for j in range(i, n):
-                cols[n - 1 - j][n - 1 - i] = q = rest[j] // self.basis[j][j]
-                if q:
-                    rest[j:] = [x - q * y for x, y in zip(rest[j:], self.basis[j][j:])]
+            rest = {i: m}
+            while rest:
+                j = min(rest)
+                row = self.slots[j]
+                q, r = divmod(rest[j], row[j])
+                if r:
+                    raise AssertionError("the lattice does not contain diag(moduli)")
+                cols[n - 1 - j][n - 1 - i] = q
+                rest = {k: x for k in rest.keys() | row.keys()
+                        if (x := rest.get(k, 0) - q * row.get(k, 0))}
         return FiniteLattice(self.moduli[::-1], (), cols)
 
 
-def _order(moduli: Sequence[int], slots: Sequence[Sequence[int]]) -> int:
-    return prod(m // row[i] for i, (m, row) in enumerate(zip(moduli, slots)))
+def _order(moduli: Sequence[int], slots: Sequence[dict[int, int]]) -> int:
+    return prod(map(floordiv, moduli, map(getitem, slots, range(len(slots)))))  # m_i // pivot_i
 
 
 def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
@@ -773,15 +768,16 @@ def _shadow_families(flat: ProbeRows, level: int,
     read."""
     families = _prelude_rows(flat.group, level, level)
     # a shadow's probes are its units, so a Row's multipliers are its entries
-    lattices = (FiniteLattice(flat.moduli, [[g.get(c, 0) for c in flat.columns]
-                                            for g in map(dict, gens)]) for _, gens in families)
+    lattices = (FiniteLattice(flat.moduli, [{flat._probes[c][0]: n for c, n in g} for g in gens])
+                for _, gens in families)
     for (label, _), (indices, ratios) in zip(families, _measure(flat, lattices, fs)):
         yield label, indices, ratios
 
 
-def _exhaust(group: GroupDesc, phis: Sequence[Endo], level: int) -> tuple[int, list[int]]:
+def _exhaust(group: GroupDesc, phis: Sequence[Endo], level: int,
+             flat: ProbeRows | None = None) -> tuple[int, list[int]]:
     """How many subgroups the level's shadow has, and each map's worst
-    index over them all (_measure on the _shadow read).
+    index over them all (_measure on the _shadow read, or on flat).
 
     A shadow of order beyond 4096 is refused before any map is applied,
     and a lattice past the bound of _echelon_bases before any subgroup is
@@ -789,7 +785,7 @@ def _exhaust(group: GroupDesc, phis: Sequence[Endo], level: int) -> tuple[int, l
     """
     if truncate(group, level).group.order() > 4096:
         raise UsageError(f"the level-{level} shadow is too large")
-    flat = _shadow(group, phis, level)
+    flat = flat or _shadow(group, phis, level)
     bases = _echelon_bases(flat.moduli)
     worst = [1] * len(phis)
     for indices, _ in _measure(flat, (FiniteLattice(flat.moduli, (), b) for b in bases), False):
@@ -798,8 +794,8 @@ def _exhaust(group: GroupDesc, phis: Sequence[Endo], level: int) -> tuple[int, l
 
 
 def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
-              samples: int | None = None, seed: int = 0,
-              fs: bool = False) -> tuple[list[InertnessEvidence], list[dict[int, int]]]:
+              samples: int | None = None, seed: int = 0, fs: bool = False,
+              reads: dict | None = None) -> tuple[list[InertnessEvidence], list[dict[int, int]]]:
     """The oracle's one loop over the levels, for all of a file's maps.
 
     Each level makes one pass over its _shadow read (_shadow_families), which
@@ -814,6 +810,7 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
     holds one index per map and lives only as long as the call.  No map
     meets a generator, and each map's entry is the one it gets alone.
     Returns each map's evidence and, with fs, its FS report ({} without).
+    reads, if given, keeps each level's _shadow read for _exhaust.
     """
     if any(phi.group != group for phi in phis):
         raise UsageError("the endomorphism acts on a different group")
@@ -833,7 +830,10 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
     for level in lv:
         worst: list[Nat] = [1] * len(phis)
         if has_torsion:
-            for label, indices, ratios in _shadow_families(_shadow(group, phis, level), level, fs):
+            flat = _shadow(group, phis, level)
+            if reads is not None:
+                reads[level] = flat
+            for label, indices, ratios in _shadow_families(flat, level, fs):
                 worst = [max(w, v) for w, v in zip(worst, indices)]
                 for report, r in zip(reports, ratios):  # no ratios without fs
                     report[level] = max(report.get(level, 1), r)

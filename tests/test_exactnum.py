@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from abinertia.exactnum import (
     INF, OMEGA, JElement, Residue, UsageError,
-    crt_lift, crt_solve, factor, diagonal_slots, frac_residue, frac_valuation, hnf,
+    crt_lift, crt_solve, factor, frac_residue, frac_valuation, hnf,
     hnf_insert, identity_matrix, inv_mod, is_prime, kernel_left, prime_divisors,
     snf, solve_in_rowspace, valuation,
 )
@@ -244,7 +244,8 @@ def test_hnf_solve_and_kernel(mat):
     assert len(kernel_left(mat)) == len(mat) - len(basis)
 
 
-_slot_cases = st.lists(st.sampled_from([0, 2, 3, 4, 8, 9, 27]), min_size=1, max_size=4).flatmap(
+_slot_cases = st.lists(st.sampled_from([0, 2, 3, 4, 8, 9, 27, 2 ** 32, 3 ** 20]),
+                       min_size=1, max_size=4).flatmap(
     lambda mods: st.tuples(st.just(mods), st.lists(
         st.lists(st.integers(-40, 40), min_size=len(mods), max_size=len(mods)), max_size=5)))
 
@@ -253,25 +254,31 @@ _slot_cases = st.lists(st.sampled_from([0, 2, 3, 4, 8, 9, 27]), min_size=1, max_
 @settings(max_examples=200, deadline=None)
 def test_hnf_insert_reports_growth_and_replaces_slot_rows(case):
     moduli, rows = case
-    slots = diagonal_slots(moduli)
+    n = len(moduli)
+    slots = [{i: m} if m else None for i, m in enumerate(moduli)]
 
     def canon():
-        return hnf((), moduli, [s for s in slots if s is not None])
+        return hnf((), moduli, [[s.get(j, 0) for j in range(n)] for s in slots if s is not None])
 
-    for row in rows:
+    for dense in rows:
+        row = {j: x for j, x in enumerate(dense) if x}
         before, held = canon(), list(slots)
-        copies = [None if s is None else list(s) for s in held]
-        row_before = list(row)
+        copies = [None if s is None else dict(s) for s in held]
+        row_before = dict(row)
         grew = hnf_insert(slots, row, moduli)
         # True exactly when the lattice changed; the row itself is untouched
         assert grew == (canon() != before)
         assert row == row_before
         # slot rows are replaced, never changed in place, so a shallow copy
         # of the slots keeps the lattice it was taken of
-        assert [None if s is None else list(s) for s in held] == copies
+        assert [None if s is None else dict(s) for s in held] == copies
+        # slot i starts at column i with a positive pivot and stores no zero
+        for i, s in enumerate(slots):
+            assert s is None or (min(s) == i and s[i] > 0 and all(s.values()))
         # a row already in the lattice adds nothing and replaces no slot
         kept = list(slots)
-        member = [sum(s[j] for s in slots if s is not None) for j in range(len(moduli))]
+        member = {j: x for j in range(n)
+                  if (x := sum(s.get(j, 0) for s in slots if s is not None))}
         for again in (row, member):
             assert not hnf_insert(slots, again, moduli)
             assert all(s is k for s, k in zip(slots, kept))

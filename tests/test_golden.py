@@ -43,6 +43,9 @@ def _cases() -> dict[str, list[str] | str]:
     cases["oracle-enumerate-all"] = ["oracle", *ENUMERATED, "--levels", "2,3",
                                      "--samples", "12", "--seed", "9",
                                      "--budget", "4", "--enumerate-all"]
+    # deep shadows: 128 and 256 coordinates, moduli up to 2^32 and 3^32
+    cases["oracle-deep_moduli-16-32"] = ["oracle", "tests/corpus/deep_moduli.txt",
+                                         "--levels", "16,32"]
     for path in DEMOS:
         cases[f"demo-{Path(path).stem}"] = path
     return cases

@@ -16,7 +16,9 @@ from abinertia.cli import SessionConfig, parse, run
 from abinertia.endokit import (
     Endo, apply, mini_endo, multiplication_endo, semi_multiplication, validate,
 )
-from abinertia.exactnum import INF, OMEGA, UsageError, frac_valuation, hnf, is_finite
+from abinertia.exactnum import (
+    INF, OMEGA, UsageError, frac_valuation, hnf, is_finite, sparse_row,
+)
 from abinertia.groupkit import Cyclic, Element, GroupDesc, Prufer, TorsionFree, truncate
 from abinertia.inertia import (
     CRT_INCONSISTENT, DIV_NOT_SCALAR, DIV_VS_R_MISMATCH, NOT_FTFR_NOT_INTEGER,
@@ -761,6 +763,33 @@ def test_oracle_command_applies_each_map_to_each_shadow_unit_once_per_level(monk
     assert files >= 2
 
 
+def test_enumerate_all_measures_the_profiles_level_2_read(monkeypatch):
+    # --enumerate-all walks the level-2 shadow on the read that the
+    # profiles made there, so on critical.txt at levels 2,3 its three maps
+    # meet the shadow units 21 times with the flag as without it, not 30;
+    # without level 2 among the levels the walk makes its own read
+    applied = oracle.apply
+    calls = Counter()
+
+    def counting(phi, x):
+        calls[x.group.is_finite] += 1
+        return applied(phi, x)
+
+    monkeypatch.setattr(oracle, "apply", counting)
+    path = Path(__file__).parent / "corpus" / "critical.txt"
+    parsed = parse(path.read_text(encoding="utf-8"))
+
+    def units(level):
+        return sum(b.mult for _, b in truncate(parsed.group, level).group.blocks)
+
+    for levels, flag, want in (((2, 3), False, 21), ((2, 3), True, 21),
+                               ((3,), True, 3 * (units(3) + units(2)))):
+        calls.clear()
+        run(SessionConfig("oracle", (str(path),), levels=levels, enumerate_all=flag))
+        assert calls[True] == want, (levels, flag)
+    assert 3 * (units(2) + units(3)) == 21
+
+
 def test_plural_profiles_do_not_depend_on_the_other_maps():
     """Each map's entry is the same in file order, reversed and alone."""
     shapes, distinct = set(), False
@@ -1127,15 +1156,52 @@ def _moduli_and_rows(choices, batches):
             max_size=4) for _ in range(batches)]))
 
 
+# prime powers up to 2^32, as deep shadows have them
+_DEEP = [2, 2 ** 5, 2 ** 16, 2 ** 32, 3, 3 ** 7, 3 ** 20, 5 ** 13]
+
+
+def _deep_moduli_and_rows(free, batches):
+    """Up to 24 columns of deep moduli, with 0 among them for a free column
+    when free, and sparse rows of small, negative and unreduced entries."""
+    def rows(n):
+        return st.lists(st.dictionaries(
+            st.integers(0, n - 1), st.one_of(st.integers(-40, 40), st.integers(-2 ** 40, 2 ** 40)),
+            max_size=4), max_size=5)
+
+    choices = _DEEP + [0] if free else _DEEP
+    return st.lists(st.sampled_from(choices), min_size=1, max_size=24).flatmap(
+        lambda mods: st.tuples(st.just(mods), *[rows(len(mods)) for _ in range(batches)]))
+
+
+def _dense(rows, n):
+    return [[r.get(j, 0) for j in range(n)] for r in rows]
+
+
+def _check_lattice(moduli, rows, dense):
+    """FiniteLattice of rows against the reference, and its annihilator's
+    round trip and order; dense is rows written out in full."""
+    x = FiniteLattice(moduli, rows)
+    for i, (m, r) in enumerate(zip(moduli, x.basis)):
+        assert not any(r[:i]) and r[i] > 0 and m % r[i] == 0
+    assert _canon(x) == _reference_hnf(dense + _diag(moduli))
+    perp = x.annihilator()
+    assert _canon(perp.annihilator()) == _canon(x)
+    assert x.order() * perp.order() == prod(moduli)
+
+
 @given(_moduli_and_rows([2, 3, 4, 5, 6, 8, 9, 27], 1))
 @settings(max_examples=200, deadline=None)
 def test_lattice_basis_is_the_hermite_form(case):
     moduli, rows = case
-    x = FiniteLattice(moduli, rows)
-    assert _canon(x) == _reference_hnf(rows + _diag(moduli))
-    perp = x.annihilator()
-    assert _canon(perp.annihilator()) == _canon(x)
-    assert x.order() * perp.order() == prod(moduli)
+    _check_lattice(moduli, rows, rows)
+
+
+@given(_deep_moduli_and_rows(False, 1))
+@settings(max_examples=100, deadline=None)
+def test_lattice_basis_is_the_hermite_form_at_deep_moduli(case):
+    # the rows go in as {column: entry} dicts, the reference reads them dense
+    moduli, rows = case
+    _check_lattice(moduli, rows, _dense(rows, len(moduli)))
 
 
 @given(_moduli_and_rows([0, 2, 3, 4, 6, 9, 27], 2))
@@ -1143,6 +1209,15 @@ def test_lattice_basis_is_the_hermite_form(case):
 def test_hnf_with_moduli_is_the_hermite_form_of_the_rows_and_diagonal(case):
     # modulus 0 marks a free column; rows inserted into a basis span the join
     moduli, rows, more = case
+    basis = hnf(rows, moduli)
+    assert basis == _reference_hnf(rows + _diag(moduli))
+    assert hnf(more, moduli, basis) == _reference_hnf(rows + more + _diag(moduli))
+
+
+@given(_deep_moduli_and_rows(True, 2))
+@settings(max_examples=100, deadline=None)
+def test_hnf_is_the_hermite_form_at_deep_moduli(case):
+    moduli, rows, more = (case[0], *(_dense(b, len(case[0])) for b in case[1:]))
     basis = hnf(rows, moduli)
     assert basis == _reference_hnf(rows + _diag(moduli))
     assert hnf(more, moduli, basis) == _reference_hnf(rows + more + _diag(moduli))
@@ -1180,7 +1255,8 @@ def test_indices_match_the_hermite_bases():
     def check(case):
         moduli, rows_h, *images = case
         expected, refined = _hermite_indices(rows_h, images, moduli)
-        assert oracle._indices(rows_h, images, moduli) == expected
+        sparse = [list(map(sparse_row, rows)) for rows in (rows_h, *images)]
+        assert oracle._indices(sparse[0], sparse[1:], moduli) == expected
         if INF in expected:
             seen.add("inf")
         if refined:
@@ -1188,6 +1264,15 @@ def test_indices_match_the_hermite_bases():
 
     check()
     assert seen == {"inf", "refined free pivot"}
+
+
+@given(_deep_moduli_and_rows(True, 3))
+@settings(max_examples=100, deadline=None)
+def test_indices_match_the_hermite_bases_at_deep_moduli(case):
+    moduli, rows_h, *images = case
+    n = len(moduli)
+    expected, _ = _hermite_indices(_dense(rows_h, n), [_dense(ims, n) for ims in images], moduli)
+    assert oracle._indices(rows_h, images, moduli) == expected
 
 
 def _images(rows, action, moduli):
