@@ -458,34 +458,54 @@ def _combine(a: int, r: Mapping[int, int], b: int, s: Mapping[int, int],
     return out
 
 
-def hnf_insert(slots: list[dict[int, int] | None] | dict[int, dict[int, int] | None],
-               row: Mapping[int, int], moduli: Sequence[int]) -> bool:
+def _times(c: int, r: Mapping[int, int], moduli: Sequence[int]) -> dict[int, int]:
+    """The sparse row c r, each entry reduced modulo its column's modulus."""
+    out = {}
+    for j, x in r.items():
+        if y := c * x % moduli[j] if moduli[j] else c * x:
+            out[j] = y
+    return out
+
+
+def hnf_insert(slots: dict[int, dict[int, int]], row: Mapping[int, int],
+               moduli: Sequence[int]) -> bool:
     """Insert one sparse row into echelon slots; return whether the lattice grew.
 
-    Rows are {column: entry} dicts.  slots[i] is None or the basis row
-    whose least column, with a positive pivot, is i: slots is a list over
-    all the columns or a dict over those the rows reach.  moduli gives one
-    modulus per column, 0 for a free one, and a column of modulus m > 0
-    must hold a pivot dividing m.  The row is swept from its least column
-    up: a pivot that divides its entry clears it, one that does not is
-    replaced by their gcd through a unimodular 2 x 2 step that carries the
-    second result on, and an empty slot takes the rest (Cohen, section
-    2.4).  A step touches only its two rows' columns and reduces the rows
-    it forms modulo the moduli.  The lattice grew exactly when a gcd step
-    or an empty slot was met.  Slot rows are replaced, never changed in
-    place, and the row itself is not changed.
+    Rows are {column: entry} dicts, and slots maps a column i to the
+    basis row whose least column, with a positive pivot, is i.  moduli
+    gives one modulus per column, 0 for a free one, and a column of
+    modulus m > 0 must hold a pivot dividing m: a column missing from
+    slots holds m e_i, or no row when m is 0.  The row is reduced modulo
+    the moduli into a private copy and swept from its least column up: a
+    pivot that divides its entry clears it, one that does not is
+    replaced by their gcd through a unimodular 2 x 2 step that carries
+    the second result on, and an empty slot takes the rest (Cohen,
+    section 2.4).  A step touches only its two rows' columns.  A
+    one-entry slot {i: p}, m e_i among them, takes one pass: the entry
+    x is dropped when p divides it, and otherwise the slot becomes
+    {i: g} + t v, g = gcd(p, x) and t x = g mod p, while the copy goes on
+    as -(p/g) v.  The lattice grew exactly when a gcd step or an empty
+    slot was met.  Slot rows are replaced, never changed in place, and
+    the row itself is not changed.
     """
-    v = {j: x for j, x in row.items() if x}
+    v = _times(1, row, moduli)
     grew = False
     while v:
         i = min(v)
         x = v[i]
-        slot = slots[i]
-        if slot is None:
-            slots[i] = _combine(1 if x > 0 else -1, v, 0, {}, moduli)
+        slot = slots.get(i)
+        if slot is None and not moduli[i]:
+            slots[i] = v if x > 0 else _times(-1, v, moduli)
             return True
-        p = slot[i]
-        if x % p:
+        p = moduli[i] if slot is None else slot[i]
+        if slot is None or len(slot) == 1:
+            del v[i]
+            if x % p:
+                g = math.gcd(p, x)
+                slots[i] = {i: g, **_times(pow(x // g, -1, p // g), v, moduli)}
+                v = _times(-(p // g), v, moduli)
+                grew = True
+        elif x % p:
             g = math.gcd(p, x)
             xg, pg = x // g, p // g
             t = pow(xg, -1, pg)
@@ -494,7 +514,13 @@ def hnf_insert(slots: list[dict[int, int] | None] | dict[int, dict[int, int] | N
             v = _combine(xg, slot, -pg, v, moduli)
             grew = True
         else:
-            v = _combine(1, v, -(x // p), slot, moduli)
+            q = x // p
+            for j, y in slot.items():
+                m = moduli[j]
+                if z := (v.get(j, 0) - q * y) % m if m else v.get(j, 0) - q * y:
+                    v[j] = z
+                else:
+                    v.pop(j, None)
     return grew
 
 
@@ -520,15 +546,13 @@ def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
         first = rows[0] if rows else basis[0] if basis else ()
         moduli = (0,) * len(first)
     mods = tuple(moduli)
-    work = [{i: m} if m else None for i, m in enumerate(mods)]
-    for slot in map(sparse_row, basis):
-        work[min(slot)] = slot
+    work = {min(slot): slot for slot in map(sparse_row, basis)}
     for r in rows:
         if len(r) != len(mods):
             raise UsageError("ragged matrix")
         hnf_insert(work, sparse_row(r), mods)
-    pivots = [i for i, slot in enumerate(work) if slot is not None]
-    result = [[work[i].get(j, 0) for j in range(len(mods))] for i in pivots]
+    pivots = [i for i, m in enumerate(mods) if m or i in work]
+    result = [[work.get(i, {i: mods[i]}).get(j, 0) for j in range(len(mods))] for i in pivots]
     # reduce entries above each pivot, leftmost pivot first, so that a
     # later reduction never touches a column already reduced
     for k, col in enumerate(pivots):

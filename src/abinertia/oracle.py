@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm, prod
-from operator import floordiv, getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
@@ -127,15 +126,15 @@ def _indices(rows_h: Sequence[dict[int, int]], images: Sequence[Sequence[dict[in
     """|H + K : H| for the lattice H of rows_h and each K of images.
 
     The rows are {column: entry} dicts.  H is written once as echelon
-    slots over diag(moduli) on the columns the rows reach, and each list
-    of image rows goes into a shallow copy of them: hnf_insert replaces
-    slot rows, so H's stay as they were.  A modular column always holds
-    a pivot, so the index is INF exactly when a free column gains one.
-    Otherwise each pivot of H + K divides that of H, and the index is
-    the product of the ratios.
+    slots over diag(moduli), which store only the columns the rows move
+    off m e_i (or give a pivot, if free), and each list of image rows
+    goes into a shallow copy of them: hnf_insert replaces slot rows, so
+    H's stay as they were.  A modular column always holds a pivot, so
+    the index is INF exactly when a free column gains one.  Otherwise
+    each pivot of H + K divides that of H, and the index is the product
+    of the ratios over the slots of H + K.
     """
-    cols = set().union(*rows_h, *chain.from_iterable(images))
-    base = {j: {j: moduli[j]} if moduli[j] else None for j in cols}
+    base: dict[int, dict[int, int]] = {}
     for r in rows_h:
         hnf_insert(base, r, moduli)
     out: list[Nat] = []
@@ -143,10 +142,11 @@ def _indices(rows_h: Sequence[dict[int, int]], images: Sequence[Sequence[dict[in
         slots = dict(base)
         for r in ims:
             hnf_insert(slots, r, moduli)
-        if any(base[j] is None and slots[j] is not None for j in cols):
+        if any(j not in base and not moduli[j] for j in slots):
             out.append(INF)
             continue
-        ratios = [divmod(base[j][j], slots[j][j]) for j in cols if base[j] is not None]
+        ratios = [divmod(base[j][j] if j in base else moduli[j], row[j])
+                  for j, row in slots.items()]
         if any(r for _, r in ratios):
             raise AssertionError("H escaped H + phi(H)")
         out.append(prod(q for q, _ in ratios))
@@ -600,32 +600,39 @@ class FiniteLattice:
     """A subgroup of Z^n / diag(moduli) as the lattice of all its lifts.
 
     That lattice contains diag(moduli), so it has an echelon basis with
-    one row per column: slots[i] is the {column: entry} row that starts
-    at column i with a positive pivot dividing m_i, and basis is their
-    read-only dense view.  The basis is not reduced above the pivots, so
-    it is not canonical; compare lattices through hnf((), moduli, basis).
-    The rows, dense or {column: entry}, are inserted with hnf_insert into
-    a given echelon basis over the same moduli, by default diag(moduli).
-    The order is the modulus product over the pivot product.  Every
-    modulus must be positive.
+    one row per column, the row of column i starting there with a
+    positive pivot dividing m_i.  slots stores the rows other than
+    m_i e_i as {column: entry} dicts keyed by i; a column missing from
+    it holds m_i e_i, so a small subgroup stores few rows, and basis is
+    the read-only dense view of all n rows.  The basis is not reduced
+    above the pivots, so it is not canonical; compare lattices through
+    hnf((), moduli, basis).  The rows, dense or {column: entry}, are
+    inserted with hnf_insert into a given echelon basis over the same
+    moduli, by default diag(moduli).  The order is the modulus product
+    over the pivot product.  Every modulus must be positive.
     """
 
     __slots__ = ("moduli", "slots")
 
     def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int] | dict[int, int]],
-                 basis: Sequence[Sequence[int] | dict[int, int]] = ()):
+                 basis: Iterable[Sequence[int] | dict[int, int]] = ()):
         self.moduli = tuple(moduli)
         for i, m in enumerate(self.moduli):
             if m < 1:
                 raise UsageError(f"lattice modulus {m} at column {i} is not positive")
-        slots = list(map(sparse_row, basis)) or [{i: m} for i, m in enumerate(self.moduli)]
+        slots = {}
+        for r in map(sparse_row, basis):
+            i = min(r)
+            if r != {i: self.moduli[i]}:
+                slots[i] = r
         for r in rows:
             hnf_insert(slots, sparse_row(r), self.moduli)
         self.slots = slots
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(r.get(j, 0) for j in range(len(self.moduli))) for r in self.slots)
+        return tuple(tuple(self.slots.get(i, {i: m}).get(j, 0) for j in range(len(self.moduli)))
+                     for i, m in enumerate(self.moduli))
 
     def order(self) -> int:
         return _order(self.moduli, self.slots)
@@ -637,24 +644,24 @@ class FiniteLattice:
         be a homomorphism, so it kills every m_i e_i.  See _sweep for the
         worklist.
         """
-        return FiniteLattice(self.moduli, (), self._sweep(action, True)[1])
+        return FiniteLattice(self.moduli, (), self._sweep(action, True)[1].values())
 
     def _sweep(self, action: Sequence[Sequence[tuple[int, int]]],
-               whole: bool) -> tuple[int, list]:
+               whole: bool) -> tuple[int, dict[int, dict[int, int]]]:
         """|X + phi X| and the echelon slots where closure's worklist stops.
 
         The worklist runs in sweeps.  The first inserts the image of every
-        basis row other than m_i e_i, so it ends at X + phi X, whose order
-        is read there.  With whole, each later sweep inserts the images of
-        the rows whose insertion grew the lattice in the sweep before.  An
-        image that did not grow it already lies in it, so when a sweep
-        grows nothing the map carries every generator, and with them the
-        lattice, into the lattice: the slots are then those of X^*.
-        Without whole they are those of X + phi X.
+        stored slot row (phi kills each m_i e_i), so it ends at X + phi X,
+        whose order is read there.  With whole, each later sweep inserts
+        the images of the rows whose insertion grew the lattice in the
+        sweep before.  An image that did not grow it already lies in it,
+        so when a sweep grows nothing the map carries every generator, and
+        with them the lattice, into the lattice: the slots are then those
+        of X^*.  Without whole they are those of X + phi X.
         """
         moduli = self.moduli
-        slots = list(self.slots)
-        queue = [r for i, r in enumerate(slots) if r[i] != moduli[i] or len(r) > 1]
+        slots = dict(self.slots)
+        queue = list(slots.values())
         first = None
         while True:
             grown = []
@@ -677,31 +684,35 @@ class FiniteLattice:
 
         Its lattice is spanned by the columns of diag(moduli) H^-1 for the
         echelon basis H; row i of that matrix writes m_i e_i over H and is
-        found by sparse integer back-substitution.  H is upper triangular,
-        so column j of that matrix ends at row j with m_j / H_jj: over the
-        reversed coordinates the columns are already an echelon basis.
-        The result lives there, over the reversed moduli, so a map acts on
-        it through its coordinates reversed, and its annihilator is back
-        in this lattice's coordinates.
+        found by sparse integer back-substitution, in place.  H is upper
+        triangular, so column j of that matrix ends at row j with
+        m_j / H_jj: over the reversed coordinates the columns are already
+        an echelon basis.  The result lives there, over the reversed
+        moduli, so a map acts on it through its coordinates reversed, and
+        its annihilator is back in this lattice's coordinates.
         """
-        n = len(self.moduli)
+        moduli, n = self.moduli, len(self.moduli)
         cols: list[dict[int, int]] = [{} for _ in range(n)]
-        for i, m in enumerate(self.moduli):
+        for i, m in enumerate(moduli):
             rest = {i: m}
             while rest:
                 j = min(rest)
-                row = self.slots[j]
-                q, r = divmod(rest[j], row[j])
+                row = self.slots.get(j) or {j: moduli[j]}
+                q, r = divmod(rest.pop(j), row[j])
                 if r:
                     raise AssertionError("the lattice does not contain diag(moduli)")
                 cols[n - 1 - j][n - 1 - i] = q
-                rest = {k: x for k in rest.keys() | row.keys()
-                        if (x := rest.get(k, 0) - q * row.get(k, 0))}
-        return FiniteLattice(self.moduli[::-1], (), cols)
+                for k, y in row.items():
+                    if k != j:
+                        if x := rest.get(k, 0) - q * y:
+                            rest[k] = x
+                        else:
+                            del rest[k]
+        return FiniteLattice(moduli[::-1], (), cols)
 
 
-def _order(moduli: Sequence[int], slots: Sequence[dict[int, int]]) -> int:
-    return prod(map(floordiv, moduli, map(getitem, slots, range(len(slots)))))  # m_i // pivot_i
+def _order(moduli: Sequence[int], slots: dict[int, dict[int, int]]) -> int:
+    return prod(moduli[i] // row[i] for i, row in slots.items())
 
 
 def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
@@ -741,22 +752,33 @@ def _measure(flat: ProbeRows, lattices: Iterable[FiniteLattice],
              fs: bool) -> Iterator[tuple[list[Nat], list[int]]]:
     """Each lattice X's index under each map of the _shadow read flat and,
     with fs, its FS ratios.  Per map, |X + psi X : X| is read off the first
-    sweep of X's closure worklist; with fs the worklist runs on to X^*,
-    X^perp is closed under the dual map, and the ratio is
-    |X^*| |X_*^perp| / |G|."""
+    sweep of X's closure worklist; with fs the worklist runs on to X^*.
+
+    X_*, the largest psi-invariant subgroup of X, is then found on the
+    coordinates W that X and X^* reach.  X and X^* lie in G_W, the
+    subgroup of the elements supported on W, and psi carries X^* into
+    itself, so a subgroup of X is psi-invariant exactly when it is
+    invariant under psi_W = pi_W psi on G_W.  X^perp inside G_W is
+    closed under the dual of psi_W, and the ratio is
+    |X^*| |X_*^perp| / |G_W|: the annihilator and the dual closure run
+    over |W| columns, not all of them.
+    """
     moduli = flat.moduli
-    duals = [_dual(moduli, action) for action in flat.images] if fs else []
-    total = prod(moduli)
     for x in lattices:
         order = x.order()
-        perp = x.annihilator() if fs else None
         indices, ratios = [], []
-        for k, action in enumerate(flat.images):
+        for action in flat.images:
             first, upper = x._sweep(action, fs)
             indices.append(first // order)
             if fs:
-                lower = perp._sweep(duals[k], True)[1]
-                ratios.append(_order(moduli, upper) * _order(perp.moduli, lower) // total)
+                w = sorted(set().union(*x.slots.values(), *upper.values()))
+                at = {j: k for k, j in enumerate(w)}
+                mods = [moduli[j] for j in w]
+                own = FiniteLattice(mods, (), [{at[j]: a for j, a in r.items()}
+                                               for r in x.slots.values()])
+                dual = _dual(mods, [[(at[j], a) for j, a in action[i] if j in at] for i in w])
+                lower = own.annihilator()._sweep(dual, True)[1]
+                ratios.append(_order(moduli, upper) * _order(mods[::-1], lower) // prod(mods))
         yield indices, ratios
 
 
@@ -850,9 +872,11 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
             row.append((level, w))
     out = []
     for row in per:
-        # an infinite observed index is already unbounded growth
-        stable = is_finite(row[-1][1]) and (len(row) < 2
-                                            or row[-1][1] == row[-2][1])
+        # an infinite observed index is already unbounded growth; a drop
+        # between two finite top maxima is not growth (a family's width
+        # on a finite block can move its worst index either way)
+        top = [w for _, w in row[-2:]]
+        stable = all(map(is_finite, top)) and top[-1] <= top[0]
         out.append(InertnessEvidence(tuple(row), tuple(sorted(families)),
                                      "stable" if stable else "growing"))
     return out, reports
@@ -878,11 +902,12 @@ def fs_profile(group: GroupDesc, phi: Endo,
 
     X^* is the closure of X under phi.  X_*, the largest phi-invariant
     subgroup of X, is reached through its annihilator under the pairing
-    sum x_i y_i / m_i: the closure of X^perp under the dual map, whose
-    entries are phi_ij m_i / m_j.  The ratio is |X^*| |X_*^perp| / |G|,
-    and only orders enter it, so X^perp and its closure stay over the
-    reversed coordinates and neither lattice is ever brought to its
-    canonical Hermite form.
+    sum x_i y_i / m_i, taken inside G_W, the coordinates W that X and X^*
+    reach (_measure): the closure of X^perp under the dual of phi
+    followed by the projection to W, whose entries are phi_ij m_i / m_j.
+    The ratio is |X^*| |X_*^perp| / |G_W|, and only orders enter it, so
+    X^perp and its closure stay over the reversed coordinates and
+    neither lattice is ever brought to its canonical Hermite form.
     """
     if not group.is_periodic:
         raise UsageError("the FS profile needs a periodic group")
@@ -1018,7 +1043,11 @@ def witness_search(group: GroupDesc, phi: Endo, violation: Violation,
     least the violated prime at every depth step.  The template's families
     are measured in turn at depths 1..budget, so a search costs at most
     budget index computations per family offered up to the first growing
-    one.  Returns None when no family grows within the budget.
+    one.  A family whose depth-n generators are those of depth n - 1 is
+    constant (the makers read the depth only through 1/p^n and i < n),
+    so its index repeats and it is left there: a line of _wit_tf_line
+    costs one index computation.  Returns None when no family grows
+    within the budget.
     """
     if phi.group != group:
         raise UsageError("the endomorphism acts on a different group")
@@ -1032,8 +1061,10 @@ def witness_search(group: GroupDesc, phi: Endo, violation: Violation,
         subgroups: list[FGSubgroup] = []
         indices: list[Nat] = []
         for n in range(1, budget + 1):
-            sub = FGSubgroup(group, tuple(fam(n)),
-                             f"witness {violation.kind} {n}")
+            gens = tuple(fam(n))
+            if subgroups and gens == subgroups[-1].generators:
+                break  # the same subgroup again: its index repeats, so it cannot grow
+            sub = FGSubgroup(group, gens, f"witness {violation.kind} {n}")
             subgroups.append(sub)
             indices.append(index_in_sum(sub, phi))
             if not is_finite(indices[-1]):

@@ -255,33 +255,40 @@ _slot_cases = st.lists(st.sampled_from([0, 2, 3, 4, 8, 9, 27, 2 ** 32, 3 ** 20])
 def test_hnf_insert_reports_growth_and_replaces_slot_rows(case):
     moduli, rows = case
     n = len(moduli)
-    slots = [{i: m} if m else None for i, m in enumerate(moduli)]
+    # a column missing from the slots holds m e_i, or no row when free;
+    # full stores every modulus row, which must change nothing
+    slots = {}
+    full = {i: {i: m} for i, m in enumerate(moduli) if m}
 
-    def canon():
-        return hnf((), moduli, [[s.get(j, 0) for j in range(n)] for s in slots if s is not None])
+    def canon(held):
+        return hnf((), moduli, [[s.get(j, 0) for j in range(n)] for s in held.values()])
 
     for dense in rows:
         row = {j: x for j, x in enumerate(dense) if x}
-        before, held = canon(), list(slots)
-        copies = [None if s is None else dict(s) for s in held]
+        before, held = canon(slots), dict(slots)
+        copies = {i: dict(s) for i, s in held.items()}
         row_before = dict(row)
         grew = hnf_insert(slots, row, moduli)
         # True exactly when the lattice changed; the row itself is untouched
-        assert grew == (canon() != before)
+        assert grew == (canon(slots) != before)
         assert row == row_before
+        # a missing modular column acts as m e_i: the stored modulus rows
+        # give the same growth and the same lattice
+        assert hnf_insert(full, row, moduli) == grew
+        assert canon(full) == canon(slots)
         # slot rows are replaced, never changed in place, so a shallow copy
         # of the slots keeps the lattice it was taken of
-        assert [None if s is None else dict(s) for s in held] == copies
+        assert {i: dict(s) for i, s in held.items()} == copies
         # slot i starts at column i with a positive pivot and stores no zero
-        for i, s in enumerate(slots):
-            assert s is None or (min(s) == i and s[i] > 0 and all(s.values()))
+        for i, s in slots.items():
+            assert min(s) == i and s[i] > 0 and all(s.values())
         # a row already in the lattice adds nothing and replaces no slot
-        kept = list(slots)
-        member = {j: x for j in range(n)
-                  if (x := sum(s.get(j, 0) for s in slots if s is not None))}
-        for again in (row, member):
+        kept = dict(slots)
+        member = {j: x for j in range(n) if (x := sum(s.get(j, 0) for s in slots.values()))}
+        for again in (row, member, {i: m for i, m in enumerate(moduli) if m}):
             assert not hnf_insert(slots, again, moduli)
-            assert all(s is k for s, k in zip(slots, kept))
+            assert slots.keys() == kept.keys()
+            assert all(slots[i] is kept[i] for i in kept)
 
 
 def test_solve_in_rowspace_rejects_outsiders():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -646,6 +647,29 @@ def test_infinite_index_forces_a_growing_hint():
     assert ev.verdict_hint == "growing"
 
 
+def test_a_drop_between_the_top_maxima_is_not_growth(tmp_path):
+    # (Z/4)^8 under a dense random matrix beside an omega block of Z/2: the
+    # worst family is a graph whose width min(8, level) moves with the
+    # level, so its index rises and then falls at level 8
+    rng = random.Random(5)
+    entries = [f"cyc[A.{i} -> A.{j}] = {a};" for i in range(8) for j in range(8)
+               if (a := rng.randrange(4))]
+    path = tmp_path / "drop.txt"
+    path.write_text("group G {\n  block A = cyclic(p=2, k=2, mult=8)\n"
+                    "  block B = cyclic(p=2, k=1, mult=omega)\n}\n\n"
+                    "endo e on G {\n  " + "\n  ".join(entries) + "\n  cyc[B] = 1;\n}\n")
+    code, text = run(SessionConfig("check", (str(path),)))
+    assert code == 0 and json.loads(text)["results"][str(path)]["e"]["verdict"] == "inertial"
+    code, text = run(SessionConfig("oracle", (str(path),)))
+    view = json.loads(text)["results"][str(path)]["e"]
+    assert code == 0 and view["consistent"]
+    assert view["profile"]["per_level"] == [[2, 64], [4, 128], [6, 256], [8, 64]]
+    assert view["profile"]["hint"] == "stable"
+    # a rise at the top stays growth
+    parsed = parse(path.read_text())
+    assert inertness_profile(parsed.group, parsed.endos["e"], (2, 4, 6)).verdict_hint == "growing"
+
+
 def test_profile_reports_the_family_mix():
     ev = inertness_profile(CRIT, mini_endo(CRIT, 1, {2}), (2, 3),
                            samples=20, seed=5)
@@ -1046,6 +1070,24 @@ def test_the_measured_witness_is_the_one_the_congruences_pick():
     assert len(outcomes) == 4 and min(outcomes.values()) >= 5, outcomes
 
 
+def test_a_kept_line_is_measured_once(monkeypatch):
+    # e0, e1 and e2 are eigenvectors, and so are e0 + e1 and e0 - e1: five
+    # kept lines, each the same subgroup at every depth, before e0 + e2 moves
+    group = GroupDesc([("V", TorsionFree(frozenset(), 3))])
+    phi = Endo(group, tf={(("V", 0), ("V", 0)): 1, (("V", 1), ("V", 1)): 1,
+                          (("V", 2), ("V", 2)): 2})
+    viol = pick(violations_of(phi), TF_NOT_SCALAR)
+    calls = []
+    measure = oracle.index_in_sum
+    monkeypatch.setattr(oracle, "index_in_sum", lambda sub, psi: calls.append(sub) or measure(sub, psi))
+    for budget in (1, 6, 12):
+        calls.clear()
+        fam = witness_search(group, phi, viol, budget)
+        assert len(calls) == 6
+        assert fam.indices == (INF,)
+        assert fam.subgroups[0].generators == (Element(group, {("V", 0): 1, ("V", 2): 1}),)
+
+
 def test_witness_search_is_sound_on_certificates():
     good = multiplication_endo(OMEGA2, 3)
     probe = Violation(CRT_INCONSISTENT, "cyc 2", "", 2)
@@ -1375,6 +1417,37 @@ def test_closure_of_an_annihilator_row_with_a_full_pivot_and_a_tail():
     closed = perp.closure([[], [(0, 2)]])
     assert _canon(closed) == _canon(FiniteLattice((8, 4), [[0, 2], [4, 0]]))
     assert closed.order() == 4
+
+
+def _fs_at_full_width(x, action):
+    """|X^* / X_*| with X^perp over all n columns, closed under the dual of
+    the whole action: |X^*| |X_*^perp| / |G|."""
+    lower = x.annihilator().closure(oracle._dual(x.moduli, action))
+    return x.closure(action).order() * lower.order() // prod(x.moduli)
+
+
+@given(_moduli_and_rows([2, 3, 4, 8, 9, 27], 1).flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(st.integers(1, 26), min_size=len(case[0]) ** 2,
+                            max_size=len(case[0]) ** 2),
+    st.integers(0, len(case[0]) - 1))))
+@settings(max_examples=200, deadline=None)
+def test_fs_ratio_on_the_reached_columns_matches_the_full_width(case):
+    (moduli, rows), ks, j = case
+    n = len(moduli)
+    dense = _homomorphic_action(moduli, ks)
+    # e_j -> k e_j and the rest dense: the line of e_j reaches column j alone
+    keep = dense[:j] + [[(j, ks[0] % moduli[j])]] + dense[j + 1:]
+    flat = SimpleNamespace(moduli=tuple(moduli), images=[dense, keep])
+    xs = [FiniteLattice(moduli, rows), FiniteLattice(moduli, [[1] * n]),
+          FiniteLattice(moduli, [[int(k == j) for k in range(n)]])]
+    widths = set()
+    for x, (_, ratios) in zip(xs, oracle._measure(flat, xs, True)):
+        for action, ratio in zip(flat.images, ratios):
+            assert ratio == _fs_at_full_width(x, action)
+            upper = x.closure(action)
+            widths.add(len(set().union(*x.slots.values(), *upper.slots.values())))
+    # the all-ones row reaches every column, the kept line one
+    assert {1, n} <= widths
 
 
 def _reference_fs(group, phi, level):
