@@ -18,7 +18,7 @@ __all__ = [
     "is_prime", "factor", "prime_divisors", "valuation", "frac_valuation",
     "inv_mod", "Residue", "JElement",
     "crt_solve", "crt_lift", "frac_residue", "identity_matrix",
-    "snf", "hnf", "sparse_row", "hnf_insert", "solve_in_rowspace", "kernel_left",
+    "snf", "hnf", "hnf_insert", "solve_in_rowspace", "kernel_left",
 ]
 
 
@@ -440,11 +440,6 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     return d, u, v
 
 
-def sparse_row(row: Sequence[int] | dict[int, int]) -> dict[int, int]:
-    """A dense row's nonzero entries as a {column: entry} dict; a dict is kept."""
-    return row if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
-
-
 def _combine(a: int, r: Mapping[int, int], b: int, s: Mapping[int, int],
              moduli: Sequence[int]) -> dict[int, int]:
     """The sparse row a r + b s, each entry reduced modulo its column's modulus."""
@@ -535,10 +530,11 @@ def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
     moduli gives one modulus per column, 0 for a free column; without
     it every column is free.  A column with modulus m > 0 holds the row
     m e_i from the start and is kept modulo m.  basis is an echelon
-    basis with positive pivots over the same moduli, by default that of
-    the rows m e_i alone, and the rows are inserted into it one by one
-    with hnf_insert: the result is the Hermite form of basis + rows +
-    diag(m).
+    basis over the same moduli, by default that of the rows m e_i alone;
+    a row without one entry per column, a positive pivot and a pivot
+    column of its own is refused by number.  The rows are inserted into
+    it one by one with hnf_insert: the result is the Hermite form of
+    basis + rows + diag(m).
     """
     rows = list(rows)
     basis = list(basis)
@@ -546,11 +542,23 @@ def hnf(rows: Iterable[Sequence[int]], moduli: Sequence[int] | None = None,
         first = rows[0] if rows else basis[0] if basis else ()
         moduli = (0,) * len(first)
     mods = tuple(moduli)
-    work = {min(slot): slot for slot in map(sparse_row, basis)}
+    work: dict[int, dict[int, int]] = {}
+    for k, r in enumerate(basis):
+        if len(r) != len(mods):
+            raise UsageError(f"basis row {k} has {len(r)} entries for {len(mods)} columns")
+        slot = {j: x for j, x in enumerate(r) if x}
+        if not slot:
+            raise UsageError(f"basis row {k} is zero")
+        i = min(slot)
+        if slot[i] < 0:
+            raise UsageError(f"basis row {k} has the negative pivot {slot[i]}")
+        if i in work:
+            raise UsageError(f"basis row {k} repeats the pivot column {i}")
+        work[i] = slot
     for r in rows:
         if len(r) != len(mods):
             raise UsageError("ragged matrix")
-        hnf_insert(work, sparse_row(r), mods)
+        hnf_insert(work, {j: x for j, x in enumerate(r) if x}, mods)
     pivots = [i for i, m in enumerate(mods) if m or i in work]
     result = [[work.get(i, {i: mods[i]}).get(j, 0) for j in range(len(mods))] for i in pivots]
     # reduce entries above each pivot, leftmost pivot first, so that a

@@ -22,10 +22,7 @@ from itertools import chain, combinations, product
 from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exactnum import (
-    INF, OMEGA, UsageError, frac_residue, hnf_insert, is_finite,
-    solve_in_rowspace, sparse_row,
-)
+from .exactnum import INF, OMEGA, UsageError, frac_residue, hnf_insert, is_finite
 from .groupkit import (
     Coord, Cyclic, Element, GroupDesc, Nat, Prufer, TorsionFree, Truncation,
     truncate,
@@ -43,6 +40,8 @@ __all__ = [
     "enumerate_subgroups", "sample_subgroups", "truncate_endo",
     "inertness_profile", "fs_profile", "witness_search",
 ]
+
+MAX_ENUMERATED_ORDER = 4096  # of naive_index_in_sum's group, --enumerate-all's shadow
 
 
 @dataclass(frozen=True)
@@ -121,19 +120,28 @@ def _scaled(v: int | Fraction, scale: int) -> int:
     return v.numerator * (scale // v.denominator)
 
 
+def _index(base: dict[int, dict[int, int]], slots: dict[int, dict[int, int]],
+           moduli: Sequence[int]) -> Nat:
+    """|S : B| for echelon slots S over those of a sublattice B, or the
+    order of S over B = {}: the product of the pivot ratios, or INF when
+    a free column gains a pivot (a modular one always holds one)."""
+    out = 1
+    for j, row in slots.items():
+        if j not in base and not moduli[j]:
+            return INF
+        q, r = divmod(base[j][j] if j in base else moduli[j], row[j])
+        if r:
+            raise AssertionError("the slots do not contain their base")
+        out *= q
+    return out
+
+
 def _indices(rows_h: Sequence[dict[int, int]], images: Sequence[Sequence[dict[int, int]]],
              moduli: Sequence[int]) -> list[Nat]:
-    """|H + K : H| for the lattice H of rows_h and each K of images.
-
-    The rows are {column: entry} dicts.  H is written once as echelon
-    slots over diag(moduli), which store only the columns the rows move
-    off m e_i (or give a pivot, if free), and each list of image rows
-    goes into a shallow copy of them: hnf_insert replaces slot rows, so
-    H's stay as they were.  A modular column always holds a pivot, so
-    the index is INF exactly when a free column gains one.  Otherwise
-    each pivot of H + K divides that of H, and the index is the product
-    of the ratios over the slots of H + K.
-    """
+    """|H + K : H| for the lattice H of the {column: entry} rows_h and
+    each K of images: _index reads it off H's echelon slots and a shallow
+    copy of them that takes K's rows (hnf_insert replaces slot rows, so
+    H's stay as they were)."""
     base: dict[int, dict[int, int]] = {}
     for r in rows_h:
         hnf_insert(base, r, moduli)
@@ -142,14 +150,7 @@ def _indices(rows_h: Sequence[dict[int, int]], images: Sequence[Sequence[dict[in
         slots = dict(base)
         for r in ims:
             hnf_insert(slots, r, moduli)
-        if any(j not in base and not moduli[j] for j in slots):
-            out.append(INF)
-            continue
-        ratios = [divmod(base[j][j] if j in base else moduli[j], row[j])
-                  for j, row in slots.items()]
-        if any(r for _, r in ratios):
-            raise AssertionError("H escaped H + phi(H)")
-        out.append(prod(q for q, _ in ratios))
+        out.append(_index(base, slots, moduli))
     return out
 
 
@@ -263,18 +264,18 @@ def _span(moduli: Sequence[int], gens: Sequence[Sequence[int]]) -> set[tuple[int
     return seen
 
 
-def naive_index_in_sum(sub: FGSubgroup, phi: Endo, limit: int = 4096) -> int:
+def naive_index_in_sum(sub: FGSubgroup, phi: Endo) -> int:
     """Coset count by exhaustive closure; the slow cross-check.
 
     H and H + phi(H) are closed as sets of integer vectors over the flat
     coordinates of the finite group, and every element of both is
-    counted.
+    counted.  It refuses a group of order beyond MAX_ENUMERATED_ORDER.
     """
     group = sub.group
     if phi.group != group:
         raise UsageError("the endomorphism acts on a different group")
     order = group.order()
-    if not is_finite(order) or order > limit:
+    if not is_finite(order) or order > MAX_ENUMERATED_ORDER:
         raise UsageError("naive enumeration needs a finite group of modest order")
     coords, moduli = _flat_space(group)
     gens = [g for g in sub.generators if g]
@@ -464,36 +465,36 @@ def sample_subgroups(target: GroupDesc | Truncation, count: int, seed: int,
             for label, gens in samples]
 
 
-def _echelon_bases(moduli: Sequence[int]) -> list[list[list[int]]]:
-    """Every subgroup of Z^n / diag(moduli), as the echelon basis of its lifts.
+def _echelon_bases(moduli: Sequence[int]) -> list["FiniteLattice"]:
+    """Every subgroup of Z^n / diag(moduli), as the lattice of its lifts.
 
-    The subgroups are the lattices between diag(moduli) and Z^n, each
-    with one Hermite basis, built from the bottom row up: a pivot runs
-    over the divisors of its modulus, each entry right of it over the
-    residues modulo the pivot below that entry, and a row is kept when
-    the modulus vector of its coordinate stays in the lattice.  Each
-    basis is a FiniteLattice basis as it stands.  The walk ends before
-    anything is returned, so past twenty thousand subgroups (elementary
-    abelian shapes explode) it refuses before any is measured.  That bound
-    caps the output, not the work: the caller's order gate bounds the walk.
+    Each lattice between diag(moduli) and Z^n has one Hermite basis,
+    built as echelon slots from the last column down: a pivot d runs over
+    the divisors of its modulus m, each entry right of it over the
+    residues modulo the pivot below, and a row is kept when m e_i stays in
+    the lattice, that is when (m/d) tail does not grow a copy of the slots
+    below.  The walk ends before anything is returned, so past twenty
+    thousand subgroups (elementary abelian shapes explode) it refuses
+    before any is measured; the caller's order gate bounds the work.
     """
-    bases: list[list[list[int]]] = [[]]
+    walked: list[dict[int, dict[int, int]]] = [{}]
     for i in reversed(range(len(moduli))):
         m = moduli[i]
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
         grown = []
-        for below in bases:
-            pivots = [row[j] for j, row in enumerate(below, i + 1)]
+        for below in walked:
+            pivots = [below[j][j] if j in below else moduli[j] for j in range(i + 1, len(moduli))]
             for tail in product(*map(range, pivots)):
-                for d in (d for d in range(1, m + 1) if m % d == 0):
-                    # m e_i lies in the lattice iff (m/d) row_i - m e_i does
-                    rest = [0] * (i + 1) + [m // d * x for x in tail]
-                    if solve_in_rowspace(below, rest) is None:
+                rest = {j: x for j, x in enumerate(tail, i + 1) if x}
+                for d in divisors:
+                    if hnf_insert(dict(below), {j: m // d * x for j, x in rest.items()}, moduli):
                         continue
-                    grown.append([[0] * i + [d, *tail]] + below)
+                    # d = m keeps only the zero tail: the row m e_i, stored as nothing
+                    grown.append({i: {i: d, **rest}, **below} if d < m else below)
                     if len(grown) > 20000:
                         raise UsageError("the subgroup lattice is too large to enumerate")
-        bases = grown
-    return bases
+        walked = grown
+    return [FiniteLattice(moduli, (), slots) for slots in walked]
 
 
 def enumerate_subgroups(target: GroupDesc | Truncation,
@@ -501,20 +502,19 @@ def enumerate_subgroups(target: GroupDesc | Truncation,
     """Every subgroup of a small finite group, smallest first, as elements.
 
     The _echelon_bases over the flat coordinates, sorted by order, then
-    by rows; the nonzero rows are the generators.  Refuses groups of
-    order beyond the limit.  --enumerate-all (_exhaust) measures the bases
-    themselves; these elements serve the demos and the cross-checks.
+    by basis; its nonzero rows are the generators.  Refuses groups of
+    order beyond the limit.  --enumerate-all (_exhaust) measures the
+    lattices themselves; these elements serve the demos and the checks.
     """
     group = _ambient(target)
     order = group.order()
     if not is_finite(order) or order > limit:
         raise UsageError("subgroup enumeration needs a finite group within the limit")
     coords, moduli = _flat_space(group)
-    bases = sorted(_echelon_bases(moduli),
-                   key=lambda rows: (order // prod(r[j] for j, r in enumerate(rows)), rows))
+    lattices = sorted(_echelon_bases(moduli), key=lambda x: (x.order(), x.basis))
     out = []
-    for rank, rows in enumerate(bases):
-        gens = [Element(group, dict(zip(coords, r))) for r in rows]
+    for rank, x in enumerate(lattices):
+        gens = [Element(group, dict(zip(coords, r))) for r in x.basis]
         out.append(FGSubgroup(group, tuple(g for g in gens if g), f"enum {rank}"))
     return out
 
@@ -601,33 +601,26 @@ class FiniteLattice:
 
     That lattice contains diag(moduli), so it has an echelon basis with
     one row per column, the row of column i starting there with a
-    positive pivot dividing m_i.  slots stores the rows other than
-    m_i e_i as {column: entry} dicts keyed by i; a column missing from
-    it holds m_i e_i, so a small subgroup stores few rows, and basis is
-    the read-only dense view of all n rows.  The basis is not reduced
+    positive pivot dividing m_i, held as hnf_insert's echelon slots (a
+    column missing holds m_i e_i, so a small subgroup stores few rows);
+    basis is the read-only dense view of all n rows.  It is not reduced
     above the pivots, so it is not canonical; compare lattices through
-    hnf((), moduli, basis).  The rows, dense or {column: entry}, are
-    inserted with hnf_insert into a given echelon basis over the same
-    moduli, by default diag(moduli).  The order is the modulus product
-    over the pivot product.  Every modulus must be positive.
+    hnf((), moduli, basis).  Given slots are adopted as they stand, not
+    copied, and the {column: entry} rows are inserted into them, by
+    default into diag(moduli).  Every modulus must be positive.
     """
 
     __slots__ = ("moduli", "slots")
 
-    def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int] | dict[int, int]],
-                 basis: Iterable[Sequence[int] | dict[int, int]] = ()):
+    def __init__(self, moduli: Sequence[int], rows: Iterable[dict[int, int]],
+                 slots: dict[int, dict[int, int]] | None = None):
         self.moduli = tuple(moduli)
         for i, m in enumerate(self.moduli):
             if m < 1:
                 raise UsageError(f"lattice modulus {m} at column {i} is not positive")
-        slots = {}
-        for r in map(sparse_row, basis):
-            i = min(r)
-            if r != {i: self.moduli[i]}:
-                slots[i] = r
+        self.slots = {} if slots is None else slots
         for r in rows:
-            hnf_insert(slots, sparse_row(r), self.moduli)
-        self.slots = slots
+            hnf_insert(self.slots, r, self.moduli)
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
@@ -635,7 +628,7 @@ class FiniteLattice:
                      for i, m in enumerate(self.moduli))
 
     def order(self) -> int:
-        return _order(self.moduli, self.slots)
+        return _index({}, self.slots, self.moduli)
 
     def closure(self, action: Sequence[Sequence[tuple[int, int]]]) -> "FiniteLattice":
         """The smallest lattice over this one that a map carries into itself.
@@ -644,15 +637,15 @@ class FiniteLattice:
         be a homomorphism, so it kills every m_i e_i.  See _sweep for the
         worklist.
         """
-        return FiniteLattice(self.moduli, (), self._sweep(action, True)[1].values())
+        return FiniteLattice(self.moduli, (), self._sweep(action, True)[1])
 
     def _sweep(self, action: Sequence[Sequence[tuple[int, int]]],
                whole: bool) -> tuple[int, dict[int, dict[int, int]]]:
-        """|X + phi X| and the echelon slots where closure's worklist stops.
+        """|X + phi X : X| and the echelon slots where closure's worklist stops.
 
         The worklist runs in sweeps.  The first inserts the image of every
         stored slot row (phi kills each m_i e_i), so it ends at X + phi X,
-        whose order is read there.  With whole, each later sweep inserts
+        whose index is read there.  With whole, each later sweep inserts
         the images of the rows whose insertion grew the lattice in the
         sweep before.  An image that did not grow it already lies in it,
         so when a sweep grows nothing the map carries every generator, and
@@ -674,7 +667,7 @@ class FiniteLattice:
                 if hnf_insert(slots, img, moduli):
                     grown.append(img)
             if first is None:
-                first = _order(moduli, slots)
+                first = _index(self.slots, slots, moduli)
             if not (whole and grown):
                 return first, slots
             queue = grown
@@ -708,11 +701,8 @@ class FiniteLattice:
                             rest[k] = x
                         else:
                             del rest[k]
-        return FiniteLattice(moduli[::-1], (), cols)
-
-
-def _order(moduli: Sequence[int], slots: dict[int, dict[int, int]]) -> int:
-    return prod(moduli[i] // row[i] for i, row in slots.items())
+        rmods = moduli[::-1]
+        return FiniteLattice(rmods, (), {k: c for k, c in enumerate(cols) if c != {k: rmods[k]}})
 
 
 def _flat_space(group: GroupDesc) -> tuple[list[Coord], list[int]]:
@@ -765,20 +755,20 @@ def _measure(flat: ProbeRows, lattices: Iterable[FiniteLattice],
     """
     moduli = flat.moduli
     for x in lattices:
-        order = x.order()
         indices, ratios = [], []
         for action in flat.images:
-            first, upper = x._sweep(action, fs)
-            indices.append(first // order)
+            index, upper = x._sweep(action, fs)
+            indices.append(index)
             if fs:
                 w = sorted(set().union(*x.slots.values(), *upper.values()))
                 at = {j: k for k, j in enumerate(w)}
                 mods = [moduli[j] for j in w]
-                own = FiniteLattice(mods, (), [{at[j]: a for j, a in r.items()}
-                                               for r in x.slots.values()])
+                own = FiniteLattice(mods, (), {at[i]: {at[j]: a for j, a in r.items()}
+                                               for i, r in x.slots.items()})
                 dual = _dual(mods, [[(at[j], a) for j, a in action[i] if j in at] for i in w])
                 lower = own.annihilator()._sweep(dual, True)[1]
-                ratios.append(_order(moduli, upper) * _order(mods[::-1], lower) // prod(mods))
+                ratios.append(_index({}, upper, moduli) * _index({}, lower, mods[::-1])
+                              // prod(mods))
         yield indices, ratios
 
 
@@ -801,18 +791,19 @@ def _exhaust(group: GroupDesc, phis: Sequence[Endo], level: int,
     """How many subgroups the level's shadow has, and each map's worst
     index over them all (_measure on the _shadow read, or on flat).
 
-    A shadow of order beyond 4096 is refused before any map is applied,
-    and a lattice past the bound of _echelon_bases before any subgroup is
-    measured; both are UsageErrors.  Only the order gate bounds the work.
+    A shadow of order beyond MAX_ENUMERATED_ORDER is refused before any
+    map is applied, and a lattice past the bound of _echelon_bases before
+    any subgroup is measured; both are UsageErrors.  Only the order gate
+    bounds the work.
     """
-    if truncate(group, level).group.order() > 4096:
+    if truncate(group, level).group.order() > MAX_ENUMERATED_ORDER:
         raise UsageError(f"the level-{level} shadow is too large")
     flat = flat or _shadow(group, phis, level)
-    bases = _echelon_bases(flat.moduli)
+    lattices = _echelon_bases(flat.moduli)
     worst = [1] * len(phis)
-    for indices, _ in _measure(flat, (FiniteLattice(flat.moduli, (), b) for b in bases), False):
+    for indices, _ in _measure(flat, lattices, False):
         worst = list(map(max, worst, indices))
-    return len(bases), worst
+    return len(lattices), worst
 
 
 def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],

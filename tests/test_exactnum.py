@@ -291,6 +291,19 @@ def test_hnf_insert_reports_growth_and_replaces_slot_rows(case):
             assert all(slots[i] is kept[i] for i in kept)
 
 
+def test_hnf_refuses_a_malformed_basis_row_by_its_number():
+    # unchecked, the zero row would crash with a bare ValueError, the extra
+    # entry would be dropped, the pivot -1 would come back as it is, and the
+    # second pivot-0 row would replace the first, so [[1, 1], [1, 0]] would
+    # come out as [[1, 0], [0, 2]]
+    for basis, message in (([[1, 0], [0, 0]], "basis row 1 is zero"),
+                           ([[1, 0, 5]], "basis row 0 has 3 entries for 2 columns"),
+                           ([[-1, 0]], "basis row 0 has the negative pivot -1"),
+                           ([[1, 1], [1, 0]], "basis row 1 repeats the pivot column 0")):
+        with pytest.raises(UsageError, match=message):
+            hnf([], [4, 2], basis)
+
+
 def test_solve_in_rowspace_rejects_outsiders():
     basis = hnf([[2, 0], [0, 2]])
     assert solve_in_rowspace(basis, [1, 0]) is None

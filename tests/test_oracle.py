@@ -18,7 +18,7 @@ from abinertia.endokit import (
     Endo, apply, mini_endo, multiplication_endo, semi_multiplication, validate,
 )
 from abinertia.exactnum import (
-    INF, OMEGA, UsageError, frac_valuation, hnf, is_finite, sparse_row,
+    INF, OMEGA, UsageError, frac_valuation, hnf, is_finite, prime_divisors,
 )
 from abinertia.groupkit import Cyclic, Element, GroupDesc, Prufer, TorsionFree, truncate
 from abinertia.inertia import (
@@ -26,14 +26,15 @@ from abinertia.inertia import (
     OMEGA_DIV_MISMATCH, PI_HAS_DIVISIBLE, TAU_NONZERO, TF_NOT_SCALAR,
     Violation, is_inertial,
 )
+from abinertia.linmap import count_subspaces
 from abinertia.oracle import (
     FGSubgroup, FiniteLattice, ProbeRows, enumerate_subgroups, fs_profile, index_in_sum,
     inertness_profile, naive_index_in_sum, sample_subgroups, truncate_endo,
     witness_search,
 )
 from abinertia.oracle import (
-    _TAIL_WINDOW, _draw_rows, _element, _flat_space, _prelude_rows, _sample_rows,
-    _exhaust, _shadow, _shadow_families, _span, _width,
+    _TAIL_WINDOW, _draw_rows, _echelon_bases, _element, _flat_space, _prelude_rows,
+    _sample_rows, _exhaust, _shadow, _shadow_families, _span, _width,
 )
 from conftest import GROUPS, INERTIAL, ORACLE_CASES
 from test_endokit import rich_endos
@@ -523,6 +524,56 @@ def test_enumerate_refuses_large_orders():
         enumerate_subgroups(OMEGA2)
 
 
+def _prime_power_moduli(bound):
+    """Every sorted list of prime powers whose product is at most bound."""
+    powers = [q for q in range(2, bound + 1) if len(prime_divisors(q)) == 1]
+    out = []
+
+    def grow(mods, start, room):
+        out.append(mods)
+        for k in range(start, len(powers)):
+            if powers[k] <= room:
+                grow(mods + [powers[k]], k, room // powers[k])
+
+    grow([], 0, bound)
+    return out
+
+
+def _subgroups_by_span(moduli):
+    """Generators of every subgroup of the product of the Z/m, found from
+    the zero subgroup by adjoining one element at a time (_span)."""
+    n = len(moduli)
+    elements = _span(moduli, [[int(i == j) for j in range(n)] for i in range(n)])
+    found = {frozenset(_span(moduli, [])): []}
+    frontier = list(found.items())
+    while frontier:
+        h, gens = frontier.pop()
+        for g in elements - h:
+            k = frozenset(_span(moduli, gens + [g]))
+            if k not in found:
+                found[k] = gens + [g]
+                frontier.append((k, found[k]))
+    return list(found.values())
+
+
+def test_the_walk_finds_every_subgroup_once():
+    # against subgroups built element by element, compared as Hermite forms
+    cases = _prime_power_moduli(32)
+    assert len(cases) == 55 and [2, 2, 2, 2, 2] in cases and [2, 3, 5] in cases
+    for moduli in cases:
+        walked = [tuple(map(tuple, hnf((), moduli, x.basis))) for x in _echelon_bases(moduli)]
+        spanned = {tuple(map(tuple, hnf(gens, moduli))) for gens in _subgroups_by_span(moduli)}
+        assert len(set(walked)) == len(walked) and set(walked) == spanned, moduli
+
+
+def test_the_walk_counts_the_subspaces_and_refuses_past_its_bound():
+    for p, n in ((2, 6), (3, 5), (5, 4)):
+        assert len(_echelon_bases([p] * n)) == count_subspaces(p, n)
+    # (Z/2)^12 has about 4.9e11 subgroups: the walk stops past 20000, before it returns
+    with pytest.raises(UsageError, match="the subgroup lattice is too large to enumerate"):
+        _echelon_bases([2] * 12)
+
+
 def test_enumerate_all_matches_the_elements_and_the_coset_count():
     # --enumerate-all measures echelon bases; each map's view must count
     # the element subgroups and reach their largest coset-counted index.
@@ -544,7 +595,7 @@ def test_enumerate_all_matches_the_elements_and_the_coset_count():
         files += 1
         for name, phi in parsed.endos.items():
             psi = truncate_endo(phi, shadow)
-            worst = max(naive_index_in_sum(s, psi, limit=4096) for s in subs)
+            worst = max(naive_index_in_sum(s, psi) for s in subs)
             assert views[name]["exhaustive"] == \
                 {"level": 2, "subgroups": len(subs), "max_index": worst}, (path.name, name)
     assert files >= 4
@@ -1110,26 +1161,31 @@ def _canon(x):
     return hnf((), x.moduli, x.basis)
 
 
+def _sparse(rows):
+    """Dense rows as the {column: entry} rows that FiniteLattice takes."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 def _reversed(x):
     """The same subgroup over the reversed coordinates, where annihilators live."""
-    return FiniteLattice(x.moduli[::-1], [r[::-1] for r in x.basis])
+    return FiniteLattice(x.moduli[::-1], _sparse(r[::-1] for r in x.basis))
 
 
 def test_lattice_orders_and_bounds():
-    line = FiniteLattice([4, 2], [[2, 1]])
-    whole = FiniteLattice([4, 2], [[1, 0], [0, 1]])
+    line = FiniteLattice([4, 2], [{0: 2, 1: 1}])
+    whole = FiniteLattice([4, 2], [{0: 1}, {1: 1}])
     zero = FiniteLattice([4, 2], [])
     assert (line.order(), whole.order(), zero.order()) == (2, 8, 1)
-    # rows inserted into another lattice's basis span the join
-    assert _canon(FiniteLattice([4, 2], whole.basis, line.basis)) == _canon(whole)
-    assert _canon(FiniteLattice([4, 2], line.basis, zero.basis)) == _canon(line)
+    # rows inserted into another lattice's slots span the join
+    assert _canon(FiniteLattice([4, 2], _sparse(whole.basis), dict(line.slots))) == _canon(whole)
+    assert _canon(FiniteLattice([4, 2], _sparse(line.basis), dict(zero.slots))) == _canon(line)
     # the annihilators under x0 y0 / 4 + x1 y1 / 2 reverse the order, and
     # live over the reversed coordinates
     assert whole.annihilator().moduli == (2, 4)
     assert _canon(whole.annihilator()) == _canon(_reversed(zero))
     assert _canon(zero.annihilator()) == _canon(_reversed(whole))
     perp = line.annihilator()
-    assert _canon(perp) == _canon(_reversed(FiniteLattice([4, 2], [[1, 1]])))
+    assert _canon(perp) == _canon(_reversed(FiniteLattice([4, 2], [{0: 1, 1: 1}])))
     assert perp.annihilator().moduli == (4, 2)
     assert _canon(perp.annihilator()) == _canon(line)
     assert line.order() * perp.order() == whole.order()
@@ -1139,22 +1195,22 @@ def test_lattice_image_and_preimage_are_adjoint_on_an_example():
     # doubling on Z/4 x Z/2 kills the second coordinate; its image is the
     # annihilator of the kernel of the dual map, which doubles e0 as well
     doubling = [[(0, 2)], []]
-    whole = FiniteLattice([4, 2], [[1, 0], [0, 1]])
-    image = FiniteLattice([4, 2], [[2, 0]])
+    whole = FiniteLattice([4, 2], [{0: 1}, {1: 1}])
+    image = FiniteLattice([4, 2], [{0: 2}])
     assert image.order() == 2
-    kernel = FiniteLattice([4, 2], [[2, 0], [0, 1]])
+    kernel = FiniteLattice([4, 2], [{0: 2}, {1: 1}])
     assert _canon(image.annihilator()) == _canon(_reversed(kernel))
     assert _canon(kernel.annihilator()) == _canon(_reversed(image))
     assert image.order() * kernel.order() == whole.order()
     assert _canon(whole.closure(doubling)) == _canon(whole)
-    assert FiniteLattice([4, 2], [[0, 1]]).closure(doubling).order() == 2
+    assert FiniteLattice([4, 2], [{1: 1}]).closure(doubling).order() == 2
 
 
 def test_lattice_moduli_must_be_positive():
     for moduli in ([0, 2], [-4, 2], [4, 2, -1]):
         bad = next(m for m in moduli if m < 1)
         with pytest.raises(UsageError, match=f"modulus {bad} at column {moduli.index(bad)}"):
-            FiniteLattice(moduli, [[1] * len(moduli)])
+            FiniteLattice(moduli, [dict.fromkeys(range(len(moduli)), 1)])
     # hnf keeps 0 as the free column
     assert hnf([[1, 1]], [0, 2]) == [[1, 1], [0, 2]]
 
@@ -1235,7 +1291,7 @@ def _check_lattice(moduli, rows, dense):
 @settings(max_examples=200, deadline=None)
 def test_lattice_basis_is_the_hermite_form(case):
     moduli, rows = case
-    _check_lattice(moduli, rows, rows)
+    _check_lattice(moduli, _sparse(rows), rows)
 
 
 @given(_deep_moduli_and_rows(False, 1))
@@ -1297,7 +1353,7 @@ def test_indices_match_the_hermite_bases():
     def check(case):
         moduli, rows_h, *images = case
         expected, refined = _hermite_indices(rows_h, images, moduli)
-        sparse = [list(map(sparse_row, rows)) for rows in (rows_h, *images)]
+        sparse = [_sparse(rows) for rows in (rows_h, *images)]
         assert oracle._indices(sparse[0], sparse[1:], moduli) == expected
         if INF in expected:
             seen.add("inf")
@@ -1373,18 +1429,14 @@ def _reversed_dual(action, moduli):
     return dual, [[(n - 1 - i, c) for i, c in dual[n - 1 - j]] for j in range(n)]
 
 
-@given(_moduli_and_rows([2, 3, 4, 8, 9, 27], 1).flatmap(lambda case: st.tuples(
-    st.just(case), st.lists(st.integers(0, 26), min_size=len(case[0]) ** 2,
-                            max_size=len(case[0]) ** 2))))
-@settings(max_examples=200, deadline=None)
-def test_closure_and_annihilator_match_the_reference(case):
-    (moduli, rows), ks = case
-    action = _homomorphic_action(moduli, ks)
-    x = FiniteLattice(moduli, rows)
+def _check_closure(moduli, rows, action):
+    """closure and annihilator of the lattice of the dense rows, and the
+    dual closure, against the references."""
+    x = FiniteLattice(moduli, _sparse(rows))
     upper = x.closure(action)
     assert _canon(upper) == _reference_closure(rows, action, moduli)
-    assert _canon(FiniteLattice(moduli, _images(upper.basis, action, moduli),
-                                upper.basis)) == _canon(upper)
+    assert _canon(FiniteLattice(moduli, _sparse(_images(upper.basis, action, moduli)),
+                                dict(upper.slots))) == _canon(upper)
     # the annihilator, read back in the original coordinates, is the
     # lattice of the columns of diag(m) H^-1
     perp = x.annihilator()
@@ -1403,19 +1455,41 @@ def test_closure_and_annihilator_match_the_reference(case):
     assert _canon(lower.closure(action)) == _canon(lower)
 
 
+@given(_moduli_and_rows([2, 3, 4, 8, 9, 27], 1).flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(st.integers(0, 26), min_size=len(case[0]) ** 2,
+                            max_size=len(case[0]) ** 2))))
+@settings(max_examples=200, deadline=None)
+def test_closure_and_annihilator_match_the_reference(case):
+    (moduli, rows), ks = case
+    _check_closure(moduli, rows, _homomorphic_action(moduli, ks))
+
+
+@given(st.lists(st.sampled_from([2 ** 32, 3 ** 20, 32, 9]), min_size=1, max_size=5).flatmap(
+    lambda mods: st.tuples(
+        st.just(mods),
+        st.lists(st.lists(st.one_of(st.integers(-40, 40), st.integers(-2 ** 40, 2 ** 40)),
+                          min_size=len(mods), max_size=len(mods)), max_size=4),
+        st.lists(st.integers(0, 2 ** 40), min_size=len(mods) ** 2, max_size=len(mods) ** 2))))
+@settings(max_examples=100, deadline=None)
+def test_closure_and_annihilator_match_the_reference_at_deep_moduli(case):
+    # at most 5 columns: the n^2 action is slow at the 24 of the index tests
+    moduli, rows, ks = case
+    _check_closure(moduli, rows, _homomorphic_action(moduli, ks))
+
+
 def test_closure_of_an_annihilator_row_with_a_full_pivot_and_a_tail():
     # X = {(2a, b)} in Z/4 x Z/8 keeps the unreduced basis ((2, 5), (0, 1)),
     # so diag(4, 8) H^-1 has the column (-10, 8): over the reversed moduli
     # (8, 4) the annihilator row (8, -10) has pivot 8 = m_0 and a tail.
     # The closure queues it; its element (0, 2) is that of its tail, which
     # the rows below it span, so its image must add nothing new
-    x = FiniteLattice([4, 8], [[2, 5], [2, 4]])
+    x = FiniteLattice([4, 8], [{0: 2, 1: 5}, {0: 2, 1: 4}])
     assert x.basis == ((2, 5), (0, 1))
     perp = x.annihilator()
     assert (perp.moduli, perp.basis) == ((8, 4), ((8, -10), (0, 2)))
     # e_1 -> 2 e_0 carries (0, 2) to (4, 0)
     closed = perp.closure([[], [(0, 2)]])
-    assert _canon(closed) == _canon(FiniteLattice((8, 4), [[0, 2], [4, 0]]))
+    assert _canon(closed) == _canon(FiniteLattice((8, 4), [{1: 2}, {0: 4}]))
     assert closed.order() == 4
 
 
@@ -1438,8 +1512,8 @@ def test_fs_ratio_on_the_reached_columns_matches_the_full_width(case):
     # e_j -> k e_j and the rest dense: the line of e_j reaches column j alone
     keep = dense[:j] + [[(j, ks[0] % moduli[j])]] + dense[j + 1:]
     flat = SimpleNamespace(moduli=tuple(moduli), images=[dense, keep])
-    xs = [FiniteLattice(moduli, rows), FiniteLattice(moduli, [[1] * n]),
-          FiniteLattice(moduli, [[int(k == j) for k in range(n)]])]
+    xs = [FiniteLattice(moduli, _sparse(rows)), FiniteLattice(moduli, [dict.fromkeys(range(n), 1)]),
+          FiniteLattice(moduli, [{j: 1}])]
     widths = set()
     for x, (_, ratios) in zip(xs, oracle._measure(flat, xs, True)):
         for action, ratio in zip(flat.images, ratios):
