@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactnum import (
     INF, OMEGA, ExtendedNat, JElement, UsageError,
-    frac_valuation, is_finite, is_prime, prime_divisors,
+    frac_valuation, is_finite, is_prime,
 )
 
 Nat = int | ExtendedNat
@@ -281,6 +281,14 @@ class GroupDesc:
 Coord = tuple[str, int]
 
 
+def _strip(n: int, primes: Iterable[int]) -> int:
+    """n with every factor from primes divided out."""
+    for q in primes:
+        while n % q == 0:
+            n //= q
+    return n
+
+
 def _canon_coeff(block: Block, val: int | Fraction) -> int | Fraction:
     if isinstance(block, Cyclic):
         if isinstance(val, Fraction):
@@ -290,12 +298,12 @@ def _canon_coeff(block: Block, val: int | Fraction) -> int | Fraction:
         return val % block.prime ** block.exp
     if isinstance(block, Prufer):
         v = Fraction(val) % 1
-        if v and prime_divisors(v.denominator) != {block.prime}:
+        if v and _strip(v.denominator, (block.prime,)) != 1:
             raise UsageError(
                 f"divisible {block.prime}-coordinates take values a/{block.prime}^j")
         return v
     v = Fraction(val)
-    if not prime_divisors(v.denominator) <= block.primes:
+    if _strip(v.denominator, block.primes) != 1:
         raise UsageError(f"denominator of {v} escapes the block's prime set")
     return v
 

@@ -388,28 +388,31 @@ def _draw_rows(group: GroupDesc, seed: int, probe_depth: int) -> Iterator[tuple[
     num (prod q^2 / den).
     """
     rng = random.Random(seed)
-    pool = [(name, i) for name, b in group.blocks
-            for i in range(max(1, min(_width(b, _TAIL_WINDOW), _TAIL_WINDOW)))]
+    # each coordinate with its block and, for a torsion-free one, the
+    # sorted primes and prod q^2, looked up once per call
+    pool = []
+    for name, b in group.blocks:
+        ps = sorted(b.primes) if isinstance(b, TorsionFree) else []
+        pool += [((name, i), b, ps, prod(q * q for q in ps))
+                 for i in range(max(1, min(_width(b, _TAIL_WINDOW), _TAIL_WINDOW)))]
     while True:
         gens = []
         for _ in range(rng.randint(1, 4)):
             pairs = []
-            for name, i in rng.sample(pool, rng.randint(1, min(3, len(pool)))):
-                b = group.block(name)
+            for coord, b, ps, squares in rng.sample(pool, rng.randint(1, min(3, len(pool)))):
                 if isinstance(b, Cyclic):
-                    pairs.append(((name, i), rng.randrange(1, b.prime ** b.exp)))
+                    pairs.append((coord, rng.randrange(1, b.prime ** b.exp)))
                 elif isinstance(b, Prufer):
                     j = rng.randint(1, _TAIL_WINDOW)
-                    pairs.append(((name, i), rng.randrange(1, b.prime ** j)
+                    pairs.append((coord, rng.randrange(1, b.prime ** j)
                                   * b.prime ** (probe_depth - j)))
                 else:
                     num = rng.randint(-3, 3)
                     den = 1
-                    ps = sorted(b.primes)
                     if ps and rng.random() < 0.5:
                         den = rng.choice(ps) ** rng.randint(1, 2)
                     if num:
-                        pairs.append(((name, i), num * (prod(q * q for q in ps) // den)))
+                        pairs.append((coord, num * (squares // den)))
             if pairs:
                 gens.append(tuple(sorted(pairs)))
         yield tuple(gens)
@@ -743,8 +746,10 @@ def _measure(flat: ProbeRows, lattices: Iterable[FiniteLattice],
     """Each lattice X's index under each map of the _shadow read flat and,
     with fs, its FS ratios.  Per map, |X + psi X : X| is read off the first
     sweep of X's closure worklist; with fs the worklist runs on to X^*.
+    An index of 1 means psi X lies in X, so X^* = X_* = X and the ratio is
+    1 with nothing more built.
 
-    X_*, the largest psi-invariant subgroup of X, is then found on the
+    Otherwise X_*, the largest psi-invariant subgroup of X, is found on the
     coordinates W that X and X^* reach.  X and X^* lie in G_W, the
     subgroup of the elements supported on W, and psi carries X^* into
     itself, so a subgroup of X is psi-invariant exactly when it is
@@ -759,7 +764,9 @@ def _measure(flat: ProbeRows, lattices: Iterable[FiniteLattice],
         for action in flat.images:
             index, upper = x._sweep(action, fs)
             indices.append(index)
-            if fs:
+            if fs and index == 1:
+                ratios.append(1)
+            elif fs:
                 w = sorted(set().union(*x.slots.values(), *upper.values()))
                 at = {j: k for k, j in enumerate(w)}
                 mods = [moduli[j] for j in w]
@@ -813,14 +820,15 @@ def _profiles(group: GroupDesc, phis: Sequence[Endo], levels: Sequence[int],
 
     Each level makes one pass over its _shadow read (_shadow_families), which
     gives every shadow family's index under each map and, with fs, its
-    FS ratio, so a periodic group is truncated and walked once per level
-    for both profiles.  With samples, the untruncated samples are then
-    measured: the prelude at the level and the first new random draws,
-    all made as Rows over the probes at depth max(top level,
-    _TAIL_WINDOW), where each map is applied once per probe.  The draws
-    are made once per call and replayed at every level, and the memo
-    keyed by the Rows measures each distinct sample once per call; it
-    holds one index per map and lives only as long as the call.  No map
+    FS ratio (1 at once for a family of index 1), so a periodic group is
+    truncated and walked once per level for both profiles.  With
+    samples, the untruncated samples are then measured: the prelude at
+    the level and the first new random draws, all made as Rows over the
+    probes at depth max(top level, _TAIL_WINDOW), where each map is
+    applied once per probe.  The draws are made once per call and
+    replayed at every level, and the memo keyed by the Rows measures
+    each distinct sample once per call; it holds one index per map and
+    lives only as long as the call.  No map
     meets a generator, and each map's entry is the one it gets alone.
     Returns each map's evidence and, with fs, its FS report ({} without).
     reads, if given, keeps each level's _shadow read for _exhaust.
@@ -891,11 +899,14 @@ def fs_profile(group: GroupDesc, phi: Endo,
                levels: Sequence[int]) -> dict[int, int]:
     """Max |X^* / X_*| per truncation level, over structured samples.
 
-    X^* is the closure of X under phi.  X_*, the largest phi-invariant
-    subgroup of X, is reached through its annihilator under the pairing
-    sum x_i y_i / m_i, taken inside G_W, the coordinates W that X and X^*
-    reach (_measure): the closure of X^perp under the dual of phi
-    followed by the projection to W, whose entries are phi_ij m_i / m_j.
+    X^* is the closure of X under phi.  A family that phi carries into
+    itself, read off the first sweep as |X + phi X : X| = 1, has
+    X^* = X_* = X and ratio 1 (_measure builds nothing more for it).
+    Otherwise X_*, the largest phi-invariant subgroup of X, is reached
+    through its annihilator under the pairing sum x_i y_i / m_i, taken
+    inside G_W, the coordinates W that X and X^* reach (_measure): the
+    closure of X^perp under the dual of phi followed by the projection to
+    W, whose entries are phi_ij m_i / m_j.
     The ratio is |X^*| |X_*^perp| / |G_W|, and only orders enter it, so
     X^perp and its closure stay over the reversed coordinates and
     neither lattice is ever brought to its canonical Hermite form.

@@ -73,6 +73,18 @@ def test_element_canonicalization():
         Element(SECTION3, {("C", 0): Fraction(1, 3)})  # 3 escapes pi = {5}
 
 
+def test_coefficient_denominators_are_checked_by_division():
+    # a divisible value needs a p-power denominator and a torsion-free one
+    # a denominator over the block's primes; both refusals keep their words
+    group = G(("D", Prufer(2, 1)), ("T", TorsionFree({2, 3}, 1)))
+    with pytest.raises(UsageError, match=r"^divisible 2-coordinates take values a/2\^j$"):
+        Element(group, {("D", 0): Fraction(1, 6)})
+    with pytest.raises(UsageError, match=r"^denominator of 1/5 escapes the block's prime set$"):
+        Element(group, {("T", 0): Fraction(1, 5)})
+    x = Element(group, {("D", 0): Fraction(3, 8), ("T", 0): Fraction(5, 36)})
+    assert (x.get(("D", 0)), x.get(("T", 0))) == (Fraction(3, 8), Fraction(5, 36))
+
+
 def test_element_arithmetic_and_order():
     x = Element(CRITICAL, {("B", 0): 3, ("D", 0): Fraction(1, 2)})
     y = Element(CRITICAL, {("B", 0): 1, ("D", 0): Fraction(1, 2)})

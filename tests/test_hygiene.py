@@ -1,7 +1,8 @@
 """Source hygiene of the library, read with the standard ``ast`` module:
 no import goes unused, no private helper outlives its last caller, every
-name that the benchmark's tracer wraps still exists, and only the listed
-witness templates read the map they search."""
+name that the benchmark's tracer wraps still exists, only the listed
+witness templates read the map they search, and the oracle and exactnum
+keep no state between calls."""
 from __future__ import annotations
 
 import ast
@@ -117,3 +118,41 @@ def test_witness_builders_read_phi_only_where_listed():
             readers.add(name)
     assert len(builders) == 6 and readers == reads_phi, \
         f"builders that read phi: {sorted(readers)}, listed: {sorted(reads_phi)}"
+
+
+# the module-level names of oracle and exactnum that bind more than a constant
+BOUND_AT_IMPORT = {"__all__", "_FAMILY_BUILDERS", "OMEGA", "INF"}
+GENERICS = {"tuple", "list", "dict", "set", "frozenset", "type", "Callable", "Iterable",
+            "Iterator", "Mapping", "Sequence"}
+
+
+def _constant(value: ast.expr) -> bool:
+    """An int, a str, a tuple of them, or a type alias (a subscripted generic)."""
+    if isinstance(value, ast.Constant):
+        return type(value.value) in (int, str)
+    if isinstance(value, ast.Tuple):
+        return all(map(_constant, value.elts))
+    return isinstance(value, ast.Subscript) and isinstance(value.value, ast.Name) \
+        and value.value.id in GENERICS
+
+
+def test_the_oracle_and_exactnum_keep_no_module_state():
+    # every call starts from nothing: a result shared across calls would
+    # need a global rebinding, a memoising decorator or a mutable binding
+    found = []
+    for name in ("oracle.py", "exactnum.py"):
+        tree = MODULES[name]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{name}:{node.lineno} global {', '.join(node.names)}")
+            for dec in getattr(node, "decorator_list", ()):
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "attr", getattr(dec, "id", None)) in ("cache", "lru_cache"):
+                    found.append(f"{name}:{node.lineno} @{ast.unparse(dec)}")
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                if stmt.value and names - BOUND_AT_IMPORT and not _constant(stmt.value):
+                    found.append(f"{name}:{stmt.lineno} {ast.unparse(stmt)[:60]}")
+    assert not found, f"module state in the oracle or exactnum: {found}"

@@ -907,6 +907,27 @@ def test_fs_violating_ratios_grow():
     assert report[2] < report[3] < report[4]
 
 
+def test_only_a_family_that_moves_is_dualised(monkeypatch):
+    # index 1 means psi X lies in X, so X^* = X_* = X and the ratio is 1
+    # without an annihilator; every family of index above 1 takes one
+    calls = []
+    annihilator = FiniteLattice.annihilator
+    monkeypatch.setattr(FiniteLattice, "annihilator", lambda x: calls.append(x) or annihilator(x))
+    assert fs_profile(OMEGA2, multiplication_endo(OMEGA2, 3), (2, 4)) == {2: 1, 4: 1}
+    assert calls == []
+    bad = Endo(OMEGA2, cyc={"B": 0, "C": 1})  # a planted CRT clash
+    bridge = Endo(CRIT, cyc={"B": 3}, div={2: F(1)})  # graph B/D has index 2
+    for group, phi, levels in ((OMEGA2, bad, (2, 3, 4)), (CRIT, bridge, (2, 3))):
+        calls.clear()
+        report = fs_profile(group, phi, levels)
+        moved = [index for level in levels
+                 for _, (index,), _ in _shadow_families(_shadow(group, [phi], level), level, False)
+                 if index != 1]
+        assert len(calls) == len(moved) == len(levels), (group, moved)
+        assert min(moved) > 1 and min(report.values()) > 1
+    assert report == {2: 4, 3: 4}
+
+
 def test_fs_needs_a_periodic_group():
     with pytest.raises(UsageError):
         fs_profile(MIXP, multiplication_endo(MIXP, 2), (2, 3))
@@ -1514,14 +1535,20 @@ def test_fs_ratio_on_the_reached_columns_matches_the_full_width(case):
     flat = SimpleNamespace(moduli=tuple(moduli), images=[dense, keep])
     xs = [FiniteLattice(moduli, _sparse(rows)), FiniteLattice(moduli, [dict.fromkeys(range(n), 1)]),
           FiniteLattice(moduli, [{j: 1}])]
+    # the closure under dense is invariant by construction
+    xs.append(xs[0].closure(dense))
     widths = set()
-    for x, (_, ratios) in zip(xs, oracle._measure(flat, xs, True)):
+    measured = list(oracle._measure(flat, xs, True))
+    for x, (_, ratios) in zip(xs, measured):
         for action, ratio in zip(flat.images, ratios):
             assert ratio == _fs_at_full_width(x, action)
             upper = x.closure(action)
             widths.add(len(set().union(*x.slots.values(), *upper.slots.values())))
     # the all-ones row reaches every column, the kept line one
     assert {1, n} <= widths
+    # the invariant closure's index and ratio under dense are both 1
+    indices, ratios = measured[-1]
+    assert indices[0] == ratios[0] == 1
 
 
 def _reference_fs(group, phi, level):
