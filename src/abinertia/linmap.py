@@ -25,8 +25,14 @@ residue matrix R = (VM)_Q - (VM)_P X: what is left of each image v*M
 once the basis has cleared its pivot entries.  Row i of VM depends
 only on row i of V, so each row's images are tabulated once per cell
 and a subspace costs d short row updates and one small rank.
-growth_bound_check measures its sampled subspaces through the same
-residue matrix, so both oracles measure growth with one kernel.
+growth_bound_check measures a sampled subspace H as
+rank([V; VM]) - rank(V) over F_2, and through the same residue matrix
+over odd p and Q.
+
+Over F_2 every vector is a Python int with bit j for column j: a row
+update is one XOR and a rank is an XOR basis, so the cell sweep, the
+samples and ExactMatrix.rank (and with it scalar_defect) run on
+bitmask rows.  Odd primes and Q keep their entries in lists.
 
 Vectors are rows and M sends v to v*M, matching the convention used
 for matrix parts of endomorphisms elsewhere in the package.
@@ -37,6 +43,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 from .exactnum import UsageError, factor, inv_mod, is_prime
@@ -90,6 +97,27 @@ def _reduce(field: Field, rows) -> tuple[tuple, ...]:
         if r == height:
             break
     return tuple(tuple(row) for row in mat[:r])
+
+
+def _bits(row) -> int:
+    """An F_2 row as a bitmask: bit j is the entry in column j."""
+    return sum(1 << j for j, v in enumerate(row) if v)
+
+
+def _xor_basis(basis: list[int], vecs) -> list[int]:
+    """Extend an F_2 basis of bitmasks by vecs, in place.
+
+    min(v, v ^ b) clears the leading bit of b from v exactly when v
+    carries it.  No basis vector carries the leading bit of an earlier
+    one, so a pass in basis order never brings a cleared bit back, and
+    what is left of v is 0 or a new basis vector.
+    """
+    for v in vecs:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return basis
 
 
 class ExactMatrix:
@@ -152,6 +180,8 @@ class ExactMatrix:
         return tuple(o % self.field for o in out)
 
     def rank(self) -> int:
+        if self.field == 2:
+            return len(_xor_basis([], map(_bits, self.rows)))
         return len(_reduce(self.field, self.rows))
 
     def __eq__(self, other: object) -> bool:
@@ -356,6 +386,26 @@ def _growth(M: ExactMatrix, basis) -> int:
     return _residue_rank(M.field, cells)
 
 
+def _bit_image(rows, v: int) -> int:
+    """The image v * M of an F_2 bitmask row, for M's rows as bitmasks."""
+    w = j = 0
+    while v:
+        if v & 1:
+            w ^= rows[j]
+        v >>= 1
+        j += 1
+    return w
+
+
+def _bit_growth(rows, vecs) -> int:
+    """_growth over F_2 for H spanned by the bitmask rows vecs, with M's
+    rows as bitmasks: rank([V; VM]) - rank(V), where only the XOR basis
+    of V needs its image."""
+    basis = _xor_basis([], vecs)
+    dim = len(basis)
+    return len(_xor_basis(basis, [_bit_image(rows, v) for v in basis])) - dim
+
+
 def _cell(M: ExactMatrix, pivots, rest, i: int):
     """The triple (x, u, c) of _residue_rank for every basis row i of the
     Schubert cell of the pivots, in the order of _free_rows: the image
@@ -369,16 +419,48 @@ def _cell(M: ExactMatrix, pivots, rest, i: int):
         yield x, [w[q] % p for q in rest], [w[c] % p for c in pivots]
 
 
+def _xor_residue_rank(cells) -> int:
+    """_residue_rank over F_2 on bitmasks: x and u are masks on the
+    columns of Q and c lists the indices k of the pivots that v M
+    carries, so the residue row is u ^ x_k over those k."""
+    xs = [x for x, _, _ in cells]
+    residues = []
+    for _, u, c in cells:
+        for k in c:
+            u ^= xs[k]
+        residues.append(u)
+    return len(_xor_basis([], residues))
+
+
+def _bit_cell(rows, pivots, rest, i):
+    """_cell over F_2, in the same order, for M's rows as bitmasks: the
+    triple (x, u, c) of _xor_residue_rank for every basis row i."""
+    mask = sum(1 << q for q in rest)
+    free = [q for q in rest if q > pivots[i]]
+    for vals in product((0, 1), repeat=len(free)):
+        x, w = 0, rows[pivots[i]]
+        for q, v in zip(free, vals):
+            if v:
+                x |= 1 << q
+                w ^= rows[q]
+        yield x, w & mask, tuple(k for k, c in enumerate(pivots) if w >> c & 1)
+
+
 def _stratum_growths(M: ExactMatrix, d: int):
     """Yield the growth of every d-dimensional subspace, in the order of
-    _stratum, sweeping one Schubert cell per set of pivots."""
+    _stratum, sweeping one Schubert cell per set of pivots: on bitmask
+    rows over F_2, on lists otherwise."""
     n = M.n
+    if M.field == 2:
+        cell, measure = partial(_bit_cell, [_bits(r) for r in M.rows]), _xor_residue_rank
+    else:
+        cell, measure = partial(_cell, M), partial(_residue_rank, M.field)
     for pivots in combinations(range(n), d):
         rest = [c for c in range(n) if c not in pivots]
-        later = [list(_cell(M, pivots, rest, i)) for i in range(1, d)]
-        for first in _cell(M, pivots, rest, 0):
+        later = [list(cell(pivots, rest, i)) for i in range(1, d)]
+        for first in cell(pivots, rest, 0):
             for cells in product(*later):
-                yield _residue_rank(M.field, (first, *cells))
+                yield measure((first, *cells))
 
 
 def max_inert_codim(M: ExactMatrix, budget: int = DEFAULT_BUDGET) -> int:
@@ -398,6 +480,9 @@ def max_inert_codim(M: ExactMatrix, budget: int = DEFAULT_BUDGET) -> int:
     basis rows 1..d-1 are tabulated once per cell; those of row 0, the
     row with the most free entries, are made as the sweep reaches them,
     so a dimension left at its cap stops without paying for its cell.
+    Over F_2 a cell row is a pair of bitmasks and its residue a few
+    XORs (_bit_cell, _xor_residue_rank); odd p keeps the list kernel.
+    Both share this one loop over dimensions, cells and the cap.
 
     The result is at most min(scalar_defect(M).defect, M.n // 2): the
     defect bounds it because H + HM = H + H(M - lambda*I).  Equality
@@ -429,21 +514,34 @@ class GrowthReport:
 
 
 def growth_bound_check(M: ExactMatrix, trials: int, seed: int) -> GrowthReport:
-    """Sample random subspaces and check none grows past the defect."""
+    """Sample random subspaces and check none grows past the defect.
+
+    Each trial draws a dimension d and then d rows of n entries, row by
+    row, from one random.Random(seed), and measures the span H of the
+    rows by dim(H + HM) - dim H: over F_2 as rank([V; VM]) - rank(V) on
+    bitmask rows (_bit_growth), over odd p and Q by _growth on the
+    reduced basis.
+    """
     res = scalar_defect(M)
     rng = random.Random(seed)
     n = M.n
+    rows = [_bits(r) for r in M.rows] if M.field == 2 else None
     best = 0
     for _ in range(trials):
         d = rng.randrange(n + 1)
         if M.field == "Q":
             vecs = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                      for _ in range(n)] for _ in range(d)]
+        elif M.field == 2:
+            vecs = [sum(rng.randrange(2) << j for j in range(n))
+                    for _ in range(d)]
         else:
             vecs = [[rng.randrange(M.field) for _ in range(n)]
                     for _ in range(d)]
-        basis = _reduce(M.field, vecs)
-        growth = _growth(M, basis)
+        if M.field == 2:
+            growth = _bit_growth(rows, vecs)
+        else:
+            growth = _growth(M, _reduce(M.field, vecs))
         if growth > res.defect:  # H + MH = H + (M - lam)H
             raise AssertionError("a subspace grew past the scalar defect")
         best = max(best, growth)

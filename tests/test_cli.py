@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abinertia
 from abinertia import cli
@@ -16,6 +18,8 @@ from abinertia.cli import (
 from abinertia.endokit import add, classify, compose, sub, validate
 from abinertia.exactnum import OMEGA, UsageError
 from conftest import GROUPS, INERTIAL
+from test_endokit import rich_endos
+from test_inertia import grich_inertial
 
 F = Fraction
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.txt"))
@@ -322,6 +326,18 @@ def test_certified_endos_and_their_combinations_round_trip():
         count += len(maps)
     assert count == 1002
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(rich_endos(), rich_endos()),
+                 st.tuples(grich_inertial(), grich_inertial())))
+def test_generated_endos_and_their_combinations_round_trip(pair):
+    # the fixed point above, on maps drawn from the generated families
+    a, b = pair
+    for phi in (a, b, add(a, b), sub(a, b), compose(a, b)):
+        parsed = ParsedInput("A", phi.group, {"e": phi})
+        assert parse(serialize(parsed)) == parsed, phi
+
+
 # -- sessions ------------------------------------------------------------------
 
 def test_check_identity_is_inertial():
@@ -459,6 +475,20 @@ def test_defect_at_its_subspace_gate(tmp_path, capsys):
         view = json.loads(capsys.readouterr().out)["results"][str(path)]["scale"]
         assert (view["field"], view["dimension"], view["defect"]) == (p, n, 0)
         assert view["max_inert_codim"] == expected
+
+
+def test_defect_on_the_widest_space_it_reads(tmp_path, capsys):
+    # (Z/2)^64, the CLI's coordinate limit: every F_2 row fills a machine
+    # word, and the space is far past the MAX_SUBSPACES gate
+    path = tmp_path / "shift64.txt"
+    shift = "".join(f"  cyc[A.{i} -> A.{i + 1}] = 1;\n" for i in range(63))
+    path.write_text("group V {\n  block A = cyclic(p=2, k=1, mult=64)\n}\n\n"
+                    f"endo shift on V {{\n{shift}}}\n", encoding="utf-8")
+    assert main(["defect", str(path)]) == 0
+    view = json.loads(capsys.readouterr().out)["results"][str(path)]["shift"]
+    assert (view["field"], view["dimension"], view["lam"], view["defect"]) == (2, 64, 0, 63)
+    assert view["max_inert_codim"] is None
+    assert view["growth"]["max_growth"] <= view["defect"]
 
 
 def test_defect_needs_an_elementary_group():

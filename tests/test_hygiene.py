@@ -1,8 +1,8 @@
 """Source hygiene of the library, read with the standard ``ast`` module:
 no import goes unused, no private helper outlives its last caller, every
 name that the benchmark's tracer wraps still exists, only the listed
-witness templates read the map they search, and the oracle and exactnum
-keep no state between calls."""
+witness templates read the map they search, and the oracle, linmap and
+exactnum keep no state between calls."""
 from __future__ import annotations
 
 import ast
@@ -120,8 +120,9 @@ def test_witness_builders_read_phi_only_where_listed():
         f"builders that read phi: {sorted(readers)}, listed: {sorted(reads_phi)}"
 
 
-# the module-level names of oracle and exactnum that bind more than a constant
-BOUND_AT_IMPORT = {"__all__", "_FAMILY_BUILDERS", "OMEGA", "INF"}
+# the module-level names of oracle, linmap and exactnum that bind more than
+# a constant; linmap's Field is the type alias int | str
+BOUND_AT_IMPORT = {"__all__", "_FAMILY_BUILDERS", "OMEGA", "INF", "Field"}
 GENERICS = {"tuple", "list", "dict", "set", "frozenset", "type", "Callable", "Iterable",
             "Iterator", "Mapping", "Sequence"}
 
@@ -136,11 +137,11 @@ def _constant(value: ast.expr) -> bool:
         and value.value.id in GENERICS
 
 
-def test_the_oracle_and_exactnum_keep_no_module_state():
+def test_the_oracle_linmap_and_exactnum_keep_no_module_state():
     # every call starts from nothing: a result shared across calls would
     # need a global rebinding, a memoising decorator or a mutable binding
     found = []
-    for name in ("oracle.py", "exactnum.py"):
+    for name in ("oracle.py", "linmap.py", "exactnum.py"):
         tree = MODULES[name]
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
@@ -155,4 +156,4 @@ def test_the_oracle_and_exactnum_keep_no_module_state():
                 names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
                 if stmt.value and names - BOUND_AT_IMPORT and not _constant(stmt.value):
                     found.append(f"{name}:{stmt.lineno} {ast.unparse(stmt)[:60]}")
-    assert not found, f"module state in the oracle or exactnum: {found}"
+    assert not found, f"module state in the oracle, linmap or exactnum: {found}"

@@ -295,6 +295,73 @@ def test_search_at_the_edges_of_its_budget():
         max_inert_codim(M, budget=3 ** 5 - 1)
 
 
+def _reference_image(M, v):
+    return [sum(a * b for a, b in zip(v, col)) % M.field for col in zip(*M.rows)]
+
+
+def _reference_defect(M):
+    """min over lam of rank(M - lam*I), by _reference_rank."""
+    p, n = M.field, M.n
+    return min(_reference_rank(p, [[(M.rows[i][j] - lam * (i == j)) % p for j in range(n)]
+                                   for i in range(n)]) for lam in range(p))
+
+
+def _scalar_plus_low_rank(rng, p, n):
+    """lam*I plus a map of rank at most k, k drawn from 0..n: for small k
+    the growth stays below the dimension cap min(d, n - d)."""
+    lam, k = rng.randrange(p), rng.randint(0, n)
+    us = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+    vs = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+    return ExactMatrix(p, [[sum(u[i] * v[j] for u, v in zip(us, vs)) + lam * (i == j)
+                            for j in range(n)] for i in range(n)])
+
+
+def test_sampled_growth_matches_the_stacked_rank():
+    # growth_bound_check's draws replayed: d, then d rows of n entries row
+    # by row; each H measured as rank([V; VM]) - rank(V)
+    shapes = [(2, n, seed) for n in range(1, 11) for seed in range(5)]
+    shapes += [(p, n, seed) for p in (3, 5) for n in range(1, 7) for seed in range(5)]
+    shapes += [(2, 64, 0)]
+    for p, n, seed in shapes:
+        M = _scalar_plus_low_rank(random.Random(f"{p}/{n}/{seed}"), p, n)
+        rng, best = random.Random(seed), 0
+        for _ in range(20):
+            d = rng.randrange(n + 1)
+            V = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
+            stacked = V + [_reference_image(M, v) for v in V]
+            best = max(best, _reference_rank(p, stacked) - _reference_rank(p, V))
+        report = growth_bound_check(M, trials=20, seed=seed)
+        assert (report.max_growth, report.bound) == (best, _reference_defect(M)), (p, n, seed)
+
+
+def test_bitmask_ranks_past_a_machine_word():
+    # F_2 rows are ints with one bit per column, so widths at and past 64
+    # must rank as the list elimination does
+    rng = random.Random(64)
+    for n in (1, 63, 64, 65):
+        for M in (ExactMatrix(2, [[rng.randrange(2) for _ in range(n)] for _ in range(n)]),
+                  _scalar_plus_low_rank(rng, 2, n), _scalar_plus_low_rank(rng, 2, n)):
+            assert M.rank() == _reference_rank(2, M.rows), n
+            got = scalar_defect(M)
+            ranks = [_reference_rank(2, M.sub_scalar(lam).rows) for lam in (0, 1)]
+            assert (got.lam, got.defect) == (ranks.index(min(ranks)), min(ranks)), n
+    assert jordan(2, 65).rank() == 64 and ExactMatrix.identity(2, 65).rank() == 65
+
+
+def test_no_f2_input_reaches_the_list_kernel(monkeypatch):
+    # over F_2 the sweep, the samples and every rank run on bitmask rows
+    M = jordan(2, 6)
+    expected = (max_inert_codim(M, budget=64), growth_bound_check(M, 30, 3), M.rank())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an F_2 input reached the list kernel")
+
+    for name in ("_reduce", "_residue_rank", "_growth", "_cell"):
+        monkeypatch.setattr(linmap, name, refuse)
+    assert (max_inert_codim(M, budget=64), growth_bound_check(M, 30, 3), M.rank()) == expected
+    assert scalar_defect(M).defect == 5
+
+
 def test_growth_bound_check_scalar():
     report = growth_bound_check(diag(3, 2, 2, 2), trials=40, seed=1)
     assert report.max_growth == 0 and report.bound == 0
