@@ -26,13 +26,15 @@ once the basis has cleared its pivot entries.  Row i of VM depends
 only on row i of V, so each row's images are tabulated once per cell
 and a subspace costs d short row updates and one small rank.
 growth_bound_check measures a sampled subspace H as
-rank([V; VM]) - rank(V) over F_2, and through the same residue matrix
-over odd p and Q.
+rank([V; VM]) - rank(V) over F_2 and F_3, and through the same residue
+matrix over p >= 5 and Q.
 
 Over F_2 every vector is a Python int with bit j for column j: a row
-update is one XOR and a rank is an XOR basis, so the cell sweep, the
-samples and ExactMatrix.rank (and with it scalar_defect) run on
-bitmask rows.  Odd primes and Q keep their entries in lists.
+update is one XOR and a rank is an XOR basis.  Over F_3 a vector is
+bit-sliced into two such ints, (ones, twos), and a row update is a few
+AND/OR/XOR operations.  So over both fields the cell sweep, the samples
+and ExactMatrix.rank (and with it scalar_defect) run on packed rows.
+Primes from 5 up and Q keep their entries in lists.
 
 Vectors are rows and M sends v to v*M, matching the convention used
 for matrix parts of endomorphisms elsewhere in the package.
@@ -104,6 +106,19 @@ def _bits(row) -> int:
     return sum(1 << j for j, v in enumerate(row) if v)
 
 
+def _trits(row) -> tuple[int, int]:
+    """An F_3 row bit-sliced as (ones, twos): bit j of ones is set when
+    the entry in column j is 1, and bit j of twos when it is 2."""
+    return _bits(v == 1 for v in row), _bits(v == 2 for v in row)
+
+
+def _trit_add(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+    """(a1, a2) + (b1, b2) over F_3 on bit-sliced rows, column by column
+    (Kawahara, Aoki and Takagi, Pairing 2008).  Negation swaps a pair."""
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
 def _xor_basis(basis: list[int], vecs) -> list[int]:
     """Extend an F_2 basis of bitmasks by vecs, in place.
 
@@ -117,6 +132,23 @@ def _xor_basis(basis: list[int], vecs) -> list[int]:
             v = min(v, v ^ b)
         if v:
             basis.append(v)
+    return basis
+
+
+def _trit_basis(basis: list[tuple[int, int, int]], vecs) -> list[tuple[int, int, int]]:
+    """_xor_basis over F_3, for bit-sliced vecs: a basis vector is kept as
+    (lead, ones, twos) with entry 1 at its leading bit lead, so v loses
+    that entry by subtracting it when v carries 1 there and by adding it
+    when v carries 2."""
+    for v1, v2 in vecs:
+        for lead, b1, b2 in basis:
+            if v1 & lead:
+                v1, v2 = _trit_add(v1, v2, b2, b1)
+            elif v2 & lead:
+                v1, v2 = _trit_add(v1, v2, b1, b2)
+        if v1 | v2:
+            lead = 1 << (v1 | v2).bit_length() - 1
+            basis.append((lead, v1, v2) if v1 & lead else (lead, v2, v1))
     return basis
 
 
@@ -182,6 +214,8 @@ class ExactMatrix:
     def rank(self) -> int:
         if self.field == 2:
             return len(_xor_basis([], map(_bits, self.rows)))
+        if self.field == 3:
+            return len(_trit_basis([], map(_trits, self.rows)))
         return len(_reduce(self.field, self.rows))
 
     def __eq__(self, other: object) -> bool:
@@ -406,6 +440,31 @@ def _bit_growth(rows, vecs) -> int:
     return len(_xor_basis(basis, [_bit_image(rows, v) for v in basis])) - dim
 
 
+def _trit_image(rows, v) -> tuple[int, int]:
+    """The image v * M of a bit-sliced F_3 row, for M's rows bit-sliced."""
+    v1, v2 = v
+    w1 = w2 = j = 0
+    while v1 | v2:
+        if v1 & 1:
+            w1, w2 = _trit_add(w1, w2, *rows[j])
+        elif v2 & 1:
+            r1, r2 = rows[j]
+            w1, w2 = _trit_add(w1, w2, r2, r1)
+        v1 >>= 1
+        v2 >>= 1
+        j += 1
+    return w1, w2
+
+
+def _trit_growth(rows, vecs) -> int:
+    """_bit_growth over F_3, for M's rows and the rows vecs of V
+    bit-sliced."""
+    basis = _trit_basis([], vecs)
+    dim = len(basis)
+    return len(_trit_basis(basis, [_trit_image(rows, (b1, b2))
+                                   for _, b1, b2 in basis])) - dim
+
+
 def _cell(M: ExactMatrix, pivots, rest, i: int):
     """The triple (x, u, c) of _residue_rank for every basis row i of the
     Schubert cell of the pivots, in the order of _free_rows: the image
@@ -446,13 +505,52 @@ def _bit_cell(rows, pivots, rest, i):
         yield x, w & mask, tuple(k for k, c in enumerate(pivots) if w >> c & 1)
 
 
+def _trit_residue_rank(cells) -> int:
+    """_residue_rank over F_3 on bit-sliced rows: x and u are pairs on the
+    columns of Q and c lists a pair (k, e) for each pivot k that v M
+    carries with entry e, so the residue row is u - e x_k over those k."""
+    xs = [x for x, _, _ in cells]
+    residues = []
+    for _, (u1, u2), c in cells:
+        for k, e in c:
+            x1, x2 = xs[k]
+            if e == 1:
+                x1, x2 = x2, x1
+            u1, u2 = _trit_add(u1, u2, x1, x2)
+        residues.append((u1, u2))
+    return len(_trit_basis([], residues))
+
+
+def _trit_cell(rows, pivots, rest, i):
+    """_cell over F_3, in the same order, for M's rows bit-sliced: the
+    triple (x, u, c) of _trit_residue_rank for every basis row i."""
+    mask = sum(1 << q for q in rest)
+    free = [q for q in rest if q > pivots[i]]
+    for vals in product((0, 1, 2), repeat=len(free)):
+        x1 = x2 = 0
+        w1, w2 = rows[pivots[i]]
+        for q, v in zip(free, vals):
+            if v == 1:
+                x1 |= 1 << q
+                w1, w2 = _trit_add(w1, w2, *rows[q])
+            elif v:
+                x2 |= 1 << q
+                r1, r2 = rows[q]
+                w1, w2 = _trit_add(w1, w2, r2, r1)
+        yield (x1, x2), (w1 & mask, w2 & mask), tuple(
+            (k, 1 if w1 >> c & 1 else 2) for k, c in enumerate(pivots)
+            if (w1 | w2) >> c & 1)
+
+
 def _stratum_growths(M: ExactMatrix, d: int):
     """Yield the growth of every d-dimensional subspace, in the order of
     _stratum, sweeping one Schubert cell per set of pivots: on bitmask
-    rows over F_2, on lists otherwise."""
+    rows over F_2, on bit-sliced rows over F_3, on lists otherwise."""
     n = M.n
     if M.field == 2:
         cell, measure = partial(_bit_cell, [_bits(r) for r in M.rows]), _xor_residue_rank
+    elif M.field == 3:
+        cell, measure = partial(_trit_cell, [_trits(r) for r in M.rows]), _trit_residue_rank
     else:
         cell, measure = partial(_cell, M), partial(_residue_rank, M.field)
     for pivots in combinations(range(n), d):
@@ -481,8 +579,9 @@ def max_inert_codim(M: ExactMatrix, budget: int = DEFAULT_BUDGET) -> int:
     row with the most free entries, are made as the sweep reaches them,
     so a dimension left at its cap stops without paying for its cell.
     Over F_2 a cell row is a pair of bitmasks and its residue a few
-    XORs (_bit_cell, _xor_residue_rank); odd p keeps the list kernel.
-    Both share this one loop over dimensions, cells and the cap.
+    XORs (_bit_cell, _xor_residue_rank), over F_3 the same on bit-sliced
+    rows (_trit_cell, _trit_residue_rank); p >= 5 keeps the list kernel.
+    All three share this one loop over dimensions, cells and the cap.
 
     The result is at most min(scalar_defect(M).defect, M.n // 2): the
     defect bounds it because H + HM = H + H(M - lambda*I).  Equality
@@ -516,16 +615,23 @@ class GrowthReport:
 def growth_bound_check(M: ExactMatrix, trials: int, seed: int) -> GrowthReport:
     """Sample random subspaces and check none grows past the defect.
 
-    Each trial draws a dimension d and then d rows of n entries, row by
-    row, from one random.Random(seed), and measures the span H of the
-    rows by dim(H + HM) - dim H: over F_2 as rank([V; VM]) - rank(V) on
-    bitmask rows (_bit_growth), over odd p and Q by _growth on the
-    reduced basis.
+    Each trial draws a dimension d and then d rows from one
+    random.Random(seed): over F_2 one getrandbits(n) per row, with bit j
+    for column j, otherwise n entries row by row.  Each row is uniform
+    over F_p^n either way.  The span H of the rows is measured by
+    dim(H + HM) - dim H: over F_2 and F_3 as rank([V; VM]) - rank(V) on
+    packed rows (_bit_growth, _trit_growth), over p >= 5 and Q by
+    _growth on the reduced basis.  trials must be a positive integer.
     """
+    if not isinstance(trials, int) or trials < 1:
+        raise UsageError("trials must be a positive integer")
     res = scalar_defect(M)
     rng = random.Random(seed)
     n = M.n
-    rows = [_bits(r) for r in M.rows] if M.field == 2 else None
+    if M.field == 2:
+        rows = [_bits(r) for r in M.rows]
+    elif M.field == 3:
+        rows = [_trits(r) for r in M.rows]
     best = 0
     for _ in range(trials):
         d = rng.randrange(n + 1)
@@ -533,13 +639,14 @@ def growth_bound_check(M: ExactMatrix, trials: int, seed: int) -> GrowthReport:
             vecs = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                      for _ in range(n)] for _ in range(d)]
         elif M.field == 2:
-            vecs = [sum(rng.randrange(2) << j for j in range(n))
-                    for _ in range(d)]
+            vecs = [rng.getrandbits(n) for _ in range(d)]
         else:
             vecs = [[rng.randrange(M.field) for _ in range(n)]
                     for _ in range(d)]
         if M.field == 2:
             growth = _bit_growth(rows, vecs)
+        elif M.field == 3:
+            growth = _trit_growth(rows, map(_trits, vecs))
         else:
             growth = _growth(M, _reduce(M.field, vecs))
         if growth > res.defect:  # H + MH = H + (M - lam)H

@@ -491,6 +491,21 @@ def test_defect_on_the_widest_space_it_reads(tmp_path, capsys):
     assert view["growth"]["max_growth"] <= view["defect"]
 
 
+def test_defect_on_the_widest_f3_space_it_reads(tmp_path, capsys):
+    # (Z/3)^64: every F_3 row is a pair of full machine words, and the
+    # work (3 + 40) * 64^2 = 176128 is under MAX_DEFECT_WORK
+    assert (3 + 40) * 64 ** 2 <= cli.MAX_DEFECT_WORK
+    path = tmp_path / "shift64.txt"
+    shift = "".join(f"  cyc[A.{i} -> A.{i + 1}] = 1;\n" for i in range(63))
+    path.write_text("group V {\n  block A = cyclic(p=3, k=1, mult=64)\n}\n\n"
+                    f"endo shift on V {{\n{shift}}}\n", encoding="utf-8")
+    assert main(["defect", str(path)]) == 0
+    view = json.loads(capsys.readouterr().out)["results"][str(path)]["shift"]
+    assert (view["field"], view["dimension"], view["lam"], view["defect"]) == (3, 64, 0, 63)
+    assert view["max_inert_codim"] is None
+    assert view["growth"]["max_growth"] <= view["defect"]
+
+
 def test_defect_needs_an_elementary_group():
     with pytest.raises(UsageError, match="elementary abelian"):
         run(config("defect", "critical"))

@@ -317,17 +317,22 @@ def _scalar_plus_low_rank(rng, p, n):
 
 
 def test_sampled_growth_matches_the_stacked_rank():
-    # growth_bound_check's draws replayed: d, then d rows of n entries row
-    # by row; each H measured as rank([V; VM]) - rank(V)
+    # growth_bound_check's draws replayed: d, then d rows, over F_2 one
+    # getrandbits(n) per row with bit j for column j, otherwise n entries
+    # row by row; each H measured as rank([V; VM]) - rank(V)
     shapes = [(2, n, seed) for n in range(1, 11) for seed in range(5)]
     shapes += [(p, n, seed) for p in (3, 5) for n in range(1, 7) for seed in range(5)]
-    shapes += [(2, 64, 0)]
+    shapes += [(2, 64, 0), (3, 64, 0)]
     for p, n, seed in shapes:
         M = _scalar_plus_low_rank(random.Random(f"{p}/{n}/{seed}"), p, n)
         rng, best = random.Random(seed), 0
         for _ in range(20):
             d = rng.randrange(n + 1)
-            V = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
+            if p == 2:
+                V = [[r >> j & 1 for j in range(n)]
+                     for r in (rng.getrandbits(n) for _ in range(d))]
+            else:
+                V = [[rng.randrange(p) for _ in range(n)] for _ in range(d)]
             stacked = V + [_reference_image(M, v) for v in V]
             best = max(best, _reference_rank(p, stacked) - _reference_rank(p, V))
         report = growth_bound_check(M, trials=20, seed=seed)
@@ -360,6 +365,42 @@ def test_no_f2_input_reaches_the_list_kernel(monkeypatch):
         monkeypatch.setattr(linmap, name, refuse)
     assert (max_inert_codim(M, budget=64), growth_bound_check(M, 30, 3), M.rank()) == expected
     assert scalar_defect(M).defect == 5
+
+
+def test_trit_ranks_past_a_machine_word():
+    # F_3 rows are pairs of ints with one bit per column, so widths at and
+    # past 64 must rank as the list elimination does, at every scalar
+    rng = random.Random(64)
+    for n in (1, 63, 64, 65):
+        for M in (ExactMatrix(3, [[rng.randrange(3) for _ in range(n)] for _ in range(n)]),
+                  _scalar_plus_low_rank(rng, 3, n), _scalar_plus_low_rank(rng, 3, n)):
+            assert M.rank() == _reference_rank(3, M.rows), n
+            got = scalar_defect(M)
+            ranks = [_reference_rank(3, M.sub_scalar(lam).rows) for lam in (0, 1, 2)]
+            assert (got.lam, got.defect) == (ranks.index(min(ranks)), min(ranks)), n
+    assert jordan(3, 65, lam=2).rank() == 65 and jordan(3, 65).rank() == 64
+
+
+def test_no_f3_input_reaches_the_list_kernel(monkeypatch):
+    # over F_3 the sweep, the samples and every rank run on bit-sliced rows
+    M = jordan(3, 5, lam=2)
+    expected = (max_inert_codim(M, budget=3 ** 5), growth_bound_check(M, 30, 3), M.rank())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an F_3 input reached the list kernel")
+
+    for name in ("_reduce", "_residue_rank", "_growth", "_cell"):
+        monkeypatch.setattr(linmap, name, refuse)
+    assert (max_inert_codim(M, budget=3 ** 5), growth_bound_check(M, 30, 3), M.rank()) == expected
+    assert scalar_defect(M).defect == 4
+
+
+def test_growth_bound_check_refuses_a_bad_trial_count():
+    M = jordan(2, 3)
+    for trials in (0, -5, 2.5, "3", None):
+        with pytest.raises(UsageError, match="trials must be a positive integer"):
+            growth_bound_check(M, trials=trials, seed=0)
+    assert growth_bound_check(M, trials=1, seed=0).trials == 1
 
 
 def test_growth_bound_check_scalar():
